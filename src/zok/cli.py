@@ -258,6 +258,11 @@ def _read_spmap(path):
     sp = read_tensor(path)
     if sp.ndim != 2:
         raise ValueError("superpixel map must be a rank-2 tensor")
+    if sp.max() >= sp.size:
+        raise ValueError(f"superpixel ids must be below the pixel count {sp.size}")
+    ids = np.unique(sp)
+    if not np.array_equal(ids, np.arange(len(ids))):
+        raise ValueError("superpixel ids must be contiguous 0..K-1")
     return sp.astype(np.int32)
 
 

@@ -299,31 +299,40 @@ def write_model(model, path):
 
 
 def read_model(path):
-    """Read a ZOM1 model file."""
+    """Read a ZOM1 model file; a truncated or inconsistent one raises FormatError."""
     from .core_io import FormatError
 
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:4] != b"ZOM1":
         raise FormatError(f"wrong magic: {data[:4]!r}")
-    num_classes, nlayers = struct.unpack("<II", data[4:12])
-    pos = 12
+    pos = 4
+
+    def take(nbytes, what):
+        nonlocal pos
+        if pos + nbytes > len(data):
+            raise FormatError(f"truncated {what}: needs {nbytes} bytes at offset {pos}, "
+                              f"file has {len(data)}")
+        pos += nbytes
+        return data[pos - nbytes : pos]
+
+    def floats(count, what):
+        return np.frombuffer(take(count * 4, what), dtype="<f4").astype(np.float64)
+
+    num_classes, nlayers = struct.unpack("<II", take(8, "header"))
+    if nlayers == 0:
+        raise FormatError("model has no layers")
     weights, biases = [], []
-    for _ in range(nlayers):
-        in_dim, out_dim = struct.unpack("<II", data[pos : pos + 8])
-        pos += 8
-        wlen = in_dim * out_dim * 4
-        weights.append(
-            np.frombuffer(data[pos : pos + wlen], dtype="<f4").reshape(out_dim, in_dim).astype(np.float64)
-        )
-        pos += wlen
-        biases.append(np.frombuffer(data[pos : pos + out_dim * 4], dtype="<f4").astype(np.float64))
-        pos += out_dim * 4
+    for layer in range(nlayers):
+        in_dim, out_dim = struct.unpack("<II", take(8, f"layer {layer} header"))
+        if weights and in_dim != weights[-1].shape[0]:
+            raise FormatError(f"layer {layer} input size {in_dim} != previous output size "
+                              f"{weights[-1].shape[0]}")
+        weights.append(floats(in_dim * out_dim, f"layer {layer} weights").reshape(out_dim, in_dim))
+        biases.append(floats(out_dim, f"layer {layer} bias"))
     d = weights[0].shape[1]
-    mean = np.frombuffer(data[pos : pos + d * 4], dtype="<f4").astype(np.float64)
-    pos += d * 4
-    std = np.frombuffer(data[pos : pos + d * 4], dtype="<f4").astype(np.float64)
-    pos += d * 4
+    mean = floats(d, "mean")
+    std = floats(d, "std")
     if pos != len(data):
         raise FormatError("payload size mismatch")
     if weights[-1].shape[0] != num_classes:

@@ -233,84 +233,105 @@ def _label_components(spmap):
     Returns (component map, sizes, id of each component's superpixel).
     Component labels follow the row-major order of each component's first
     pixel, so smaller labels mean earlier first pixels.
+
+    Every pixel starts as its own root; each round hooks the larger root of
+    every same-id 4-neighbor edge onto the smaller one, then pointer jumping
+    flattens the trees.  At the fixed point each pixel points at the first
+    (smallest flat index) pixel of its component.
     """
     h, w = spmap.shape
-    comp = np.full((h, w), -1, dtype=np.int32)
-    sizes = []
-    ids = []
-    stack = []
-    for sy in range(h):
-        for sx in range(w):
-            if comp[sy, sx] >= 0:
-                continue
-            cid = spmap[sy, sx]
-            label = len(sizes)
-            comp[sy, sx] = label
-            stack.append((sy, sx))
-            n = 0
-            while stack:
-                y, x = stack.pop()
-                n += 1
-                for ny, nx in ((y - 1, x), (y + 1, x), (y, x - 1), (y, x + 1)):
-                    if 0 <= ny < h and 0 <= nx < w and comp[ny, nx] < 0 and spmap[ny, nx] == cid:
-                        comp[ny, nx] = label
-                        stack.append((ny, nx))
-            sizes.append(n)
-            ids.append(int(cid))
-    return comp, np.array(sizes), np.array(ids)
+    index = np.arange(spmap.size)
+    grid = index.reshape(h, w)
+    same_x = spmap[:, :-1] == spmap[:, 1:]
+    same_y = spmap[:-1, :] == spmap[1:, :]
+    u = np.concatenate([grid[:, :-1][same_x], grid[:-1, :][same_y]])
+    v = np.concatenate([grid[:, 1:][same_x], grid[1:, :][same_y]])
+    parent = index.copy()
+    while True:
+        pu, pv = parent[u], parent[v]
+        unmerged = pu != pv
+        if not unmerged.any():
+            break
+        u, v, pu, pv = u[unmerged], v[unmerged], pu[unmerged], pv[unmerged]
+        np.minimum.at(parent, np.maximum(pu, pv), np.minimum(pu, pv))
+        while True:
+            jumped = parent[parent]
+            if np.array_equal(jumped, parent):
+                break
+            parent = jumped
+    roots = np.nonzero(parent == index)[0]
+    rank = np.empty(spmap.size, dtype=np.int32)
+    rank[roots] = np.arange(len(roots), dtype=np.int32)
+    comp = rank[parent]
+    return comp.reshape(h, w), np.bincount(comp), spmap.ravel()[roots].astype(np.int64)
 
 
 def _kept_components(sizes, ids):
     """Mark, per superpixel id, its largest component (earliest on ties)."""
+    order = np.lexsort((np.arange(len(sizes)), -sizes, ids))
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = ids[order[1:]] != ids[order[:-1]]
     kept = np.zeros(len(sizes), dtype=bool)
-    for sp in np.unique(ids):
-        members = np.nonzero(ids == sp)[0]
-        kept[members[np.argmax(sizes[members])]] = True
+    kept[order[first]] = True
     return kept
+
+
+def _boundary_votes(comp, sources):
+    """Count 4-neighbor pixel pairs from each source component to the others.
+
+    Returns (src, dst, count) sorted by (src, dst): `count` ordered pixel
+    pairs (p, q) are 4-adjacent with p in component src and q in dst != src.
+    """
+    n = int(comp.max()) + 1
+    a = np.concatenate([comp[:, :-1].ravel(), comp[:-1, :].ravel()]).astype(np.int64)
+    b = np.concatenate([comp[:, 1:].ravel(), comp[1:, :].ravel()]).astype(np.int64)
+    cross = a != b
+    src = np.concatenate([a[cross], b[cross]])
+    dst = np.concatenate([b[cross], a[cross]])
+    keep = sources[src]
+    pairs, counts = np.unique(src[keep] * n + dst[keep], return_counts=True)
+    src, dst = np.divmod(pairs, n)
+    return src, dst, counts
 
 
 def enforce_connectivity(spmap):
     """Make every superpixel 4-connected.
 
-    Stray components smaller than (area/K)/4 are absorbed into the id most
-    common among their 4-neighbors; each id keeps its largest component.
+    Each id keeps its largest component (the earliest in raster order on
+    ties).  Stray components smaller than (area/K)/4 are absorbed one at a
+    time, in raster order of their first pixel, into the id most common
+    among their 4-neighbor pixels (smallest id on ties).  Votes read the
+    current ids, so a stray sees the absorptions of every earlier stray of
+    the same pass; passes repeat until no small stray is left.
     Disconnected leftovers at least that large become new superpixels.
     Ids come out contiguous; an already-connected map is returned unchanged.
     """
     spmap = np.asarray(spmap, dtype=np.int32)
-    h, w = spmap.shape
     k = int(spmap.max()) + 1
     threshold = spmap.size / k / 4.0
-    cur = spmap.copy()
+    cur = spmap
 
     while True:
         comp, sizes, ids = _label_components(cur)
         kept = _kept_components(sizes, ids)
-        small = [c for c in range(len(sizes)) if not kept[c] and sizes[c] < threshold]
-        if not small:
+        small = ~kept & (sizes < threshold)
+        if not small.any():
             break
-        for c in small:
-            cy, cx = np.nonzero(comp == c)
-            votes = {}
-            for y, x in zip(cy, cx):
-                for ny, nx in ((y - 1, x), (y + 1, x), (y, x - 1), (y, x + 1)):
-                    if 0 <= ny < h and 0 <= nx < w and comp[ny, nx] != c:
-                        nid = int(cur[ny, nx])
-                        votes[nid] = votes.get(nid, 0) + 1
-            if votes:
-                top = max(votes.values())
-                cur[cy, cx] = min(i for i, v in votes.items() if v == top)
+        strays = np.nonzero(small)[0]
+        src, dst, counts = _boundary_votes(comp, small)
+        starts = np.searchsorted(src, strays)
+        ends = np.searchsorted(src, strays, side="right")
+        cur_id = ids.copy()
+        for c, lo, hi in zip(strays.tolist(), starts.tolist(), ends.tolist()):
+            cur_id[c] = np.bincount(cur_id[dst[lo:hi]], weights=counts[lo:hi]).argmax()
         # Merges changed the partition; relabel and rescan.
+        cur = cur_id[comp].astype(np.int32)
 
-    # Fresh ids for the remaining (large) disconnected leftovers.
-    comp, sizes, ids = _label_components(cur)
-    kept = _kept_components(sizes, ids)
+    # Fresh ids for the remaining (large) disconnected leftovers; the last
+    # pass labeled the final map, so its components are reused.
     final_id = ids.copy()
-    next_id = k
-    for c in range(len(sizes)):
-        if not kept[c]:
-            final_id[c] = next_id
-            next_id += 1
+    orphans = ~kept
+    final_id[orphans] = k + np.arange(np.count_nonzero(orphans))
     return compact_ids(final_id[comp].astype(np.int32))
 
 

@@ -68,6 +68,8 @@ class SyntheticSpec:
     blob_radius: tuple = field(default=None)  # default scaled to size
 
     def __post_init__(self):
+        if self.size < 1:
+            raise ValueError("size must be >= 1")
         if self.num_classes < 2:
             raise ValueError("need at least 2 classes")
         if self.kind not in ("quadrants", "blobs", "stripes"):

@@ -1,9 +1,10 @@
 import json
+import struct
 
 import numpy as np
 import pytest
 
-from zok import cli
+from zok import cli, learner
 from zok.core_io import read_tensor, write_pgm, write_tensor
 from zok.synth import SyntheticSpec, synth_generate
 
@@ -128,6 +129,82 @@ class TestTrainPredict:
             run("train", "--features", tmp_path / "x.zot", "--labels", tmp_path / "y.zot",
                 "--epochs", 3, "--seed", 5, "--out", tmp_path / name)
         assert (tmp_path / "a.zom").read_bytes() == (tmp_path / "b.zom").read_bytes()
+
+
+def model_bytes(tmp_path, hidden_in=4):
+    """A ZOM1 file for a 3 -> 4 -> 2 MLP, 156 bytes: header [0, 12),
+    layer 0 header/weights/bias [12, 20)/[20, 68)/[68, 84), layer 1
+    [84, 92)/[92, 124)/[124, 132), mean [132, 144), std [144, 156).
+    hidden_in != 4 gives layer 1 an input size that does not chain."""
+    model = learner.MlpModel(
+        [np.ones((4, 3)), np.ones((2, hidden_in))], [np.zeros(4), np.zeros(2)],
+        np.zeros(3), np.ones(3),
+    )
+    learner.write_model(model, tmp_path / "m.zom")
+    return (tmp_path / "m.zom").read_bytes()
+
+
+class TestPredictMalformedModel:
+    @pytest.mark.parametrize("case", [
+        "no-layers", "short-header", "layer-header", "weights", "bias", "mean-std",
+        "dims-mismatch",
+    ])
+    def test_exit_2_with_one_error_line(self, tmp_path, capsys, case):
+        data = model_bytes(tmp_path)
+        assert len(data) == 156
+        bad = {
+            "no-layers": b"ZOM1" + struct.pack("<II", 2, 0),
+            "short-header": data[:8],
+            "layer-header": data[:16],
+            "weights": data[:40],
+            "bias": data[:76],
+            "mean-std": data[:140],
+            "dims-mismatch": model_bytes(tmp_path, hidden_in=5),
+        }[case]
+        (tmp_path / "bad.zom").write_bytes(bad)
+        write_tensor(np.zeros((2, 3), dtype=np.float32), tmp_path / "x.zot")
+        capsys.readouterr()
+        assert run("predict", "--model", tmp_path / "bad.zom", "--features", tmp_path / "x.zot",
+                   "--out", tmp_path / "p.zot") == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert not (tmp_path / "p.zot").exists()
+
+
+def bad_spmap(kind):
+    sp = np.zeros((32, 32), dtype=np.uint32)
+    if kind == "gap":
+        sp[:, 16:] = 5              # ids {0, 5}: not contiguous
+    elif kind == "huge-id":
+        sp[0, 0] = 2**31            # above the pixel count
+    else:
+        sp = sp[None]               # rank 3
+    return sp
+
+
+class TestSuperpixelMapValidation:
+    @pytest.mark.parametrize("kind", ["gap", "huge-id", "rank-3"])
+    def test_features_rejects_bad_map(self, tmp_path, capsys, quad_image, kind):
+        img_path, _ = quad_image
+        write_tensor(bad_spmap(kind), tmp_path / "sp.zot")
+        capsys.readouterr()
+        assert run("features", "--image", img_path, "--superpixels", tmp_path / "sp.zot",
+                   "--levels", "local", "--out", tmp_path / "f.zot") == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert not (tmp_path / "f.zot").exists()
+
+    @pytest.mark.parametrize("kind", ["gap", "huge-id", "rank-3"])
+    def test_crf_rejects_bad_map(self, tmp_path, capsys, quad_image, kind):
+        img_path, _ = quad_image
+        write_tensor(bad_spmap(kind), tmp_path / "sp.zot")
+        write_tensor(np.full((6, 2), 0.5, dtype=np.float32), tmp_path / "u.zot")
+        capsys.readouterr()
+        assert run("crf", "--unary", tmp_path / "u.zot", "--image", img_path,
+                   "--superpixels", tmp_path / "sp.zot", "--out", tmp_path / "q.zot") == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert not (tmp_path / "q.zot").exists()
 
 
 class TestSampleCommand:
@@ -257,6 +334,11 @@ class TestSynthCommand:
         assert run("synth", "--out", out, "--count", 2, "--size", 16,
                    "--classes", 3, "--kind", "stripes") == 0
         assert len(list(out.iterdir())) == 4
+
+    def test_size_below_one_rejected(self, tmp_path):
+        out = tmp_path / "data"
+        assert run("synth", "--out", out, "--count", 2, "--size", 0) == 1
+        assert not out.exists()
 
 
 class TestPipelineCommand:

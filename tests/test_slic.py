@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from zok.core_io import rgb_to_lab
-from zok.slic import (SlicParams, assign_pixels, compact_ids,
-                      enforce_connectivity, grid_interval, init_centers,
-                      perturb_centers, run_slic, slic_distance,
+from zok.slic import (SlicParams, _label_components, assign_pixels,
+                      compact_ids, enforce_connectivity, grid_interval,
+                      init_centers, perturb_centers, run_slic, slic_distance,
                       update_centers, window_eval_count)
+from zok.synth import SyntheticSpec, generate_dataset
 
 
 def flat_image(h, w, color):
@@ -303,6 +307,137 @@ class TestEnforceConnectivity:
         img = rng.integers(0, 256, size=(32, 32, 3), dtype=np.uint8)
         res = run_slic(img, SlicParams(k=16, m=10))
         assert all(n == 1 for n in components_of(res.spmap).values())
+
+
+# Reference connectivity cleanup: the original pure-Python flood fill and
+# sequential absorb loop, kept verbatim as the oracle for the numpy version.
+def reference_label_components(spmap):
+    """4-connected components of equal-id regions, labeled in raster order.
+
+    Returns (component map, sizes, id of each component's superpixel).
+    Component labels follow the row-major order of each component's first
+    pixel, so smaller labels mean earlier first pixels.
+    """
+    h, w = spmap.shape
+    comp = np.full((h, w), -1, dtype=np.int32)
+    sizes = []
+    ids = []
+    stack = []
+    for sy in range(h):
+        for sx in range(w):
+            if comp[sy, sx] >= 0:
+                continue
+            cid = spmap[sy, sx]
+            label = len(sizes)
+            comp[sy, sx] = label
+            stack.append((sy, sx))
+            n = 0
+            while stack:
+                y, x = stack.pop()
+                n += 1
+                for ny, nx in ((y - 1, x), (y + 1, x), (y, x - 1), (y, x + 1)):
+                    if 0 <= ny < h and 0 <= nx < w and comp[ny, nx] < 0 and spmap[ny, nx] == cid:
+                        comp[ny, nx] = label
+                        stack.append((ny, nx))
+            sizes.append(n)
+            ids.append(int(cid))
+    return comp, np.array(sizes), np.array(ids)
+
+
+def reference_kept_components(sizes, ids):
+    """Mark, per superpixel id, its largest component (earliest on ties)."""
+    kept = np.zeros(len(sizes), dtype=bool)
+    for sp in np.unique(ids):
+        members = np.nonzero(ids == sp)[0]
+        kept[members[np.argmax(sizes[members])]] = True
+    return kept
+
+
+def reference_enforce_connectivity(spmap):
+    """Make every superpixel 4-connected.
+
+    Stray components smaller than (area/K)/4 are absorbed into the id most
+    common among their 4-neighbors; each id keeps its largest component.
+    Disconnected leftovers at least that large become new superpixels.
+    Ids come out contiguous; an already-connected map is returned unchanged.
+    """
+    spmap = np.asarray(spmap, dtype=np.int32)
+    h, w = spmap.shape
+    k = int(spmap.max()) + 1
+    threshold = spmap.size / k / 4.0
+    cur = spmap.copy()
+
+    while True:
+        comp, sizes, ids = reference_label_components(cur)
+        kept = reference_kept_components(sizes, ids)
+        small = [c for c in range(len(sizes)) if not kept[c] and sizes[c] < threshold]
+        if not small:
+            break
+        for c in small:
+            cy, cx = np.nonzero(comp == c)
+            votes = {}
+            for y, x in zip(cy, cx):
+                for ny, nx in ((y - 1, x), (y + 1, x), (y, x - 1), (y, x + 1)):
+                    if 0 <= ny < h and 0 <= nx < w and comp[ny, nx] != c:
+                        nid = int(cur[ny, nx])
+                        votes[nid] = votes.get(nid, 0) + 1
+            if votes:
+                top = max(votes.values())
+                cur[cy, cx] = min(i for i, v in votes.items() if v == top)
+        # Merges changed the partition; relabel and rescan.
+
+    # Fresh ids for the remaining (large) disconnected leftovers.
+    comp, sizes, ids = reference_label_components(cur)
+    kept = reference_kept_components(sizes, ids)
+    final_id = ids.copy()
+    next_id = k
+    for c in range(len(sizes)):
+        if not kept[c]:
+            final_id[c] = next_id
+            next_id += 1
+    return compact_ids(final_id[comp].astype(np.int32))
+
+
+def assert_matches_reference(spmap):
+    got, want = _label_components(spmap), reference_label_components(spmap)
+    assert got[0].dtype == np.int32
+    for g, r in zip(got, want):
+        assert np.array_equal(g, r)
+    out = enforce_connectivity(spmap)
+    assert out.dtype == np.int32
+    assert np.array_equal(out, reference_enforce_connectivity(spmap))
+
+
+@st.composite
+def id_maps(draw):
+    h, w = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    num_ids = draw(st.integers(1, 7))
+    return draw(arrays(np.int32, (h, w), elements=st.integers(0, num_ids - 1)))
+
+
+class TestConnectivityOracle:
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(id_maps())
+    def test_random_maps_match_reference(self, spmap):
+        assert_matches_reference(spmap)
+
+    def test_pre_connectivity_slic_maps_match_reference(self):
+        # the end-to-end acceptance settings: 128^2 noisy blobs, k=128, m=15
+        spec = SyntheticSpec(size=128, num_classes=5, kind="blobs", noise_sigma=8.0)
+        params = SlicParams(k=128, m=15, enforce_connectivity=False)
+        for img, _ in generate_dataset(spec, 3, seed=1):
+            assert_matches_reference(run_slic(img, params).spmap)
+
+    def test_later_vote_sees_earlier_absorption(self):
+        # A (id 1, x=6) and B (id 0, x=7) are single-pixel strays between the
+        # kept blocks of id 0 (left) and id 1 (right).  A goes first: both its
+        # neighbors are id 0, so it becomes 0.  B then sees A as id 0 and its
+        # right neighbor as id 1, a tie that goes to 0; with A's stale id 1
+        # both of B's votes would have gone to 1.
+        spmap = np.array([[0] * 6 + [1, 0] + [1] * 6], dtype=np.int32)
+        out = enforce_connectivity(spmap)
+        assert np.array_equal(out, [[0] * 8 + [1] * 6])
+        assert np.array_equal(out, reference_enforce_connectivity(spmap))
 
 
 class TestInvariants:
