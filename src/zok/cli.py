@@ -266,6 +266,13 @@ def _read_spmap(path):
     return sp.astype(np.int32)
 
 
+def _read_finite(path, name):
+    x = read_tensor(path).astype(np.float64)
+    if not np.isfinite(x).all():
+        raise ValueError(f"{name} must be finite (found NaN or inf)")
+    return x
+
+
 def zoomout_features(img, spmap, proximal_radius=2):
     """local color+location features plus their proximal average, (K, D)."""
     lab = rgb_to_lab(img)
@@ -342,8 +349,9 @@ def _cmd_features(args):
                     blocks.append(np.tile(zoomout.scene_pool(full), (k, 1)))
                 else:
                     sub = np.empty((k, full.shape[0]))
+                    boxes = zoomout.subscene_bboxes(sp, graph, radius or 3)
                     for s in range(k):
-                        x0, y0, x1, y1 = zoomout.subscene_bbox(sp, graph, s, radius or 3)
+                        x0, y0, x1, y1 = boxes[s]
                         sub[s] = full[:, y0 : y1 + 1, x0 : x1 + 1].mean(axis=(1, 2))
                     blocks.append(sub)
             else:
@@ -369,9 +377,9 @@ def _parse_hidden(text):
 
 
 def _cmd_train(args):
-    features = read_tensor(args["features"]).astype(np.float64)
+    features = _read_finite(args["features"], "features")
     labels = read_tensor(args["labels"]).astype(np.int64)
-    weights = read_tensor(args["weights"]).astype(np.float64) if args.get("weights") else None
+    weights = _read_finite(args["weights"], "weights") if args.get("weights") else None
     cfg = learner.TrainConfig(
         epochs=args["epochs"], batch_size=args["batch_size"],
         learning_rate=args["lr"], momentum=args["momentum"],
@@ -415,12 +423,14 @@ def _cmd_sample(args):
 
 
 def _cmd_crf(args):
-    unary = read_tensor(args["unary"]).astype(np.float64)
+    unary = _read_finite(args["unary"], "unary")
     img = read_ppm(args["image"])
     lab = rgb_to_lab(img)
     h, w = lab.shape[:2]
     if args.get("superpixels"):
         spmap = _read_spmap(args["superpixels"])
+        if spmap.shape != (h, w):
+            raise ValueError("superpixel map size != image size")
         k = int(spmap.max()) + 1
         if unary.ndim != 2 or unary.shape[0] != k:
             raise ValueError("superpixel unary must be (K, C)")

@@ -233,16 +233,19 @@ def superpixel_bboxes(spmap):
     return np.stack([x0, y0, x1, y1], axis=1).astype(np.int64)
 
 
-def subscene_bbox(spmap, graph, s, radius=3):
-    """Bounding box (x0, y0, x1, y1) of the radius-hop ball around s."""
-    ball = neighbors_within_radius(graph, s, radius)
-    boxes = superpixel_bboxes(spmap)[ball]
-    return (
-        int(boxes[:, 0].min()),
-        int(boxes[:, 1].min()),
-        int(boxes[:, 2].max()),
-        int(boxes[:, 3].max()),
-    )
+def subscene_bboxes(spmap, graph, radius=3):
+    """(K, 4) bounding boxes (x0, y0, x1, y1) of each radius-hop ball.
+
+    The per-superpixel boxes are computed once and reduced over each
+    superpixel's ball with min/max.
+    """
+    boxes = superpixel_bboxes(spmap)
+    out = np.empty_like(boxes)
+    for s in range(len(graph)):
+        ball = boxes[neighbors_within_radius(graph, s, radius)]
+        out[s, :2] = ball[:, :2].min(axis=0)
+        out[s, 2:] = ball[:, 2:].max(axis=0)
+    return out
 
 
 def concat_levels(levels):

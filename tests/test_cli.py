@@ -207,6 +207,43 @@ class TestSuperpixelMapValidation:
         assert not (tmp_path / "q.zot").exists()
 
 
+    def test_crf_rejects_map_size_mismatch(self, tmp_path, capsys, quad_image):
+        img_path, _ = quad_image    # 32x32
+        write_tensor(np.zeros((8, 8), dtype=np.uint32), tmp_path / "sp.zot")
+        write_tensor(np.full((1, 2), 0.5, dtype=np.float32), tmp_path / "u.zot")
+        capsys.readouterr()
+        assert run("crf", "--unary", tmp_path / "u.zot", "--image", img_path,
+                   "--superpixels", tmp_path / "sp.zot", "--out", tmp_path / "q.zot") == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "size" in err[0]
+        assert not (tmp_path / "q.zot").exists()
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("bad", ["features", "weights", "unary"])
+    def test_exit_1_with_one_error_line(self, tmp_path, capsys, quad_image, bad):
+        img_path, _ = quad_image
+        x = np.zeros((4, 2), dtype=np.float32)
+        w = np.ones(4, dtype=np.float32)
+        u = np.full((4, 32, 32), 0.25, dtype=np.float32)
+        {"features": x, "weights": w, "unary": u}[bad].flat[1] = np.nan
+        write_tensor(x, tmp_path / "x.zot")
+        write_tensor(w, tmp_path / "w.zot")
+        write_tensor(np.array([0, 1, 0, 1], dtype=np.uint32), tmp_path / "y.zot")
+        write_tensor(u, tmp_path / "u.zot")
+        out = tmp_path / "out"
+        if bad == "unary":
+            argv = ("crf", "--unary", tmp_path / "u.zot", "--image", img_path, "--out", out)
+        else:
+            argv = ("train", "--features", tmp_path / "x.zot", "--labels", tmp_path / "y.zot",
+                    "--weights", tmp_path / "w.zot", "--epochs", 1, "--out", out)
+        capsys.readouterr()
+        assert run(*argv) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and bad in err[0]
+        assert not out.exists()
+
+
 class TestSampleCommand:
     def test_points_tensor_layout(self, tmp_path):
         rng = np.random.default_rng(2)

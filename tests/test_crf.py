@@ -163,6 +163,39 @@ def attractive_instance(rng, n=4, c=2):
     return CrfModel(unary, [Kernel(weight, [lam, lam])]), feats
 
 
+def reference_free_energy(q, model, features, ksum=None):
+    """Variational free energy F(Q) = E_Q[E] - H(Q)."""
+    q = np.asarray(q, dtype=np.float64)
+    if ksum is None:
+        ksum = kernel_sum_matrix(model, features)
+    e = float((q * model.unary).sum())
+    t = q @ model.compat @ q.T
+    e += float((ksum * t).sum() / 2.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ent = np.where(q > 0, q * np.log(q), 0.0).sum()
+    return e + float(ent)
+
+
+class TestFreeEnergyOracle:
+    def test_matches_reference_on_random_instances(self):
+        rng = np.random.default_rng(9)
+        for trial in range(30):
+            n = int(rng.integers(1, 301))
+            c = int(rng.integers(1, 7))
+            compat = None
+            if trial % 2:
+                m = rng.uniform(0.0, 2.0, size=(c, c))
+                compat = m + m.T
+            kernels = [Kernel(float(rng.uniform(0.2, 3.0)), rng.uniform(0.1, 2.0, size=3)),
+                       Kernel(float(rng.uniform(0.2, 3.0)), rng.uniform(0.1, 2.0, size=2), "g")]
+            model = CrfModel(rng.uniform(0.0, 5.0, size=(n, c)), kernels, compat)
+            feats = {"f": rng.normal(size=(n, 3)), "g": rng.normal(size=(n, 2))}
+            q = rng.dirichlet(np.ones(c), size=n)
+            q[rng.random(n) < 0.1] = np.eye(c)[0]   # some one-hot rows: 0 log 0
+            assert free_energy(q, model, feats) == pytest.approx(
+                reference_free_energy(q, model, feats), rel=1e-12, abs=0.0)
+
+
 class TestMeanField:
     def test_zero_pairwise_softmax_fixed_point(self):
         unary = np.array([[1.0, 0.0], [0.5, 2.0], [0.0, 0.0]])

@@ -2,13 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from zok.zoomout import (LOCAL_COLOR_DIM, ZoomOutFeature, build_adjacency,
                          concat_levels, local_color_features,
                          location_features, location_features_all,
                          mirror_max_fuse, neighbors_within_radius,
                          pool_over_superpixels, proximal_average,
-                         rect_regions, scene_pool, subscene_bbox,
+                         rect_regions, scene_pool, subscene_bboxes,
                          superpixel_bboxes, upsample_featuremap)
 
 
@@ -205,27 +208,56 @@ class TestProximalAverage:
         assert out2[0, 0] == pytest.approx(1.0)     # mean of {0, 1, 2}
 
 
+def reference_subscene_bbox(spmap, graph, s, radius=3):
+    """Bounding box (x0, y0, x1, y1) of the radius-hop ball around s."""
+    ball = neighbors_within_radius(graph, s, radius)
+    boxes = superpixel_bboxes(spmap)[ball]
+    return (
+        int(boxes[:, 0].min()),
+        int(boxes[:, 1].min()),
+        int(boxes[:, 2].max()),
+        int(boxes[:, 3].max()),
+    )
+
+
+@st.composite
+def id_maps(draw):
+    h, w = draw(st.integers(1, 24)), draw(st.integers(1, 24))
+    num_ids = draw(st.integers(1, 8))
+    return draw(arrays(np.int32, (h, w), elements=st.integers(0, num_ids - 1)))
+
+
 class TestSubsceneBbox:
     def test_single_superpixel_own_bbox(self):
         spmap = np.zeros((3, 5), dtype=np.int32)
         graph = build_adjacency(spmap)
-        assert subscene_bbox(spmap, graph, 0, 3) == (0, 0, 4, 2)
+        assert subscene_bboxes(spmap, graph, 3).tolist() == [[0, 0, 4, 2]]
 
     def test_stacked_regions_union(self):
         spmap = np.zeros((4, 2), dtype=np.int32)
         spmap[2:] = 1
         graph = build_adjacency(spmap)
-        assert subscene_bbox(spmap, graph, 0, 1) == (0, 0, 1, 3)
+        assert tuple(subscene_bboxes(spmap, graph, 1)[0]) == (0, 0, 1, 3)
 
     def test_contains_own_bbox(self):
         rng = np.random.default_rng(7)
         spmap = rng.integers(0, 5, size=(8, 8)).astype(np.int32)
         graph = build_adjacency(spmap)
         boxes = superpixel_bboxes(spmap)
+        sub = subscene_bboxes(spmap, graph, 3)
         for s in range(5):
-            x0, y0, x1, y1 = subscene_bbox(spmap, graph, s, 3)
+            x0, y0, x1, y1 = sub[s]
             assert x0 <= boxes[s, 0] and y0 <= boxes[s, 1]
             assert x1 >= boxes[s, 2] and y1 >= boxes[s, 3]
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(id_maps(), st.integers(0, 4))
+    def test_random_maps_match_reference(self, spmap, radius):
+        graph = build_adjacency(spmap)
+        sub = subscene_bboxes(spmap, graph, radius)
+        assert sub.dtype == np.int64 and sub.shape == (len(graph), 4)
+        for s in range(len(graph)):
+            assert tuple(sub[s]) == reference_subscene_bbox(spmap, graph, s, radius)
 
 
 class TestConcatLevels:
