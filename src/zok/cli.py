@@ -267,7 +267,8 @@ def _read_spmap(path):
 
 
 def _read_finite(path, name):
-    x = read_tensor(path).astype(np.float64)
+    """read_tensor, rejecting NaN and inf; the dtype is kept as read."""
+    x = read_tensor(path)
     if not np.isfinite(x).all():
         raise ValueError(f"{name} must be finite (found NaN or inf)")
     return x
@@ -321,7 +322,7 @@ def _cmd_features(args):
     spmap = _read_spmap(args["superpixels"])
     if spmap.shape != img.shape[:2]:
         raise ValueError("superpixel map size != image size")
-    featmap = read_tensor(args["featmap"]) if args.get("featmap") else None
+    featmap = _read_finite(args["featmap"], "featmap") if args.get("featmap") else None
 
     def build(image, sp):
         lab = rgb_to_lab(image)
@@ -365,7 +366,7 @@ def _cmd_features(args):
 
 
 def _cmd_pool(args):
-    featmap = read_tensor(args["featmap"])
+    featmap = _read_finite(args["featmap"], "featmap")
     spmap = _read_spmap(args["superpixels"])
     full = zoomout.upsample_featuremap(featmap, *spmap.shape, mode=args["upsample"])
     pooled = zoomout.pool_over_superpixels(full, spmap)
@@ -377,9 +378,10 @@ def _parse_hidden(text):
 
 
 def _cmd_train(args):
-    features = _read_finite(args["features"], "features")
+    features = _read_finite(args["features"], "features").astype(np.float64)
     labels = read_tensor(args["labels"]).astype(np.int64)
-    weights = _read_finite(args["weights"], "weights") if args.get("weights") else None
+    weights = (_read_finite(args["weights"], "weights").astype(np.float64)
+               if args.get("weights") else None)
     cfg = learner.TrainConfig(
         epochs=args["epochs"], batch_size=args["batch_size"],
         learning_rate=args["lr"], momentum=args["momentum"],
@@ -393,13 +395,13 @@ def _cmd_train(args):
 
 def _cmd_predict(args):
     model = learner.read_model(args["model"])
-    features = read_tensor(args["features"]).astype(np.float64)
+    features = _read_finite(args["features"], "features").astype(np.float64)
     write_tensor(learner.predict_labels(model, features).astype(np.uint32), args["out"])
 
 
 def _cmd_sample(args):
-    scores = read_tensor(args["scores"]).astype(np.float64)
-    field = read_tensor(args["features"]).astype(np.float64)
+    scores = _read_finite(args["scores"], "scores").astype(np.float64)
+    field = _read_finite(args["features"], "features").astype(np.float64)
     if scores.ndim != 3 or field.ndim != 3:
         raise ValueError("scores must be (C,H,W) and features (D,H,W)")
     z, _, _ = weaksup.normalize_features([field])
@@ -423,7 +425,7 @@ def _cmd_sample(args):
 
 
 def _cmd_crf(args):
-    unary = _read_finite(args["unary"], "unary")
+    unary = _read_finite(args["unary"], "unary").astype(np.float64)
     img = read_ppm(args["image"])
     lab = rgb_to_lab(img)
     h, w = lab.shape[:2]
@@ -523,16 +525,43 @@ def _stage(name, fn, *fn_args, **fn_kwargs):
         raise
 
 
+# the keys pipeline_run reads: top level, then each nested section
+_PIPELINE_KEYS = {
+    "config": {"train_dir", "test_dir", "classes", "ignore", "slic", "proximal_radius",
+               "oracle", "train", "crf", "report"},
+    "slic": {"k", "m", "max_iters"},
+    "train": {"hidden", "epochs", "batch_size", "learning_rate", "momentum",
+              "weight_decay", "dropout", "seed", "loss"},
+    "crf": {"iters", "damping", "w_appearance", "w_smooth", "sigma_xy", "sigma_lab",
+            "sigma_xy_smooth"},
+}
+
+
+def _check_pipeline_keys(config):
+    """Reject a pipeline config with a key that pipeline_run would ignore."""
+    for name, keys in _PIPELINE_KEYS.items():
+        section = config if name == "config" else config.get(name, {})
+        if name == "crf" and section is None:
+            continue
+        if not isinstance(section, dict):
+            raise ValueError(f"pipeline {name} must be a JSON object")
+        unknown = sorted(set(section) - keys)
+        if unknown:
+            raise ValueError(f"unknown pipeline {name} keys: {unknown}")
+
+
 def pipeline_run(config):
     """slic -> features -> train/predict -> optional CRF -> eval.
 
     config keys: train_dir, test_dir, classes, ignore (default 255),
     slic {k, m, max_iters}, proximal_radius, oracle (bool), train
     {hidden, epochs, batch_size, learning_rate, momentum, weight_decay,
-    seed, loss}, crf (null or {iters, damping, w_appearance, w_smooth,
-    sigma_xy, sigma_lab, sigma_xy_smooth}), report (output path).
-    Returns the report dict.
+    dropout, seed, loss}, crf (null or {iters, damping, w_appearance,
+    w_smooth, sigma_xy, sigma_lab, sigma_xy_smooth}), report (output
+    path).  Any other key, at any level, raises ValueError.  Returns the
+    report dict.
     """
+    _check_pipeline_keys(config)
     timings = {}
     t0 = time.perf_counter()
     num_classes = config["classes"]

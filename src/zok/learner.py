@@ -173,10 +173,17 @@ def _per_sample_weights(labels, freqs, n):
 def backprop(model, x, output_delta, dropout_masks=None):
     """Gradients of all weights/biases given dLoss/dLogits rows.
 
-    Shared by the classification loss and the score-field heads, which
-    supply their own output deltas.
+    For callers that supply their own output deltas: one forward pass
+    over x for the activations, then the backward pass.  loss_gradient
+    and the weak-supervision localizer already hold the activations and
+    run only the backward pass.
     """
     acts, _ = _forward_pass(model, x, dropout_masks)
+    return _backward(model, acts, output_delta, dropout_masks)
+
+
+def _backward(model, acts, output_delta, dropout_masks=None):
+    """Backward pass over the activations _forward_pass returned."""
     grads_w = [None] * len(model.weights)
     grads_b = [None] * len(model.biases)
     delta = output_delta
@@ -194,15 +201,17 @@ def backprop(model, x, output_delta, dropout_masks=None):
 def loss_gradient(model, x, labels, freqs, dropout_masks=None):
     """Analytic gradient of asymmetric_loss(forward(model, x), labels, f).
 
-    Output-layer error is (1/(N * f_y)) * (p_hat - onehot(y)).
+    Output-layer error is (1/(N * f_y)) * (p_hat - onehot(y)).  One
+    forward pass supplies both the probabilities and the activations the
+    backward pass reuses.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     labels = np.asarray(labels)
-    _, probs = _forward_pass(model, x, dropout_masks)
+    acts, probs = _forward_pass(model, x, dropout_masks)
     delta = probs.copy()
     delta[np.arange(len(labels)), labels] -= 1.0
     delta *= _per_sample_weights(labels, freqs, len(labels))[:, None]
-    return backprop(model, x, delta, dropout_masks)
+    return _backward(model, acts, delta, dropout_masks)
 
 
 def zero_velocity(model):

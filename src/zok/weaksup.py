@@ -69,6 +69,34 @@ def global_softmax_prob(s, sbar):
     return float(np.exp(a - m) / (np.exp(a - m) + np.exp(b - m)))
 
 
+def _argmax_loss(s, sbar, present, model):
+    """Image-level loss and its gradient at the argmax location(s).
+
+    s, sbar: flat score vectors.  Returns (loss, rows, delta): rows are
+    the sorted distinct argmax indices (ties to the smallest index) and
+    delta[r] holds dLoss/dS and dLoss/dSbar at rows[r].  The pixel model
+    routes both channels through argmax(S - Sbar); the global model
+    routes S through argmax(S) and Sbar through argmax(Sbar).
+    """
+    if model == "pixel":
+        i = j = int(np.argmax(s - sbar))  # argmax of p = argmax of the margin
+    elif model == "global":
+        i, j = int(np.argmax(s)), int(np.argmax(sbar))
+    else:
+        raise ValueError(f"unknown model {model!r}")
+    margin = s[i] - sbar[j]
+    p = _sigmoid(margin)
+    if present:
+        loss, gs, gsbar = _softplus(-margin), p - 1.0, 1.0 - p
+    else:
+        loss, gs, gsbar = _softplus(margin), p, -p
+    rows = np.array(sorted({i, j}))
+    delta = np.zeros((len(rows), 2))
+    delta[rows == i, 0] = gs
+    delta[rows == j, 1] = gsbar
+    return loss, rows, delta
+
+
 def image_loss_and_grad(s, sbar, present, model="global"):
     """Binary image-level log-loss and its gradient on the score grids.
 
@@ -78,37 +106,12 @@ def image_loss_and_grad(s, sbar, present, model="global"):
     """
     s = np.asarray(s, dtype=np.float64)
     sbar = np.asarray(sbar, dtype=np.float64)
+    loss, rows, delta = _argmax_loss(s.ravel(), sbar.ravel(), present, model)
     ds = np.zeros_like(s)
     dsbar = np.zeros_like(sbar)
-    if model == "pixel":
-        t = s - sbar
-        i = np.unravel_index(np.argmax(t), t.shape)  # argmax of p = argmax of t
-        margin = t[i]
-        p = _sigmoid(margin)
-        if present:
-            loss = _softplus(-margin)
-            ds[i] = p - 1.0
-            dsbar[i] = 1.0 - p
-        else:
-            loss = _softplus(margin)
-            ds[i] = p
-            dsbar[i] = -p
-        return loss, ds, dsbar
-    if model == "global":
-        i = np.unravel_index(np.argmax(s), s.shape)
-        j = np.unravel_index(np.argmax(sbar), sbar.shape)
-        margin = s[i] - sbar[j]
-        p = _sigmoid(margin)
-        if present:
-            loss = _softplus(-margin)
-            ds[i] = p - 1.0
-            dsbar[j] = 1.0 - p
-        else:
-            loss = _softplus(margin)
-            ds[i] = p
-            dsbar[j] = -p
-        return loss, ds, dsbar
-    raise ValueError(f"unknown model {model!r}")
+    ds.flat[rows] = delta[:, 0]
+    dsbar.flat[rows] = delta[:, 1]
+    return loss, ds, dsbar
 
 
 def normalize_features(fields):
@@ -266,7 +269,7 @@ class LocalizerConfig:
     restarts: int = 3         # random-init restarts; best training loss wins
 
 
-def _localizer_run(flats, shapes, present, cfg, mean, std, seed):
+def _localizer_run(flats, present, cfg, mean, std, seed):
     d = flats[0].shape[0]
     model = learner.init_model([d, cfg.hidden, 2], seed, mean, std)
     opt = learner.TrainConfig(
@@ -274,23 +277,37 @@ def _localizer_run(flats, shapes, present, cfg, mean, std, seed):
         weight_decay=cfg.weight_decay, seed=seed)
     velocity = learner.zero_velocity(model)
     rng = np.random.default_rng(seed)
+    # learner.logits, inlined so that each image is normalized once and
+    # every full-grid pass writes into the same two buffers
+    normed = [(f.T - model.mean) / model.std for f in flats]
+    rows_max = max(len(a) for a in normed)
+    hidden_buf = np.empty((rows_max, cfg.hidden))
+    out_buf = np.empty((rows_max, 2))
+    (w1, w2), (b1, b2) = model.weights, model.biases  # sgd_step updates these in place
+
+    def hidden(a, buf=None):
+        h = np.matmul(a, w1.T, out=buf)
+        np.add(h, b1, out=h)
+        return np.maximum(h, 0.0, out=h)
+
+    def scores(img):
+        a = normed[img]
+        out = np.matmul(hidden(a, hidden_buf[: len(a)]), w2.T, out=out_buf[: len(a)])
+        np.add(out, b2, out=out)
+        return out[:, 0], out[:, 1]
+
     for _ in range(cfg.epochs):
         for img in rng.permutation(len(flats)):
-            x = flats[img].T
-            out = learner.logits(model, x)
-            s = out[:, 0].reshape(shapes[img])
-            sbar = out[:, 1].reshape(shapes[img])
-            _, ds, dsbar = image_loss_and_grad(s, sbar, present[img], cfg.model)
-            rows = np.nonzero((ds.ravel() != 0) | (dsbar.ravel() != 0))[0]
-            delta = np.stack([ds.ravel()[rows], dsbar.ravel()[rows]], axis=1)
-            grads = learner.backprop(model, x[rows], delta)
+            _, rows, delta = _argmax_loss(*scores(img), present[img], cfg.model)
+            keep = (delta != 0).any(axis=1)
+            # the gradient rows get their own forward pass: slicing them
+            # out of the full-grid buffer differs in the last bits
+            a = normed[img][rows[keep]]
+            grads = learner._backward(model, [a, hidden(a)], delta[keep])
             learner.sgd_step(model, grads, opt, velocity)
     total = 0.0
     for img in range(len(flats)):
-        out = learner.logits(model, flats[img].T)
-        s = out[:, 0].reshape(shapes[img])
-        sbar = out[:, 1].reshape(shapes[img])
-        total += image_loss_and_grad(s, sbar, present[img], cfg.model)[0]
+        total += _argmax_loss(*scores(img), present[img], cfg.model)[0]
     return model, total / len(flats)
 
 
@@ -308,14 +325,13 @@ def train_localizer(fields, present, cfg):
         raise ValueError("no training fields")
     d = fields[0].shape[0]
     flats = [np.asarray(f, dtype=np.float64).reshape(d, -1) for f in fields]
-    shapes = [f.shape[1:] for f in fields]
     allv = np.concatenate(flats, axis=1)
     mean = allv.mean(axis=1)
     std = np.maximum(allv.std(axis=1), _STD_FLOOR)
     best = None
     best_loss = np.inf
     for r in range(max(1, cfg.restarts)):
-        model, loss = _localizer_run(flats, shapes, present, cfg, mean, std,
+        model, loss = _localizer_run(flats, present, cfg, mean, std,
                                      cfg.seed + 1000 * r)
         if loss < best_loss:
             best, best_loss = model, loss

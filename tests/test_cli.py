@@ -220,27 +220,52 @@ class TestSuperpixelMapValidation:
 
 
 class TestNonFiniteInputs:
-    @pytest.mark.parametrize("bad", ["features", "weights", "unary"])
+    # case -> (input made non-finite, the value put in it, the name the
+    # error gives it, argv before --out)
+    CASES = {
+        "features": ("x", np.nan, "features", ("train", "--features", "x", "--labels", "y",
+                                               "--weights", "w", "--epochs", 1)),
+        "weights": ("w", np.nan, "weights", ("train", "--features", "x", "--labels", "y",
+                                             "--weights", "w", "--epochs", 1)),
+        "unary": ("u", np.nan, "unary", ("crf", "--unary", "u", "--image", "img")),
+        "predict-features": ("x", np.nan, "features", ("predict", "--model", "model",
+                                                       "--features", "x")),
+        "pool-featmap": ("fm", np.inf, "featmap", ("pool", "--featmap", "fm",
+                                                   "--superpixels", "sp")),
+        "features-featmap": ("fm", -np.inf, "featmap", ("features", "--image", "img",
+                                                        "--superpixels", "sp", "--featmap", "fm",
+                                                        "--levels", "local")),
+        "sample-scores": ("scores", np.nan, "scores", ("sample", "--scores", "scores",
+                                                       "--features", "field")),
+        "sample-features": ("field", np.inf, "features", ("sample", "--scores", "scores",
+                                                          "--features", "field")),
+    }
+
+    @pytest.mark.parametrize("bad", list(CASES))
     def test_exit_1_with_one_error_line(self, tmp_path, capsys, quad_image, bad):
-        img_path, _ = quad_image
-        x = np.zeros((4, 2), dtype=np.float32)
-        w = np.ones(4, dtype=np.float32)
-        u = np.full((4, 32, 32), 0.25, dtype=np.float32)
-        {"features": x, "weights": w, "unary": u}[bad].flat[1] = np.nan
-        write_tensor(x, tmp_path / "x.zot")
-        write_tensor(w, tmp_path / "w.zot")
-        write_tensor(np.array([0, 1, 0, 1], dtype=np.uint32), tmp_path / "y.zot")
-        write_tensor(u, tmp_path / "u.zot")
+        tensor, value, name, argv = self.CASES[bad]
+        arrays = {
+            "x": np.zeros((4, 2), dtype=np.float32),
+            "w": np.ones(4, dtype=np.float32),
+            "u": np.full((4, 32, 32), 0.25, dtype=np.float32),
+            "fm": np.ones((2, 8, 8), dtype=np.float32),
+            "scores": np.ones((2, 6, 6), dtype=np.float32),
+            "field": np.arange(4 * 36, dtype=np.float32).reshape(4, 6, 6),
+        }
+        arrays[tensor].flat[1] = value
+        paths = {"img": quad_image[0], "model": tmp_path / "m.zom", "y": tmp_path / "y.zot",
+                 "sp": tmp_path / "sp.zot"}
+        for key, arr in arrays.items():
+            paths[key] = tmp_path / f"{key}.zot"
+            write_tensor(arr, paths[key])
+        write_tensor(np.array([0, 1, 0, 1], dtype=np.uint32), paths["y"])
+        write_tensor(np.zeros((32, 32), dtype=np.uint32), paths["sp"])
+        learner.write_model(learner.init_model([2, 2], seed=0), paths["model"])
         out = tmp_path / "out"
-        if bad == "unary":
-            argv = ("crf", "--unary", tmp_path / "u.zot", "--image", img_path, "--out", out)
-        else:
-            argv = ("train", "--features", tmp_path / "x.zot", "--labels", tmp_path / "y.zot",
-                    "--weights", tmp_path / "w.zot", "--epochs", 1, "--out", out)
         capsys.readouterr()
-        assert run(*argv) == 1
+        assert run(*(paths.get(a, a) for a in argv), "--out", out) == 1
         err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("error:") and bad in err[0]
+        assert len(err) == 1 and err[0].startswith("error:") and name in err[0]
         assert not out.exists()
 
 
@@ -407,6 +432,23 @@ class TestPipelineCommand:
             assert run("pipeline", "--config", p) == 0
             reports.append((tmp_path / name).read_bytes())
         assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("section", ["top", "slic", "train", "crf"])
+    def test_unknown_key_rejected(self, tmp_path, capsys, section):
+        spec = SyntheticSpec(size=32, num_classes=4, kind="quadrants")
+        synth_generate(spec, 1, 0, tmp_path / "test")
+        cfg = {"train_dir": str(tmp_path / "test"), "test_dir": str(tmp_path / "test"),
+               "classes": 4, "slic": {"k": 4, "m": 10}, "train": {"epochs": 1},
+               "crf": {"iters": 1}, "report": str(tmp_path / "report.json")}
+        typo = "proximal_raduis" if section == "top" else "sigma_xyz"
+        (cfg if section == "top" else cfg[section])[typo] = 3
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        capsys.readouterr()
+        assert run("pipeline", "--config", cfg_path) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and typo in err[0]
+        assert not (tmp_path / "report.json").exists()
 
     def test_missing_dir_exit_2(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from zok.core_io import (FormatError, read_pgm, read_ppm, read_tensor,
                          rgb_to_lab, write_pgm, write_ppm, write_tensor)
+from zok.learner import init_model, read_model, write_model
 
 
 class TestPpm:
@@ -141,6 +142,70 @@ class TestZot:
             path = tmp + "/t.zot"
             write_tensor(arr, path)
             assert np.array_equal(read_tensor(path), arr)
+
+
+def _write_valid(kind, dims, seed, path):
+    """A small valid file of one format; returns its reader."""
+    rng = np.random.default_rng(seed)
+    h, w = dims[0], dims[-1]
+    if kind == "ppm":
+        write_ppm(rng.integers(0, 256, size=(h, w, 3), dtype=np.uint8), path)
+        return read_ppm
+    if kind == "pgm":
+        top = 255 if seed % 2 else 65535  # 8- and 16-bit samples
+        write_pgm(rng.integers(0, top + 1, size=(h, w)), path)
+        return read_pgm
+    if kind == "tensor":
+        dtype = (np.float32, np.uint32, np.uint16)[seed % 3]
+        write_tensor((rng.random(dims) * 1000).astype(dtype), path)
+        return read_tensor
+    write_model(init_model(list(dims), seed), path)
+    return read_model
+
+
+class TestReaderRobustness:
+    """Damaged copies of valid PPM, PGM, ZOT1 and ZOM1 files."""
+
+    @pytest.mark.parametrize("kind", ["ppm", "pgm", "tensor", "model"])
+    @settings(derandomize=True, max_examples=20, deadline=None)
+    @given(dims=st.lists(st.integers(1, 3), min_size=2, max_size=4),
+           seed=st.integers(0, 2**31))
+    def test_every_strict_prefix_raises_format_error(self, kind, dims, seed):
+        import tempfile
+
+        with tempfile.TemporaryDirectory() as tmp:
+            path = tmp + "/f"
+            reader = _write_valid(kind, dims, seed, path)
+            with open(path, "rb") as fh:
+                data = fh.read()
+            for n in range(len(data)):
+                with open(path, "wb") as fh:
+                    fh.write(data[:n])
+                with pytest.raises(FormatError):
+                    reader(path)
+
+    @pytest.mark.parametrize("kind", ["ppm", "pgm", "tensor", "model"])
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in cast:RuntimeWarning")
+    @settings(derandomize=True, max_examples=10, deadline=None)
+    @given(dims=st.lists(st.integers(1, 3), min_size=2, max_size=4),
+           seed=st.integers(0, 2**31))
+    def test_every_bit_flip_reads_or_raises_format_error(self, kind, dims, seed):
+        import tempfile
+
+        with tempfile.TemporaryDirectory() as tmp:
+            path = tmp + "/f"
+            reader = _write_valid(kind, dims, seed, path)
+            with open(path, "rb") as fh:
+                data = bytearray(fh.read())
+            for bit in range(8 * len(data)):
+                data[bit // 8] ^= 1 << (bit % 8)
+                with open(path, "wb") as fh:
+                    fh.write(data)
+                data[bit // 8] ^= 1 << (bit % 8)
+                try:
+                    reader(path)
+                except FormatError:
+                    pass
 
 
 def _scalar_lab_l(gray):

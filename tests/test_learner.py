@@ -185,6 +185,38 @@ class TestLossGradient:
             assert rel_err(a, n) < 1e-4
 
 
+def reference_loss_gradient(model, x, labels, freqs, dropout_masks=None):
+    """loss_gradient before it shared one forward pass with the backward
+    pass, kept verbatim as its oracle."""
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    labels = np.asarray(labels)
+    _, probs = learner._forward_pass(model, x, dropout_masks)
+    delta = probs.copy()
+    delta[np.arange(len(labels)), labels] -= 1.0
+    delta *= learner._per_sample_weights(labels, freqs, len(labels))[:, None]
+    return learner.backprop(model, x, delta, dropout_masks)
+
+
+class TestLossGradientOracle:
+    @pytest.mark.parametrize("hidden", [(), (5,), (6, 4)])
+    @pytest.mark.parametrize("dropout", [False, True])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_reference(self, hidden, dropout, seed):
+        rng = np.random.default_rng(seed)
+        n, d, c = int(rng.integers(1, 40)), int(rng.integers(1, 6)), int(rng.integers(2, 5))
+        x = rng.normal(0.0, 3.0, size=(n, d))
+        model = init_model([d, *hidden, c], seed=seed, mean=x.mean(axis=0), std=x.std(axis=0))
+        labels = rng.integers(0, c, size=n)
+        f = rng.dirichlet(np.ones(c))
+        masks = None
+        if dropout:
+            masks = [(rng.random((n, h)) >= 0.3) / 0.7 for h in hidden]
+        got = loss_gradient(model, x, labels, f, masks)
+        want = reference_loss_gradient(model, x, labels, f, masks)
+        for a, b in zip(got[0] + got[1], want[0] + want[1]):
+            assert a.tobytes() == b.tobytes()
+
+
 class TestSgdStep:
     def cfg(self, lr=0.1, momentum=0.0, wd=0.0):
         return TrainConfig(learning_rate=lr, momentum=momentum, weight_decay=wd)

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from zok import weaksup
-from zok.weaksup import (LocalizerConfig, diverse_sample_bg,
+from zok import learner, weaksup
+from zok.weaksup import (LocalizerConfig, _sigmoid, _softplus, diverse_sample_bg,
                          diverse_sample_fg, global_softmax_prob,
                          image_loss_and_grad, normalize_features,
                          pixel_softmax_prob, score_field,
@@ -350,3 +350,171 @@ class TestLocalizer:
             hits += np.unravel_index(np.argmax(s), s.shape) == \
                 np.unravel_index(np.argmax(f[0]), s.shape)
         assert hits / total >= 0.8
+
+
+# --- the localizer's training loop before it was rewritten, kept verbatim
+# as the oracle for weaksup._localizer_run and image_loss_and_grad
+
+
+def reference_image_loss_and_grad(s, sbar, present, model="global"):
+    """Binary image-level log-loss and its gradient on the score grids.
+
+    The gradient is nonzero only at the argmax location(s): one location
+    (both channels) for the pixel model; the argmax of S and the argmax
+    of Sbar separately for the global model.  Returns (loss, dS, dSbar).
+    """
+    s = np.asarray(s, dtype=np.float64)
+    sbar = np.asarray(sbar, dtype=np.float64)
+    ds = np.zeros_like(s)
+    dsbar = np.zeros_like(sbar)
+    if model == "pixel":
+        t = s - sbar
+        i = np.unravel_index(np.argmax(t), t.shape)  # argmax of p = argmax of t
+        margin = t[i]
+        p = _sigmoid(margin)
+        if present:
+            loss = _softplus(-margin)
+            ds[i] = p - 1.0
+            dsbar[i] = 1.0 - p
+        else:
+            loss = _softplus(margin)
+            ds[i] = p
+            dsbar[i] = -p
+        return loss, ds, dsbar
+    if model == "global":
+        i = np.unravel_index(np.argmax(s), s.shape)
+        j = np.unravel_index(np.argmax(sbar), sbar.shape)
+        margin = s[i] - sbar[j]
+        p = _sigmoid(margin)
+        if present:
+            loss = _softplus(-margin)
+            ds[i] = p - 1.0
+            dsbar[j] = 1.0 - p
+        else:
+            loss = _softplus(margin)
+            ds[i] = p
+            dsbar[j] = -p
+        return loss, ds, dsbar
+    raise ValueError(f"unknown model {model!r}")
+
+
+def reference_localizer_run(flats, shapes, present, cfg, mean, std, seed):
+    d = flats[0].shape[0]
+    model = learner.init_model([d, cfg.hidden, 2], seed, mean, std)
+    opt = learner.TrainConfig(
+        learning_rate=cfg.learning_rate, momentum=cfg.momentum,
+        weight_decay=cfg.weight_decay, seed=seed)
+    velocity = learner.zero_velocity(model)
+    rng = np.random.default_rng(seed)
+    for _ in range(cfg.epochs):
+        for img in rng.permutation(len(flats)):
+            x = flats[img].T
+            out = learner.logits(model, x)
+            s = out[:, 0].reshape(shapes[img])
+            sbar = out[:, 1].reshape(shapes[img])
+            _, ds, dsbar = reference_image_loss_and_grad(s, sbar, present[img], cfg.model)
+            rows = np.nonzero((ds.ravel() != 0) | (dsbar.ravel() != 0))[0]
+            delta = np.stack([ds.ravel()[rows], dsbar.ravel()[rows]], axis=1)
+            grads = learner.backprop(model, x[rows], delta)
+            learner.sgd_step(model, grads, opt, velocity)
+    total = 0.0
+    for img in range(len(flats)):
+        out = learner.logits(model, flats[img].T)
+        s = out[:, 0].reshape(shapes[img])
+        sbar = out[:, 1].reshape(shapes[img])
+        total += reference_image_loss_and_grad(s, sbar, present[img], cfg.model)[0]
+    return model, total / len(flats)
+
+
+def run_both(fields, present, cfg, seed):
+    """(new, reference) results of one localizer run on the same inputs."""
+    d = fields[0].shape[0]
+    flats = [np.asarray(f, dtype=np.float64).reshape(d, -1) for f in fields]
+    shapes = [f.shape[1:] for f in fields]
+    allv = np.concatenate(flats, axis=1)
+    mean = allv.mean(axis=1)
+    std = np.maximum(allv.std(axis=1), 1e-8)
+    new = weaksup._localizer_run(flats, present, cfg, mean, std, seed)
+    ref = reference_localizer_run(flats, shapes, present, cfg, mean, std, seed)
+    return new, ref
+
+
+def assert_same_run(new, ref):
+    (model, loss), (ref_model, ref_loss) = new, ref
+    for got, want in zip(model.weights + model.biases, ref_model.weights + ref_model.biases):
+        assert got.tobytes() == want.tobytes()
+    assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
+
+
+class TestLocalizerOracle:
+    @pytest.mark.parametrize("model", ["global", "pixel"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_instances_match_reference(self, model, seed):
+        rng = np.random.default_rng(100 + seed)
+        d = int(rng.integers(1, 5))
+        # grids of different sizes, so the shared buffers are used partly
+        fields = [rng.normal(0.0, rng.uniform(0.1, 5.0), size=(d, *rng.integers(1, 7, size=2)))
+                  for _ in range(int(rng.integers(2, 7)))]
+        present = [bool(v) for v in rng.integers(0, 2, size=len(fields))]
+        cfg = LocalizerConfig(hidden=int(rng.integers(2, 9)), learning_rate=rng.uniform(0.005, 0.3),
+                              epochs=int(rng.integers(2, 8)), model=model)
+        assert_same_run(*run_both(fields, present, cfg, seed))
+
+    @pytest.mark.parametrize("model", ["global", "pixel"])
+    def test_argmax_ties_match_reference(self, model):
+        # few distinct feature vectors per grid, so the score maxima repeat
+        rng = np.random.default_rng(7)
+        fields = [rng.integers(0, 2, size=(2, 4, 5)).astype(np.float64) for _ in range(4)]
+        fields.append(np.ones((2, 3, 3)))  # a constant grid: every location ties
+        present = [True, False, True, False, True]
+        cfg = LocalizerConfig(hidden=4, learning_rate=0.05, epochs=6, model=model)
+        assert_same_run(*run_both(fields, present, cfg, 3))
+
+    @pytest.mark.parametrize("model", ["global", "pixel"])
+    def test_saturated_margin_matches_reference(self, model, monkeypatch):
+        # all images present and a large step size: the margin grows until
+        # p == 1.0, after which a step has no gradient rows and only weight
+        # decay and momentum move the weights
+        rng = np.random.default_rng(11)
+        fields = [rng.normal(size=(3, 4, 4)) for _ in range(3)]
+        cfg = LocalizerConfig(hidden=6, learning_rate=5.0, epochs=40, model=model)
+        rows_per_step = []
+        backward = learner._backward
+
+        def counting_backward(net, acts, delta, masks=None):
+            rows_per_step.append(len(delta))
+            return backward(net, acts, delta, masks)
+
+        monkeypatch.setattr(learner, "_backward", counting_backward)
+        new, ref = run_both(fields, [True] * 3, cfg, 5)
+        assert 0 in rows_per_step
+        assert_same_run(new, ref)
+
+
+class TestImageLossOracle:
+    @pytest.mark.parametrize("model", ["global", "pixel"])
+    @pytest.mark.parametrize("present", [True, False])
+    def test_grids_match_reference(self, model, present):
+        rng = np.random.default_rng(21)
+        grids = [(rng.normal(size=(3, 4)), rng.normal(size=(3, 4))) for _ in range(20)]
+        grids.append((np.zeros((2, 3)), np.zeros((2, 3))))              # every location ties
+        grids.append((np.full((2, 2), 50.0), np.zeros((2, 2))))         # p == 1.0
+        grids.append((np.full((2, 2), -800.0), np.zeros((2, 2))))       # p == 0.0
+        grids.append((rng.normal(size=(4, 3)).T, rng.normal(size=(4, 3)).T))  # Fortran order
+        for s, sbar in grids:
+            got = image_loss_and_grad(s, sbar, present, model)
+            want = reference_image_loss_and_grad(s, sbar, present, model)
+            for a, b in zip(got, want):
+                assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+    def test_ties_go_to_smallest_index(self):
+        s = np.zeros((2, 3))
+        sbar = np.zeros((2, 3))
+        sbar[1, 2] = sbar[0, 1] = 1.0
+        _, ds, dsbar = image_loss_and_grad(s, sbar, True, "global")
+        assert np.flatnonzero(ds.ravel()).tolist() == [0]
+        assert np.flatnonzero(dsbar.ravel()).tolist() == [1]
+
+    def test_unknown_model_rejected(self):
+        with pytest.raises(ValueError, match="unknown model"):
+            image_loss_and_grad(np.zeros((2, 2)), np.zeros((2, 2)), True, "mean")
