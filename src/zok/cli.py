@@ -5,15 +5,12 @@ predict, sample, crf, eval, eval-depth, synth and pipeline.  A JSON file
 passed via --config supplies defaults that explicit flags override;
 unknown config keys are rejected.  Exit codes: 0 success, 1 validation
 error, 2 I/O error.  Every subcommand is deterministic for a fixed
---seed.  --threads (or the ZOK_THREADS variable) caps worker parallelism;
-the current implementation computes single-threaded, so results never
-depend on it.
+--seed.
 """
 
 import argparse
 import json
 import math
-import os
 import sys
 import time
 
@@ -34,7 +31,6 @@ def _arg(*flags, **kwargs):
 _COMMON = [
     _arg("--config", help="JSON file with defaults for this subcommand"),
     _arg("--seed", type=int, default=0),
-    _arg("--threads", type=int, default=None),
 ]
 
 _SPECS = {
@@ -190,15 +186,6 @@ def _merge_config(explicit, command):
     if missing:
         raise ValueError(f"missing required options: {missing}")
     return merged
-
-
-def _resolve_threads(args):
-    threads = args.get("threads")
-    if threads is None:
-        threads = int(os.environ.get("ZOK_THREADS", "1"))
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
-    args["threads"] = threads
 
 
 def _round4(value):
@@ -707,7 +694,6 @@ def main(argv=None):
             args = dict(_command_table(command)[0], **explicit)
         else:
             args = _merge_config(explicit, command)
-        _resolve_threads(args)
         _HANDLERS[command](args)
         return 0
     except (FormatError, FileNotFoundError, IsADirectoryError, PermissionError, OSError) as exc:

@@ -15,6 +15,7 @@ and the little-endian "ZOT1" container for tensors.  All formats
 round-trip exactly.  Functions never mutate their inputs.
 """
 
+import math
 import struct
 
 import numpy as np
@@ -147,7 +148,7 @@ def read_tensor(path):
     if any(d < 1 for d in dims):
         raise FormatError(f"bad dims {dims}")
     dtype = _ZOT_DTYPES[code]
-    expected = int(np.prod(dims)) * dtype.itemsize
+    expected = math.prod(dims) * dtype.itemsize
     payload = data[header_end:]
     if len(payload) != expected:
         raise FormatError(f"payload size mismatch: expected {expected} bytes, got {len(payload)}")

@@ -100,16 +100,26 @@ def pairwise_potential(x_i, x_j, f_i, f_j, model):
 def kernel_sum_matrix(model, features):
     """(N, N) matrix K_ij = sum_m w_m k_m(f_i, f_j), zero diagonal.
 
-    features: dict mapping features_key to an (N, d) array.
+    features: dict mapping features_key to an (N, d) array.  Every kernel
+    is evaluated in place in two (N, N) buffers allocated once per call,
+    in the operation order of max(|a|^2 + |b|^2 - (2a)^T b, 0), then
+    exp(-d2/2) * w, so no further (N, N) temporaries are made.
     """
     n = model.num_nodes
     total = np.zeros((n, n))
+    buf, cross = np.empty((n, n)), np.empty((n, n))
     for kern in model.kernels:
         f = np.asarray(features[kern.features_key], dtype=np.float64)
         scaled = f * np.sqrt(kern.precision)
         sq = (scaled**2).sum(axis=1)
-        d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * scaled @ scaled.T, 0.0)
-        total += kern.weight * np.exp(-0.5 * d2)
+        np.matmul(2.0 * scaled, scaled.T, out=cross)
+        np.add(sq[:, None], sq[None, :], out=buf)
+        buf -= cross
+        np.maximum(buf, 0.0, out=buf)
+        buf *= -0.5
+        np.exp(buf, out=buf)
+        buf *= kern.weight
+        total += buf
     np.fill_diagonal(total, 0.0)
     return total
 

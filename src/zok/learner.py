@@ -308,7 +308,11 @@ def write_model(model, path):
 
 
 def read_model(path):
-    """Read a ZOM1 model file; a truncated or inconsistent one raises FormatError."""
+    """Read a ZOM1 model file.
+
+    A truncated or inconsistent file, or one with a NaN or inf parameter,
+    raises FormatError.
+    """
     from .core_io import FormatError
 
     with open(path, "rb") as fh:
@@ -326,7 +330,10 @@ def read_model(path):
         return data[pos - nbytes : pos]
 
     def floats(count, what):
-        return np.frombuffer(take(count * 4, what), dtype="<f4").astype(np.float64)
+        values = np.frombuffer(take(count * 4, what), dtype="<f4")
+        if not np.isfinite(values).all():
+            raise FormatError(f"non-finite {what}")
+        return values.astype(np.float64)
 
     num_classes, nlayers = struct.unpack("<II", take(8, "header"))
     if nlayers == 0:

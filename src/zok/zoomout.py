@@ -48,40 +48,49 @@ def build_adjacency(spmap):
     """
     spmap = np.asarray(spmap)
     k = int(spmap.max()) + 1
-    pairs = []
-    a, b = spmap[:, :-1].ravel(), spmap[:, 1:].ravel()
-    mask = a != b
-    pairs.append(np.stack([a[mask], b[mask]], axis=1))
-    a, b = spmap[:-1, :].ravel(), spmap[1:, :].ravel()
-    mask = a != b
-    pairs.append(np.stack([a[mask], b[mask]], axis=1))
-    edges = np.concatenate(pairs, axis=0)
-    if len(edges):
-        edges = np.unique(np.sort(edges, axis=1), axis=0)
-    neighbors = [[] for _ in range(k)]
-    for i, j in edges:
-        neighbors[i].append(int(j))
-        neighbors[j].append(int(i))
-    return [np.array(sorted(n), dtype=np.int64) for n in neighbors]
+    keys = []
+    for a, b in ((spmap[:, :-1], spmap[:, 1:]), (spmap[:-1, :], spmap[1:, :])):
+        a, b = a.ravel().astype(np.int64), b.ravel().astype(np.int64)
+        mask = a != b
+        a, b = a[mask], b[mask]
+        keys += [a * k + b, b * k + a]
+    # each edge in both directions, sorted by (row, neighbour)
+    keys = np.unique(np.concatenate(keys))
+    bounds = np.searchsorted(keys, np.arange(1, k, dtype=np.int64) * k)
+    return np.split(keys % k, bounds)
 
 
-def neighbors_within_radius(graph, s, radius):
-    """Sorted BFS ball of hop radius around superpixel s (inclusive)."""
-    if s >= len(graph):
-        raise ValueError(f"superpixel {s} out of range")
-    ball = {int(s)}
-    frontier = [int(s)]
+def neighbor_balls(graph, radius):
+    """Sorted hop-radius balls of every node, as a CSR pair (indptr, indices).
+
+    Node s's ball, itself included, is indices[indptr[s]:indptr[s + 1]].
+    graph is a list of neighbour-id arrays, one per node, and is followed
+    as given (edge s -> graph[s]).  All balls grow together: each hop
+    expands every (source, frontier node) pair over the flattened lists.
+    """
+    k = len(graph)
+    degree = np.fromiter(map(len, graph), dtype=np.int64, count=k)
+    adj = np.concatenate(graph).astype(np.int64)
+    if adj.size and (adj.min() < 0 or adj.max() >= k):
+        raise ValueError(f"neighbour ids must be in 0..{k - 1}")
+    start = np.cumsum(degree) - degree
+    source = np.arange(k, dtype=np.int64)
+    frontier = source
+    ball = source * k + source              # sorted (source, member) keys
     for _ in range(radius):
-        nxt = []
-        for node in frontier:
-            for nb in graph[node]:
-                if nb not in ball:
-                    ball.add(int(nb))
-                    nxt.append(int(nb))
-        if not nxt:
+        count = degree[frontier]
+        offset = np.repeat(np.cumsum(count) - count, count)
+        pos = np.arange(len(offset)) - offset + np.repeat(start[frontier], count)
+        reached = np.repeat(source, count) * k + adj[pos]
+        known = len(ball)
+        # a key is new when its first occurrence lies past the known ball
+        ball, first = np.unique(np.concatenate([ball, reached]), return_index=True)
+        fresh = ball[first >= known]
+        if not len(fresh):
             break
-        frontier = nxt
-    return np.array(sorted(ball), dtype=np.int64)
+        source, frontier = np.divmod(fresh, k)
+    indptr = np.searchsorted(ball, np.arange(k + 1, dtype=np.int64) * k)
+    return indptr, ball % k
 
 
 def upsample_featuremap(fm, height, width, mode="nearest"):
@@ -207,10 +216,13 @@ def proximal_average(local_feats, graph, radius=2):
     if radius < 1:
         raise ValueError("radius must be >= 1")
     local_feats = np.asarray(local_feats)
+    if len(graph) != len(local_feats):
+        raise ValueError(f"graph has {len(graph)} nodes, features {len(local_feats)} rows")
+    indptr, indices = neighbor_balls(graph, radius)
     out = np.empty_like(local_feats, dtype=np.float64)
+    # one mean per ball: np.add.reduceat sums in another order (last bits differ)
     for s in range(len(local_feats)):
-        ball = neighbors_within_radius(graph, s, radius)
-        out[s] = local_feats[ball].mean(axis=0)
+        out[s] = local_feats[indices[indptr[s] : indptr[s + 1]]].mean(axis=0)
     return out
 
 
@@ -240,12 +252,13 @@ def subscene_bboxes(spmap, graph, radius=3):
     superpixel's ball with min/max.
     """
     boxes = superpixel_bboxes(spmap)
-    out = np.empty_like(boxes)
-    for s in range(len(graph)):
-        ball = boxes[neighbors_within_radius(graph, s, radius)]
-        out[s, :2] = ball[:, :2].min(axis=0)
-        out[s, 2:] = ball[:, 2:].max(axis=0)
-    return out
+    indptr, indices = neighbor_balls(graph, radius)
+    members = boxes[indices]
+    return np.concatenate(
+        [np.minimum.reduceat(members[:, :2], indptr[:-1], axis=0),
+         np.maximum.reduceat(members[:, 2:], indptr[:-1], axis=0)],
+        axis=1,
+    )
 
 
 def concat_levels(levels):

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -118,6 +119,13 @@ class TestZot:
         path = tmp_path / "t.zot"
         path.write_bytes(b"ZOT1" + bytes([9, 1]) + bytes(8))
         with pytest.raises(FormatError, match="dtype"):
+            read_tensor(path)
+
+    def test_dims_product_beyond_int64_is_size_mismatch(self, tmp_path):
+        # 65536**4 elements wrap to 0 in int64; the header must not read as empty
+        path = tmp_path / "t.zot"
+        path.write_bytes(b"ZOT1" + bytes([0, 4]) + struct.pack("<4I", *[65536] * 4))
+        with pytest.raises(FormatError, match="payload size mismatch"):
             read_tensor(path)
 
     def test_bad_rank(self, tmp_path):

@@ -196,6 +196,46 @@ class TestFreeEnergyOracle:
                 reference_free_energy(q, model, feats), rel=1e-12, abs=0.0)
 
 
+def reference_kernel_sum_matrix(model, features):
+    """(N, N) matrix K_ij = sum_m w_m k_m(f_i, f_j), zero diagonal."""
+    n = model.num_nodes
+    total = np.zeros((n, n))
+    for kern in model.kernels:
+        f = np.asarray(features[kern.features_key], dtype=np.float64)
+        scaled = f * np.sqrt(kern.precision)
+        sq = (scaled**2).sum(axis=1)
+        d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * scaled @ scaled.T, 0.0)
+        total += kern.weight * np.exp(-0.5 * d2)
+    np.fill_diagonal(total, 0.0)
+    return total
+
+
+class TestKernelSumMatrixOracle:
+    def test_matches_reference_bytes_on_random_instances(self):
+        rng = np.random.default_rng(10)
+        for trial in range(30):
+            n = int(rng.integers(1, 301))
+            kernels = [Kernel(float(rng.uniform(0.0, 3.0)), rng.uniform(0.01, 2.0, size=3)),
+                       Kernel(float(rng.uniform(0.0, 3.0)), rng.uniform(0.01, 2.0, size=2), "g")]
+            kernels = kernels[: trial % 3]          # zero, one and two kernels
+            model = CrfModel(np.zeros((n, 2)), kernels)
+            scale = 10.0 ** rng.integers(-1, 3)     # near-zero and underflowing kernels
+            feats = {"f": rng.normal(size=(n, 3)) * scale, "g": rng.normal(size=(n, 2)) * scale}
+            feats["f"][rng.random(n) < 0.2] = feats["f"][0]   # coincident nodes: d2 = 0
+            ksum = kernel_sum_matrix(model, feats)
+            ref = reference_kernel_sum_matrix(model, feats)
+            assert ksum.dtype == ref.dtype and ksum.shape == ref.shape
+            assert ksum.tobytes() == ref.tobytes()
+
+    def test_image_crf_instance_matches_reference_bytes(self):
+        rng = np.random.default_rng(11)
+        n = 600
+        model, feats = image_crf(rng.normal(size=(n, 3)) * 30,
+                                 rng.dirichlet(np.ones(4), size=n), rng.random((n, 2)) * 256)
+        assert (kernel_sum_matrix(model, feats).tobytes()
+                == reference_kernel_sum_matrix(model, feats).tobytes())
+
+
 class TestMeanField:
     def test_zero_pairwise_softmax_fixed_point(self):
         unary = np.array([[1.0, 0.0], [0.5, 2.0], [0.0, 0.0]])

@@ -9,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 from zok.zoomout import (LOCAL_COLOR_DIM, ZoomOutFeature, build_adjacency,
                          concat_levels, local_color_features,
                          location_features, location_features_all,
-                         mirror_max_fuse, neighbors_within_radius,
+                         mirror_max_fuse, neighbor_balls,
                          pool_over_superpixels, proximal_average,
                          rect_regions, scene_pool, subscene_bboxes,
                          superpixel_bboxes, upsample_featuremap)
@@ -42,6 +42,59 @@ class TestAdjacency:
                 assert i in graph[j]
 
 
+def reference_build_adjacency(spmap):
+    """Adjacency lists of superpixels sharing a 4-connected boundary."""
+    spmap = np.asarray(spmap)
+    k = int(spmap.max()) + 1
+    pairs = []
+    a, b = spmap[:, :-1].ravel(), spmap[:, 1:].ravel()
+    mask = a != b
+    pairs.append(np.stack([a[mask], b[mask]], axis=1))
+    a, b = spmap[:-1, :].ravel(), spmap[1:, :].ravel()
+    mask = a != b
+    pairs.append(np.stack([a[mask], b[mask]], axis=1))
+    edges = np.concatenate(pairs, axis=0)
+    if len(edges):
+        edges = np.unique(np.sort(edges, axis=1), axis=0)
+    neighbors = [[] for _ in range(k)]
+    for i, j in edges:
+        neighbors[i].append(int(j))
+        neighbors[j].append(int(i))
+    return [np.array(sorted(n), dtype=np.int64) for n in neighbors]
+
+
+def reference_neighbors_within_radius(graph, s, radius):
+    """Sorted BFS ball of hop radius around superpixel s (inclusive)."""
+    if s >= len(graph):
+        raise ValueError(f"superpixel {s} out of range")
+    ball = {int(s)}
+    frontier = [int(s)]
+    for _ in range(radius):
+        nxt = []
+        for node in frontier:
+            for nb in graph[node]:
+                if nb not in ball:
+                    ball.add(int(nb))
+                    nxt.append(int(nb))
+        if not nxt:
+            break
+        frontier = nxt
+    return np.array(sorted(ball), dtype=np.int64)
+
+
+def reference_proximal_average(local_feats, graph, radius):
+    """Mean of the local rows over each BFS ball, one ball at a time."""
+    out = np.empty_like(local_feats, dtype=np.float64)
+    for s in range(len(local_feats)):
+        out[s] = local_feats[reference_neighbors_within_radius(graph, s, radius)].mean(axis=0)
+    return out
+
+
+def ball(graph, s, radius):
+    indptr, indices = neighbor_balls(graph, radius)
+    return list(indices[indptr[s] : indptr[s + 1]])
+
+
 class TestNeighborsWithinRadius:
     def path_graph(self, n):
         spmap = np.repeat(np.arange(n, dtype=np.int32), 2).reshape(1, -1)
@@ -49,23 +102,82 @@ class TestNeighborsWithinRadius:
 
     def test_radius_zero(self):
         g = self.path_graph(4)
-        assert list(neighbors_within_radius(g, 2, 0)) == [2]
+        assert ball(g, 2, 0) == [2]
 
     def test_path_graph_ball(self):
         g = self.path_graph(4)
-        assert list(neighbors_within_radius(g, 0, 2)) == [0, 1, 2]
+        assert ball(g, 0, 2) == [0, 1, 2]
 
     def test_complete_graph_radius_one(self):
         g = [np.array([j for j in range(4) if j != i]) for i in range(4)]
-        assert list(neighbors_within_radius(g, 1, 1)) == [0, 1, 2, 3]
+        assert ball(g, 1, 1) == [0, 1, 2, 3]
 
     def test_monotone_in_radius(self):
         g = self.path_graph(6)
         prev = set()
         for r in range(5):
-            ball = set(neighbors_within_radius(g, 2, r))
-            assert prev <= ball
-            prev = ball
+            cur = set(ball(g, 2, r))
+            assert prev <= cur
+            prev = cur
+
+
+@st.composite
+def oracle_maps(draw):
+    """Random id maps, mirrored rectangle grids and one-superpixel maps."""
+    kind = draw(st.sampled_from(["random", "mirrored", "single"]))
+    h, w = draw(st.integers(1, 20)), draw(st.integers(1, 20))
+    if kind == "random":
+        num_ids = draw(st.integers(1, 8))
+        return draw(arrays(np.int32, (h, w), elements=st.integers(0, num_ids - 1)))
+    if kind == "mirrored":
+        # row-major grid ids, read right to left: not in raster order
+        return rect_regions(w, h, draw(st.integers(1, 40)))[:, ::-1]
+    return np.zeros((h, w), dtype=np.int32)
+
+
+@st.composite
+def directed_graphs(draw):
+    """Hand-built neighbour lists: one-way edges, repeats, self-loops, plain lists."""
+    k = draw(st.integers(1, 12))
+    rows = draw(st.lists(st.lists(st.integers(0, k - 1), max_size=5), min_size=k, max_size=k))
+    as_array = draw(st.booleans())
+    return [np.array(r, dtype=np.int64) if as_array else r for r in rows]
+
+
+class TestNeighborBallsOracle:
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(oracle_maps(), st.integers(0, 4), st.integers(0, 2**31))
+    def test_random_maps_match_reference(self, spmap, radius, seed):
+        graph = build_adjacency(spmap)
+        ref_graph = reference_build_adjacency(spmap)
+        assert len(graph) == len(ref_graph)
+        for got, want in zip(graph, ref_graph):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        indptr, indices = neighbor_balls(graph, radius)
+        assert indptr.dtype == indices.dtype == np.int64
+        assert len(indptr) == len(graph) + 1 and indptr[-1] == len(indices)
+        for s in range(len(graph)):
+            want = reference_neighbors_within_radius(ref_graph, s, radius)
+            assert indices[indptr[s] : indptr[s + 1]].tolist() == want.tolist()
+        local = np.random.default_rng(seed).normal(size=(len(graph), 7))
+        if radius >= 1:
+            assert (proximal_average(local, graph, radius).tobytes()
+                    == reference_proximal_average(local, ref_graph, radius).tobytes())
+        sub = subscene_bboxes(spmap, graph, radius)
+        for s in range(len(graph)):
+            assert tuple(sub[s]) == reference_subscene_bbox(spmap, ref_graph, s, radius)
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(directed_graphs(), st.integers(0, 4))
+    def test_hand_built_graphs_match_reference(self, graph, radius):
+        indptr, indices = neighbor_balls(graph, radius)
+        for s in range(len(graph)):
+            want = reference_neighbors_within_radius(graph, s, radius)
+            assert indices[indptr[s] : indptr[s + 1]].tolist() == want.tolist()
+
+    def test_out_of_range_neighbour_rejected(self):
+        with pytest.raises(ValueError):
+            neighbor_balls([np.array([1]), np.array([2])], 1)
 
 
 class TestUpsample:
@@ -207,11 +319,16 @@ class TestProximalAverage:
         out2 = proximal_average(feats, graph, 2)
         assert out2[0, 0] == pytest.approx(1.0)     # mean of {0, 1, 2}
 
+    def test_graph_length_mismatch_rejected(self):
+        graph = [np.array([1]), np.array([0])]
+        with pytest.raises(ValueError):
+            proximal_average(np.zeros((3, 2)), graph, 1)
+
 
 def reference_subscene_bbox(spmap, graph, s, radius=3):
     """Bounding box (x0, y0, x1, y1) of the radius-hop ball around s."""
-    ball = neighbors_within_radius(graph, s, radius)
-    boxes = superpixel_bboxes(spmap)[ball]
+    members = reference_neighbors_within_radius(graph, s, radius)
+    boxes = superpixel_bboxes(spmap)[members]
     return (
         int(boxes[:, 0].min()),
         int(boxes[:, 1].min()),
