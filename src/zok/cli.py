@@ -20,7 +20,7 @@ from . import crf as crf_mod
 from . import learner, metrics, weaksup, zoomout
 from .core_io import (FormatError, read_pgm, read_ppm, read_tensor,
                       rgb_to_lab, write_pgm, write_tensor)
-from .slic import SlicParams, run_slic
+from .slic import SlicParams, labxy_means, run_slic
 from .synth import SyntheticSpec, load_dataset, synth_generate
 
 
@@ -154,37 +154,66 @@ def _dest(flags):
 
 
 def _command_table(command):
-    """(defaults, required dests) declared for one subcommand."""
-    defaults, required = {}, set()
+    """({dest: (type, default)}, required dests) declared for one subcommand."""
+    table, required = {}, set()
     for flags, kwargs in _SPECS[command] + _COMMON:
-        dest = _dest(flags)
         if kwargs.get("action") == "store_true":
-            defaults[dest] = False
+            table[_dest(flags)] = (bool, False)
         else:
-            defaults[dest] = kwargs.get("default")
+            table[_dest(flags)] = (kwargs.get("type", str), kwargs.get("default"))
         if kwargs.get("required"):
-            required.add(dest)
-    return defaults, required
+            required.add(_dest(flags))
+    return table, required
+
+
+def _is_a(value, kind):
+    """JSON type check: an int passes as a float, a bool never as a number."""
+    if isinstance(value, bool):
+        return kind is bool
+    if kind is float:
+        return isinstance(value, (int, float))
+    if kind is list:
+        return isinstance(value, list) and all(_is_a(v, int) for v in value)
+    return isinstance(value, kind)
+
+
+def _merge_section(table, values, where):
+    """Defaults from a {key: (type, default)} table, overlaid with values.
+
+    Unknown keys and values of the wrong type raise ValueError; None is
+    accepted where the default is None.
+    """
+    if not isinstance(values, dict):
+        raise ValueError(f"{where} must be a JSON object")
+    unknown = sorted(set(values) - set(table))
+    if unknown:
+        raise ValueError(f"unknown {where} keys: {unknown}")
+    merged = {key: default for key, (_, default) in table.items()}
+    for key, value in values.items():
+        kind, default = table[key]
+        if not (_is_a(value, kind) or (value is None and default is None)):
+            raise ValueError(f"{where} key {key!r} must be {kind.__name__}, got {value!r}")
+        merged[key] = value
+    return merged
+
+
+def _require(merged, keys, what):
+    missing = [k for k in sorted(keys) if merged.get(k) is None]
+    if missing:
+        raise ValueError(f"missing required {what}: {missing}")
+
+
+def _load_json(path):
+    with open(path) as fh:
+        return json.load(fh)
 
 
 def _merge_config(explicit, command):
-    """defaults <- config file <- explicit flags; validates keys."""
-    defaults, required = _command_table(command)
-    merged = dict(defaults)
-    path = explicit.get("config")
-    if path:
-        with open(path) as fh:
-            cfg = json.load(fh)
-        if not isinstance(cfg, dict):
-            raise ValueError("config must be a JSON object")
-        unknown = set(cfg) - set(defaults)
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        merged.update(cfg)
-    merged.update(explicit)
-    missing = [k for k in sorted(required) if merged.get(k) is None]
-    if missing:
-        raise ValueError(f"missing required options: {missing}")
+    """defaults <- config file <- explicit flags; validates keys and types."""
+    table, required = _command_table(command)
+    cfg = _load_json(explicit["config"]) if explicit.get("config") else {}
+    merged = dict(_merge_section(table, cfg, "config"), **explicit)
+    _require(merged, required, "options")
     return merged
 
 
@@ -261,18 +290,6 @@ def _read_finite(path, name):
     return x
 
 
-def zoomout_features(img, spmap, proximal_radius=2):
-    """local color+location features plus their proximal average, (K, D)."""
-    lab = rgb_to_lab(img)
-    graph = zoomout.build_adjacency(spmap)
-    local = np.concatenate(
-        [zoomout.local_color_features(lab, spmap), zoomout.location_features_all(spmap)],
-        axis=1,
-    )
-    proximal = zoomout.proximal_average(local, graph, proximal_radius)
-    return zoomout.concat_levels([local, proximal])
-
-
 def _cmd_slic(args):
     img = read_ppm(args["input"])
     params = SlicParams(
@@ -293,62 +310,20 @@ def _cmd_rect(args):
     _write_spmap(zoomout.rect_regions(w, h, args["count"]), args["out"])
 
 
-def _parse_levels(text):
-    levels = []
-    for item in text.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        name, _, arg = item.partition(":")
-        levels.append((name, int(arg) if arg else None))
-    return levels
-
-
 def _cmd_features(args):
     img = read_ppm(args["image"])
     spmap = _read_spmap(args["superpixels"])
     if spmap.shape != img.shape[:2]:
         raise ValueError("superpixel map size != image size")
-    featmap = _read_finite(args["featmap"], "featmap") if args.get("featmap") else None
-
-    def build(image, sp):
-        lab = rgb_to_lab(image)
-        graph = zoomout.build_adjacency(sp)
-        local = np.concatenate(
-            [zoomout.local_color_features(lab, sp), zoomout.location_features_all(sp)],
-            axis=1,
-        )
-        k = int(sp.max()) + 1
-        full = None
-        if featmap is not None:
-            full = zoomout.upsample_featuremap(featmap, *sp.shape, mode=args["upsample"])
-        blocks = []
-        for name, radius in _parse_levels(args["levels"]):
-            if name == "local":
-                blocks.append(local)
-            elif name == "proximal":
-                blocks.append(zoomout.proximal_average(local, graph, radius or 2))
-            elif name in ("pooled", "subscene", "scene"):
-                if full is None:
-                    raise ValueError(f"level {name!r} requires --featmap")
-                if name == "pooled":
-                    blocks.append(zoomout.pool_over_superpixels(full, sp))
-                elif name == "scene":
-                    blocks.append(np.tile(zoomout.scene_pool(full), (k, 1)))
-                else:
-                    sub = np.empty((k, full.shape[0]))
-                    boxes = zoomout.subscene_bboxes(sp, graph, radius or 3)
-                    for s in range(k):
-                        x0, y0, x1, y1 = boxes[s]
-                        sub[s] = full[:, y0 : y1 + 1, x0 : x1 + 1].mean(axis=(1, 2))
-                    blocks.append(sub)
-            else:
-                raise ValueError(f"unknown level {name!r}")
-        return zoomout.concat_levels(blocks)
-
-    feats = build(img, spmap)
+    full = None
+    if args.get("featmap"):
+        full = zoomout.upsample_featuremap(_read_finite(args["featmap"], "featmap"),
+                                           *spmap.shape, mode=args["upsample"])
+    feats = zoomout.build_features(img, spmap, args["levels"], full)
     if args["mirror"]:
-        feats = zoomout.mirror_max_fuse(feats, build(img[:, ::-1], spmap[:, ::-1]))
+        # the mirrored image reads the same, unmirrored feature map
+        mirrored = zoomout.build_features(img[:, ::-1], spmap[:, ::-1], args["levels"], full)
+        feats = zoomout.mirror_max_fuse(feats, mirrored)
     write_tensor(feats.features.astype(np.float32), args["out"])
 
 
@@ -423,7 +398,8 @@ def _cmd_crf(args):
         k = int(spmap.max()) + 1
         if unary.ndim != 2 or unary.shape[0] != k:
             raise ValueError("superpixel unary must be (K, C)")
-        node_lab, node_pos = superpixel_stats(lab, spmap)
+        node = labxy_means(lab, spmap)
+        node_lab, node_pos = node[:, :3], node[:, 3:]
         probs = unary
     else:
         if unary.ndim != 3 or unary.shape[1:] != (h, w):
@@ -446,26 +422,6 @@ def _cmd_crf(args):
     if not args.get("superpixels"):
         q = q.T.reshape(unary.shape)
     write_tensor(q.astype(np.float32), args["out"])
-
-
-def superpixel_stats(lab, spmap):
-    """Mean Lab and mean (x, y) per superpixel."""
-    k = int(spmap.max()) + 1
-    flat = spmap.ravel()
-    counts = np.bincount(flat, minlength=k).astype(np.float64)
-    h, w = spmap.shape
-    mean_lab = np.stack(
-        [np.bincount(flat, weights=lab[:, :, c].ravel(), minlength=k) / counts for c in range(3)],
-        axis=1,
-    )
-    xs = np.tile(np.arange(w, dtype=np.float64), h)
-    ys = np.repeat(np.arange(h, dtype=np.float64), w)
-    mean_pos = np.stack(
-        [np.bincount(flat, weights=xs, minlength=k) / counts,
-         np.bincount(flat, weights=ys, minlength=k) / counts],
-        axis=1,
-    )
-    return mean_lab, mean_pos
 
 
 def _seg_report(cm):
@@ -512,57 +468,52 @@ def _stage(name, fn, *fn_args, **fn_kwargs):
         raise
 
 
-# the keys pipeline_run reads: top level, then each nested section
-_PIPELINE_KEYS = {
-    "config": {"train_dir", "test_dir", "classes", "ignore", "slic", "proximal_radius",
-               "oracle", "train", "crf", "report"},
-    "slic": {"k", "m", "max_iters"},
-    "train": {"hidden", "epochs", "batch_size", "learning_rate", "momentum",
-              "weight_decay", "dropout", "seed", "loss"},
-    "crf": {"iters", "damping", "w_appearance", "w_smooth", "sigma_xy", "sigma_lab",
-            "sigma_xy_smooth"},
+# Pipeline config: key -> (type, default) for the top level and for each
+# nested section.  The defaults differ from the subcommands' flags.
+_PIPELINE = {
+    "config": {"train_dir": (str, None), "test_dir": (str, None), "classes": (int, None),
+               "ignore": (int, 255), "slic": (dict, {}), "proximal_radius": (int, 2),
+               "oracle": (bool, False), "train": (dict, {}), "crf": (dict, None),
+               "report": (str, None)},
+    "slic": {"k": (int, 100), "m": (float, 15.0), "max_iters": (int, 10)},
+    "train": {"hidden": (list, [64]), "epochs": (int, 40), "batch_size": (int, 128),
+              "learning_rate": (float, 0.02), "momentum": (float, 0.9),
+              "weight_decay": (float, 1e-4), "dropout": (float, 0.0), "seed": (int, 0),
+              "loss": (str, "asymmetric")},
+    "crf": {"iters": (int, 5), "damping": (float, 0.5), "w_appearance": (float, 3.0),
+            "w_smooth": (float, 1.0), "sigma_xy": (float, 20.0), "sigma_lab": (float, 10.0),
+            "sigma_xy_smooth": (float, 5.0)},
 }
 
 
-def _check_pipeline_keys(config):
-    """Reject a pipeline config with a key that pipeline_run would ignore."""
-    for name, keys in _PIPELINE_KEYS.items():
-        section = config if name == "config" else config.get(name, {})
-        if name == "crf" and section is None:
-            continue
-        if not isinstance(section, dict):
-            raise ValueError(f"pipeline {name} must be a JSON object")
-        unknown = sorted(set(section) - keys)
-        if unknown:
-            raise ValueError(f"unknown pipeline {name} keys: {unknown}")
+def _pipeline_section(values, name):
+    return _merge_section(_PIPELINE[name], values, f"pipeline {name}")
 
 
 def pipeline_run(config):
     """slic -> features -> train/predict -> optional CRF -> eval.
 
-    config keys: train_dir, test_dir, classes, ignore (default 255),
-    slic {k, m, max_iters}, proximal_radius, oracle (bool), train
-    {hidden, epochs, batch_size, learning_rate, momentum, weight_decay,
-    dropout, seed, loss}, crf (null or {iters, damping, w_appearance,
-    w_smooth, sigma_xy, sigma_lab, sigma_xy_smooth}), report (output
-    path).  Any other key, at any level, raises ValueError.  Returns the
-    report dict.
+    The keys, their types and defaults are those of _PIPELINE; classes,
+    test_dir and (unless oracle) train_dir are required.  crf null or {}
+    skips the CRF stage, and report is the output path.  An unknown key
+    or a wrongly typed value, at any level, raises ValueError.  Returns
+    the report dict.
     """
-    _check_pipeline_keys(config)
+    cfg = _pipeline_section(config, "config")
+    _require(cfg, {"classes", "test_dir"} | (set() if cfg["oracle"] else {"train_dir"}),
+             "pipeline keys")
+    params = SlicParams(**_pipeline_section(cfg["slic"], "slic"))
+    train_cfg = _pipeline_section(cfg["train"], "train")
+    crf_cfg = _pipeline_section(cfg["crf"], "crf") if cfg["crf"] else None
+    if crf_cfg:
+        # what is left after iters and damping are image_crf's keywords
+        iters, damping = crf_cfg.pop("iters"), crf_cfg.pop("damping")
+    num_classes, ignore, oracle = cfg["classes"], cfg["ignore"], cfg["oracle"]
+    levels = f"local,proximal:{cfg['proximal_radius']}"
     timings = {}
     t0 = time.perf_counter()
-    num_classes = config["classes"]
-    ignore = config.get("ignore", 255)
-    slic_cfg = config.get("slic", {})
-    params = SlicParams(
-        k=slic_cfg.get("k", 100), m=slic_cfg.get("m", 15.0),
-        max_iters=slic_cfg.get("max_iters", 10),
-    )
-    radius = config.get("proximal_radius", 2)
-    oracle = config.get("oracle", False)
-
-    train_pairs = _stage("load", load_dataset, config["train_dir"]) if not oracle else []
-    test_pairs = _stage("load", load_dataset, config["test_dir"])
+    train_pairs = [] if oracle else _stage("load", load_dataset, cfg["train_dir"])
+    test_pairs = _stage("load", load_dataset, cfg["test_dir"])
     timings["load"] = time.perf_counter() - t0
 
     model = None
@@ -571,7 +522,7 @@ def pipeline_run(config):
         xs, ys, ws = [], [], []
         for img, gt in train_pairs:
             res = _stage("slic", run_slic, img, params)
-            feats = _stage("features", zoomout_features, img, res.spmap, radius)
+            feats = _stage("features", zoomout.build_features, img, res.spmap, levels)
             sp_labels = metrics.oracle_labels(gt, res.spmap, ignore)
             first = _first_label_per_superpixel(sp_labels, res.spmap)
             counts = np.bincount(res.spmap.ravel(), minlength=len(first))
@@ -581,27 +532,15 @@ def pipeline_run(config):
             ws.append(counts[keep])
         timings["train_features"] = time.perf_counter() - t0
         t0 = time.perf_counter()
-        train_cfg = config.get("train", {})
-        cfg = learner.TrainConfig(
-            epochs=train_cfg.get("epochs", 40),
-            batch_size=train_cfg.get("batch_size", 128),
-            learning_rate=train_cfg.get("learning_rate", 0.02),
-            momentum=train_cfg.get("momentum", 0.9),
-            weight_decay=train_cfg.get("weight_decay", 1e-4),
-            dropout=train_cfg.get("dropout", 0.0),
-            seed=train_cfg.get("seed", 0),
-            loss=train_cfg.get("loss", "asymmetric"),
-            hidden=tuple(train_cfg.get("hidden", [64])),
-        )
+        cfg_train = learner.TrainConfig(**dict(train_cfg, hidden=tuple(train_cfg["hidden"])))
         model = _stage(
             "train", learner.train,
-            np.concatenate(xs), np.concatenate(ys).astype(np.int64), cfg,
+            np.concatenate(xs), np.concatenate(ys).astype(np.int64), cfg_train,
             num_classes=num_classes, sample_weights=np.concatenate(ws),
         )
         timings["train"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    crf_cfg = config.get("crf")
     cm = np.zeros((num_classes, num_classes), dtype=np.int64)
     cm_crf = np.zeros_like(cm)
     for img, gt in test_pairs:
@@ -610,23 +549,15 @@ def pipeline_run(config):
             pred = metrics.oracle_labels(gt, res.spmap, ignore)
             cm += metrics.confusion(np.where(pred == ignore, 0, pred), gt, num_classes, ignore)
             continue
-        feats = _stage("features", zoomout_features, img, res.spmap, radius)
+        feats = _stage("features", zoomout.build_features, img, res.spmap, levels)
         probs = learner.forward(model, feats.features)
         sp_pred = np.argmax(probs, axis=1)
         cm += metrics.confusion(sp_pred[res.spmap], gt, num_classes, ignore)
         if crf_cfg:
-            lab = rgb_to_lab(img)
-            node_lab, node_pos = superpixel_stats(lab, res.spmap)
-            cmodel, cfeat = crf_mod.image_crf(
-                node_lab, probs, node_pos,
-                w_appearance=crf_cfg.get("w_appearance", 3.0),
-                w_smooth=crf_cfg.get("w_smooth", 1.0),
-                sigma_xy=crf_cfg.get("sigma_xy", 20.0),
-                sigma_lab=crf_cfg.get("sigma_lab", 10.0),
-                sigma_xy_smooth=crf_cfg.get("sigma_xy_smooth", 5.0),
-            )
-            state = _stage("crf", crf_mod.mean_field_refine, cmodel, cfeat,
-                           crf_cfg.get("iters", 5), crf_cfg.get("damping", 0.5))
+            # SLIC's centers are the mean Lab and (x, y) of each superpixel
+            cmodel, cfeat = _stage("crf", crf_mod.image_crf, res.centers[:, :3], probs,
+                                   res.centers[:, 3:], **crf_cfg)
+            state = _stage("crf", crf_mod.mean_field_refine, cmodel, cfeat, iters, damping)
             cm_crf += metrics.confusion(
                 crf_mod.map_labels(state)[res.spmap], gt, num_classes, ignore)
     timings["test"] = time.perf_counter() - t0
@@ -635,11 +566,11 @@ def pipeline_run(config):
     if crf_cfg and not oracle:
         report["crf"] = _seg_report(cm_crf)
     report["timings"] = {k: round(v, 4) for k, v in timings.items()}
-    if config.get("report"):
+    if cfg["report"]:
         # wall-clock timings stay off disk so written artifacts are
         # byte-identical across identical runs
         report_emit({k: v for k, v in report.items() if k != "timings"},
-                    config["report"], "json")
+                    cfg["report"], "json")
     return report
 
 
@@ -654,12 +585,10 @@ def _first_label_per_superpixel(label_map, spmap):
 def _cmd_pipeline(args):
     if not args.get("config"):
         raise ValueError("pipeline requires --config")
-    with open(args["config"]) as fh:
-        config = json.load(fh)
-    if args.get("report_out"):
+    config = _load_json(args["config"])
+    if args.get("report_out") and isinstance(config, dict):
         config["report"] = args["report_out"]
-    report = pipeline_run(config)
-    print(report_emit(report, None, "json"))
+    print(report_emit(pipeline_run(config), None, "json"))
 
 
 _HANDLERS = {
@@ -690,10 +619,8 @@ def main(argv=None):
     try:
         explicit = vars(namespace)
         command = explicit.pop("command")
-        if command == "pipeline":
-            args = dict(_command_table(command)[0], **explicit)
-        else:
-            args = _merge_config(explicit, command)
+        # the pipeline's --config is its whole config, not flag defaults
+        args = explicit if command == "pipeline" else _merge_config(explicit, command)
         _HANDLERS[command](args)
         return 0
     except (FormatError, FileNotFoundError, IsADirectoryError, PermissionError, OSError) as exc:

@@ -239,8 +239,10 @@ def image_crf(lab, probs, positions=None, w_appearance=3.0, w_smooth=1.0,
     index order for callers that pre-flatten a grid); probs: (N, C) unary
     probabilities.  Two kernels: appearance over (x, y, l, a, b) and a
     smoothness kernel over position only.  Kernel widths enter as diagonal
-    precisions 1/sigma^2.
+    precisions 1/sigma^2, so every sigma must be > 0.
     """
+    if not min(sigma_xy, sigma_lab, sigma_xy_smooth) > 0:
+        raise ValueError("sigma_xy, sigma_lab and sigma_xy_smooth must be > 0")
     lab = np.asarray(lab, dtype=np.float64)
     n = lab.shape[0]
     if positions is None:

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core_io import rgb_to_lab
+from .zoomout import region_means
 
 # Center array columns.
 L, A, B, X, Y = range(5)
@@ -197,24 +198,20 @@ def window_eval_count(centers, s, shape):
     return total
 
 
+def labxy_means(lab, spmap, k=None):
+    """(K, 5) mean (l, a, b, x, y) of each superpixel; NaN for an empty one."""
+    planes = [*np.moveaxis(lab, 2, 0), *np.indices(spmap.shape, dtype=np.float64)[::-1]]
+    return region_means(spmap, planes, k)
+
+
 def update_centers(lab, spmap, centers):
     """Move each center to the mean labxy of its pixels; returns (centers, E).
 
     E is the total Euclidean labxy movement; empty clusters keep their
     previous center and contribute zero.
     """
-    h, w = lab.shape[:2]
-    k = len(centers)
-    flat = spmap.ravel()
-    counts = np.bincount(flat, minlength=k).astype(np.float64)
-    new = centers.copy()
-    cols = [lab[:, :, 0].ravel(), lab[:, :, 1].ravel(), lab[:, :, 2].ravel()]
-    cols.append(np.tile(np.arange(w, dtype=np.float64), h))
-    cols.append(np.repeat(np.arange(h, dtype=np.float64), w))
-    nonempty = counts > 0
-    for dim, col in enumerate(cols):
-        sums = np.bincount(flat, weights=col, minlength=k)
-        new[nonempty, dim] = sums[nonempty] / counts[nonempty]
+    means = labxy_means(lab, spmap, len(centers))
+    new = np.where(np.isnan(means), centers, means)
     residual = float(np.sqrt(((new - centers) ** 2).sum(axis=1)).sum())
     return new, residual
 
@@ -363,7 +360,4 @@ def run_slic(img, params):
     spmap = compact_ids(spmap)
     if params.enforce_connectivity:
         spmap = enforce_connectivity(spmap)
-    final_centers, _ = update_centers(
-        lab, spmap, np.zeros((int(spmap.max()) + 1, 5))
-    )
-    return SlicResult(spmap, final_centers, iterations, residual, history)
+    return SlicResult(spmap, labxy_means(lab, spmap), iterations, residual, history)

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core_io import rgb_to_lab
+
 # Fixed histogram ranges per Lab channel; out-of-range values clamp to the
 # end bins.
 _CHANNEL_RANGES = ((0.0, 100.0), (-110.0, 110.0), (-110.0, 110.0))
@@ -120,6 +122,22 @@ def upsample_featuremap(fm, height, width, mode="nearest"):
     raise ValueError(f"unknown mode {mode!r}")
 
 
+def region_means(spmap, channels, k=None):
+    """(K, C) mean of each of C channel planes over each superpixel.
+
+    channels holds C arrays shaped like spmap (a (C, H, W) map works);
+    sums run in float64 over pixels in row-major order.  K defaults to
+    spmap.max() + 1; a superpixel with no pixels gets NaN.
+    """
+    flat = np.asarray(spmap).ravel()
+    k = int(flat.max()) + 1 if k is None else k
+    counts = np.bincount(flat, minlength=k).astype(np.float64)
+    sums = np.stack(
+        [np.bincount(flat, weights=np.ravel(c), minlength=k) for c in channels], axis=1)
+    with np.errstate(invalid="ignore"):
+        return sums / counts[:, None]
+
+
 def pool_over_superpixels(fm, spmap):
     """Mean of a full-resolution (C, H, W) feature map over each superpixel.
 
@@ -129,13 +147,7 @@ def pool_over_superpixels(fm, spmap):
     spmap = np.asarray(spmap)
     if fm.shape[1:] != spmap.shape:
         raise ValueError(f"feature map grid {fm.shape[1:]} != map grid {spmap.shape}")
-    k = int(spmap.max()) + 1
-    flat = spmap.ravel()
-    counts = np.bincount(flat, minlength=k).astype(np.float64)
-    out = np.empty((k, fm.shape[0]))
-    for c in range(fm.shape[0]):
-        out[:, c] = np.bincount(flat, weights=fm[c].ravel().astype(np.float64), minlength=k)
-    return out / counts[:, None]
+    return region_means(spmap, fm)
 
 
 def _hist_features(flat_ids, k, values, edges_lo, edges_hi, nbins):
@@ -194,21 +206,10 @@ def location_features_all(spmap):
     """
     spmap = np.asarray(spmap)
     h, w = spmap.shape
-    k = int(spmap.max()) + 1
-    flat = spmap.ravel()
-    counts = np.bincount(flat, minlength=k).astype(np.float64)
-    xs = np.tile(np.arange(w, dtype=np.float64) + 0.5, h)
-    ys = np.repeat(np.arange(h, dtype=np.float64) + 0.5, w)
-    cx = np.bincount(flat, weights=xs, minlength=k) / counts
-    cy = np.bincount(flat, weights=ys, minlength=k) / counts
+    cx, cy = region_means(spmap, np.indices((h, w), dtype=np.float64)[::-1] + 0.5).T
     nx = (cx - w / 2.0) / (w / 2.0)
     ny = (cy - h / 2.0) / (h / 2.0)
     return np.stack([nx, ny, np.abs(nx), np.abs(ny)], axis=1)
-
-
-def location_features(spmap, s):
-    """4-dim location descriptor of one superpixel."""
-    return location_features_all(spmap)[s]
 
 
 def proximal_average(local_feats, graph, radius=2):
@@ -275,6 +276,69 @@ def concat_levels(levels):
         offsets.append(pos)
         pos += lv.shape[1]
     return ZoomOutFeature(np.concatenate(levels, axis=1), offsets)
+
+
+# Levels that take a hop radius, with its default; the others take none.
+_RADIUS_LEVELS = {"proximal": 2, "subscene": 3}
+
+
+def _parse_levels(text):
+    """[(name, radius)] from a spec such as "local,proximal:2,scene".
+
+    Names are local, proximal[:r], pooled, subscene[:r] and scene; r is a
+    hop radius >= 1 (default 2 for proximal, 3 for subscene) and is None
+    for the levels that take no radius.
+    """
+    levels = []
+    for item in filter(None, (part.strip() for part in text.split(","))):
+        name, colon, arg = item.partition(":")
+        if name not in ("local", "pooled", "scene", *_RADIUS_LEVELS):
+            raise ValueError(f"unknown level {name!r}")
+        if name not in _RADIUS_LEVELS:
+            if colon:
+                raise ValueError(f"level {name!r} takes no radius, got {item!r}")
+            levels.append((name, None))
+            continue
+        radius = int(arg) if colon else _RADIUS_LEVELS[name]
+        if radius < 1:
+            raise ValueError(f"level {name!r} needs a radius >= 1, got {radius}")
+        levels.append((name, radius))
+    return levels
+
+
+def build_features(img, spmap, levels="local,proximal:2", featmap=None):
+    """Zoom-out features of every superpixel of an (H, W, 3) uint8 image.
+
+    levels is a _parse_levels spec; its levels are concatenated in order.
+    local is the color descriptor plus location, proximal its mean over
+    hop balls.  pooled, subscene (the mean over each ball's bounding box)
+    and scene read featmap, a (C, H, W) map at image resolution.
+    """
+    levels = _parse_levels(levels)
+    graph = build_adjacency(spmap)
+    local = np.concatenate(
+        [local_color_features(rgb_to_lab(img), spmap), location_features_all(spmap)], axis=1)
+    k = len(local)
+    blocks = []
+    for name, radius in levels:
+        if name == "local":
+            blocks.append(local)
+        elif name == "proximal":
+            blocks.append(proximal_average(local, graph, radius))
+        elif featmap is None:
+            raise ValueError(f"level {name!r} requires a feature map")
+        elif name == "pooled":
+            blocks.append(pool_over_superpixels(featmap, spmap))
+        elif name == "scene":
+            blocks.append(np.tile(scene_pool(featmap), (k, 1)))
+        else:
+            sub = np.empty((k, featmap.shape[0]))
+            boxes = subscene_bboxes(spmap, graph, radius)
+            for s in range(k):
+                x0, y0, x1, y1 = boxes[s]
+                sub[s] = featmap[:, y0 : y1 + 1, x0 : x1 + 1].mean(axis=(1, 2))
+            blocks.append(sub)
+    return concat_levels(blocks)
 
 
 def mirror_max_fuse(f_orig, f_mirror):

@@ -1,5 +1,9 @@
 import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -89,6 +93,22 @@ class TestFeaturesAndPool:
                    "--levels", "pooled,subscene:1,scene", "--featmap", tmp_path / "fm.zot",
                    "--out", out) == 0
         assert read_tensor(out).shape == (4, 6)
+
+    @pytest.mark.parametrize("levels", ["local,proximal:0", "local,subscene:0",
+                                        "local,subscene:-1", "local:5", "pooled:3",
+                                        "local,scene:1", "local,bogus"])
+    def test_bad_level_spec_exit_1(self, tmp_path, capsys, quad_image, levels):
+        img_path, _ = quad_image
+        sp_out = tmp_path / "sp.zot"
+        run("slic", "--input", img_path, "--k", 4, "--out", sp_out)
+        write_tensor(np.ones((2, 8, 8), dtype=np.float32), tmp_path / "fm.zot")
+        out = tmp_path / "f.zot"
+        capsys.readouterr()
+        assert run("features", "--image", img_path, "--superpixels", sp_out,
+                   "--featmap", tmp_path / "fm.zot", "--levels", levels, "--out", out) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert not out.exists()
 
     def test_pool_command(self, tmp_path, quad_image):
         img_path, _ = quad_image
@@ -319,6 +339,16 @@ class TestCrfCommand:
         assert q.shape == (4, 32, 32)
         assert np.allclose(q.sum(axis=0), 1.0, atol=1e-4)
 
+    @pytest.mark.parametrize("flag", ["--sigma-xy", "--sigma-lab", "--sigma-xy-smooth"])
+    def test_non_positive_sigma_exit_1(self, tmp_path, capsys, quad_image, flag):
+        img_path, _ = quad_image
+        write_tensor(np.full((4, 32, 32), 0.25, dtype=np.float32), tmp_path / "u.zot")
+        capsys.readouterr()
+        assert run("crf", "--unary", tmp_path / "u.zot", "--image", img_path,
+                   flag, 0, "--out", tmp_path / "q.zot") == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "sigma" in err[0]
+
     def test_superpixel_mode(self, tmp_path, quad_image):
         img_path, _ = quad_image
         sp_out = tmp_path / "sp.zot"
@@ -467,3 +497,69 @@ class TestPipelineCommand:
         cfg_path.write_text(json.dumps({"test_dir": str(tmp_path / "none"),
                                         "classes": 4, "oracle": True}))
         assert run("pipeline", "--config", cfg_path) == 2
+
+
+class TestConfigValueTypes:
+    """Wrongly typed config values, for subcommands and the pipeline alike,
+    exit 1 with one error line that names the key, never a traceback."""
+
+    # case -> (subcommand or "pipeline", config change, text the error holds)
+    CASES = {
+        "slic-k-str": ("slic", {"k": "a"}, "key 'k'"),
+        "slic-k-bool": ("slic", {"k": True}, "key 'k'"),
+        "slic-m-str": ("slic", {"k": 4, "m": "x"}, "key 'm'"),
+        "rect-count-str": ("rect", {"count": "3"}, "key 'count'"),
+        "crf-iters-float": ("crf", {"iters": 2.5}, "key 'iters'"),
+        "train-hidden-list": ("train", {"hidden": [8]}, "key 'hidden'"),
+        "pipeline-hidden-int": ("pipeline", {"train": {"hidden": 8}}, "key 'hidden'"),
+        "pipeline-hidden-str-items": ("pipeline", {"train": {"hidden": ["a"]}}, "key 'hidden'"),
+        "pipeline-k-str": ("pipeline", {"slic": {"k": "a"}}, "key 'k'"),
+        "pipeline-classes-str": ("pipeline", {"classes": "3"}, "key 'classes'"),
+        "pipeline-oracle-int": ("pipeline", {"oracle": 1}, "key 'oracle'"),
+        "pipeline-epochs-float": ("pipeline", {"train": {"epochs": 2.5}}, "key 'epochs'"),
+        "pipeline-crf-iters-str": ("pipeline", {"crf": {"iters": "5"}}, "key 'iters'"),
+        "pipeline-crf-list": ("pipeline", {"crf": [1]}, "key 'crf'"),
+        "pipeline-crf-sigma-zero": ("pipeline", {"crf": {"sigma_xy": 0}}, "sigma_xy"),
+        "pipeline-classes-missing": ("pipeline", {"classes": None}, "['classes']"),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_exit_1_with_one_error_line(self, tmp_path, quad_image, case):
+        command, change, text = self.CASES[case]
+        img_path, _ = quad_image
+        data = str(tmp_path / "data")  # where quad_image was written
+        if command == "pipeline":
+            cfg = {"train_dir": data, "test_dir": data, "classes": 4,
+                   "slic": {"k": 4, "m": 10}, "train": {"epochs": 1, "hidden": []},
+                   "crf": {"iters": 1}}
+            for name, value in change.items():
+                if isinstance(value, dict) and isinstance(cfg.get(name), dict):
+                    cfg[name] = dict(cfg[name], **value)
+                else:
+                    cfg[name] = value
+            argv = ["pipeline"]
+        else:
+            cfg = change
+            argv = {"slic": [command, "--input", img_path, "--out", tmp_path / "o"],
+                    "rect": [command, "--width", 8, "--height", 8, "--out", tmp_path / "o"],
+                    "crf": [command, "--unary", tmp_path / "u.zot", "--image", img_path,
+                            "--out", tmp_path / "o"],
+                    "train": [command, "--features", tmp_path / "x.zot", "--labels",
+                              tmp_path / "y.zot", "--out", tmp_path / "o"]}[command]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "zok.cli", *map(str, argv), "--config", str(cfg_path)],
+            capture_output=True, text=True, env=env, timeout=300)
+        err = proc.stderr.strip().splitlines()
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert len(err) == 1 and err[0].startswith("error:") and text in err[0]
+
+    def test_int_accepted_where_float_declared(self, tmp_path, quad_image):
+        img_path, _ = quad_image
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps({"k": 4, "m": 10, "residual_threshold": 1}))
+        assert run("slic", "--config", cfg_path, "--input", img_path,
+                   "--out", tmp_path / "sp.zot") == 0

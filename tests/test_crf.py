@@ -323,6 +323,13 @@ class TestHelpers:
         state = mean_field_refine(model, feats, iters=3, damping=0.5)
         assert state.q.shape == (6, 4)
 
+    @pytest.mark.parametrize("sigma", ["sigma_xy", "sigma_lab", "sigma_xy_smooth"])
+    @pytest.mark.parametrize("value", [0.0, -1.0])
+    def test_image_crf_rejects_non_positive_sigma(self, sigma, value):
+        lab, probs, pos = np.zeros((3, 3)), np.full((3, 2), 0.5), np.zeros((3, 2))
+        with pytest.raises(ValueError, match=sigma):
+            image_crf(lab, probs, pos, **{sigma: value})
+
     def test_free_energy_entropy_term(self):
         # with zero unary and zero pairwise, F = -H(Q); onehot rows give 0
         model = CrfModel(np.zeros((2, 2)), [])

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -191,6 +192,39 @@ class TestUpdateCenters:
         centers = np.array([[*lab[0, 0], 0.5, 0.0], [99.0, 0, 0, 1.0, 0.0]])
         new, _ = update_centers(lab, spmap, centers)
         assert np.array_equal(new[1], centers[1])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_reference_bytes_with_empty_clusters(self, seed):
+        spec = SyntheticSpec(size=48, num_classes=4, kind="blobs", noise_sigma=8.0)
+        img, _ = generate_dataset(spec, 1, seed)[0]
+        lab = rgb_to_lab(img)
+        rng = np.random.default_rng(seed)
+        # ids 0..39 over 48 clusters: clusters 40..47 (and any unused id) are empty
+        spmap = rng.integers(0, 40, size=(48, 48)).astype(np.int32)
+        centers = rng.normal(size=(48, 5)) * 20
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            new, e = update_centers(lab, spmap, centers)
+        ref, ref_e = reference_update_centers(lab, spmap, centers)
+        assert new.tobytes() == ref.tobytes() and e == ref_e
+        assert np.array_equal(new[40:], centers[40:])
+
+
+def reference_update_centers(lab, spmap, centers):
+    """The per-column bincount update that update_centers replaced."""
+    h, w = lab.shape[:2]
+    k = len(centers)
+    flat = spmap.ravel()
+    counts = np.bincount(flat, minlength=k).astype(np.float64)
+    new = centers.copy()
+    cols = [lab[:, :, 0].ravel(), lab[:, :, 1].ravel(), lab[:, :, 2].ravel()]
+    cols.append(np.tile(np.arange(w, dtype=np.float64), h))
+    cols.append(np.repeat(np.arange(h, dtype=np.float64), w))
+    nonempty = counts > 0
+    for dim, col in enumerate(cols):
+        sums = np.bincount(flat, weights=col, minlength=k)
+        new[nonempty, dim] = sums[nonempty] / counts[nonempty]
+    return new, float(np.sqrt(((new - centers) ** 2).sum(axis=1)).sum())
 
 
 def quadrant_image(size=64):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,12 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from zok.core_io import rgb_to_lab
+from zok.slic import SlicParams, run_slic
+from zok.synth import SyntheticSpec, generate_dataset
 from zok.zoomout import (LOCAL_COLOR_DIM, ZoomOutFeature, build_adjacency,
-                         concat_levels, local_color_features,
-                         location_features, location_features_all,
-                         mirror_max_fuse, neighbor_balls,
+                         build_features, concat_levels, local_color_features,
+                         location_features_all, mirror_max_fuse, neighbor_balls,
                          pool_over_superpixels, proximal_average,
-                         rect_regions, scene_pool, subscene_bboxes,
+                         rect_regions, region_means, scene_pool, subscene_bboxes,
                          superpixel_bboxes, upsample_featuremap)
 
 
@@ -279,12 +282,12 @@ class TestLocalColorFeatures:
 class TestLocationFeatures:
     def test_centered_superpixel_is_zero(self):
         spmap = np.zeros((4, 4), dtype=np.int32)
-        assert np.allclose(location_features(spmap, 0), 0.0)
+        assert np.allclose(location_features_all(spmap)[0], 0.0)
 
     def test_top_left_corner(self):
         spmap = np.ones((8, 8), dtype=np.int32)
         spmap[0, 0] = 0
-        vec = location_features(spmap, 0)
+        vec = location_features_all(spmap)[0]
         assert np.allclose(vec, [-1 + 1 / 8, -1 + 1 / 8, 1 - 1 / 8, 1 - 1 / 8])
         assert np.all(np.abs(vec - [-1, -1, 1, 1]) <= 1 / 8)  # half-pixel convention
 
@@ -461,3 +464,134 @@ class TestScenePool:
     def test_hand_means(self):
         fm = np.array([[[1.0, 2.0], [3.0, 4.0]]])
         assert np.allclose(scene_pool(fm), [2.5])
+
+
+def reference_pool_over_superpixels(fm, spmap):
+    """The per-channel bincount mean that pool_over_superpixels replaced."""
+    k = int(spmap.max()) + 1
+    flat = spmap.ravel()
+    counts = np.bincount(flat, minlength=k).astype(np.float64)
+    out = np.empty((k, fm.shape[0]))
+    for c in range(fm.shape[0]):
+        out[:, c] = np.bincount(flat, weights=fm[c].ravel().astype(np.float64), minlength=k)
+    return out / counts[:, None]
+
+
+def reference_location_features_all(spmap):
+    """The centroid bincounts that location_features_all replaced."""
+    h, w = spmap.shape
+    k = int(spmap.max()) + 1
+    flat = spmap.ravel()
+    counts = np.bincount(flat, minlength=k).astype(np.float64)
+    xs = np.tile(np.arange(w, dtype=np.float64) + 0.5, h)
+    ys = np.repeat(np.arange(h, dtype=np.float64) + 0.5, w)
+    cx = np.bincount(flat, weights=xs, minlength=k) / counts
+    cy = np.bincount(flat, weights=ys, minlength=k) / counts
+    nx = (cx - w / 2.0) / (w / 2.0)
+    ny = (cy - h / 2.0) / (h / 2.0)
+    return np.stack([nx, ny, np.abs(nx), np.abs(ny)], axis=1)
+
+
+def reference_superpixel_stats(lab, spmap):
+    """Mean Lab and mean (x, y) per superpixel, as the CRF stage computed them."""
+    k = int(spmap.max()) + 1
+    flat = spmap.ravel()
+    counts = np.bincount(flat, minlength=k).astype(np.float64)
+    h, w = spmap.shape
+    mean_lab = np.stack(
+        [np.bincount(flat, weights=lab[:, :, c].ravel(), minlength=k) / counts for c in range(3)],
+        axis=1,
+    )
+    xs = np.tile(np.arange(w, dtype=np.float64), h)
+    ys = np.repeat(np.arange(h, dtype=np.float64), w)
+    mean_pos = np.stack(
+        [np.bincount(flat, weights=xs, minlength=k) / counts,
+         np.bincount(flat, weights=ys, minlength=k) / counts],
+        axis=1,
+    )
+    return mean_lab, mean_pos
+
+
+def reference_zoomout_features(img, spmap, proximal_radius=2):
+    """The local + proximal composition build_features replaced."""
+    lab = rgb_to_lab(img)
+    graph = build_adjacency(spmap)
+    local = np.concatenate(
+        [local_color_features(lab, spmap), location_features_all(spmap)], axis=1)
+    proximal = proximal_average(local, graph, proximal_radius)
+    return concat_levels([local, proximal])
+
+
+def slic_maps(count=3, size=48, k=32):
+    """(image, SLIC result) pairs on noisy blob images."""
+    spec = SyntheticSpec(size=size, num_classes=4, kind="blobs", noise_sigma=8.0)
+    return [(img, run_slic(img, SlicParams(k=k))) for img, _ in generate_dataset(spec, count, 5)]
+
+
+class TestRegionMeansOracle:
+    def test_lab_xy_means_equal_slic_centers(self):
+        for img, res in slic_maps():
+            lab = rgb_to_lab(img)
+            planes = [*np.moveaxis(lab, 2, 0), *np.indices(res.spmap.shape, dtype=np.float64)[::-1]]
+            means = region_means(res.spmap, planes)
+            assert means.tobytes() == res.centers.tobytes()
+            mean_lab, mean_pos = reference_superpixel_stats(lab, res.spmap)
+            assert means.tobytes() == np.concatenate([mean_lab, mean_pos], axis=1).tobytes()
+
+    def test_empty_superpixel_is_nan_without_warning(self):
+        spmap = np.array([[0, 0, 2, 2]], dtype=np.int32)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            means = region_means(spmap, [np.array([[1.0, 3.0, 5.0, 9.0]])], k=4)
+        assert means[0, 0] == 2.0 and means[2, 0] == 7.0
+        assert np.isnan(means[1, 0]) and np.isnan(means[3, 0])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_pooled_and_location_match_reference_bytes(self, dtype, seed):
+        rng = np.random.default_rng(seed)
+        spmap = rng.permutation(np.arange(7 * 9) % 11).reshape(7, 9).astype(np.int32)
+        fm = (rng.normal(size=(5, 7, 9)) * 100).astype(dtype)
+        assert (pool_over_superpixels(fm, spmap).tobytes()
+                == reference_pool_over_superpixels(fm, spmap).tobytes())
+        assert (location_features_all(spmap).tobytes()
+                == reference_location_features_all(spmap).tobytes())
+
+    def test_slic_maps_match_reference_bytes(self):
+        for img, res in slic_maps():
+            fm = upsample_featuremap(
+                np.random.default_rng(1).normal(size=(4, 6, 6)).astype(np.float32),
+                *res.spmap.shape)
+            assert (pool_over_superpixels(fm, res.spmap).tobytes()
+                    == reference_pool_over_superpixels(fm, res.spmap).tobytes())
+            assert (location_features_all(res.spmap).tobytes()
+                    == reference_location_features_all(res.spmap).tobytes())
+
+
+class TestBuildFeatures:
+    @pytest.mark.parametrize("radius", [1, 2, 3])
+    def test_local_proximal_matches_reference_bytes(self, radius):
+        for img, res in slic_maps():
+            got = build_features(img, res.spmap, f"local,proximal:{radius}")
+            ref = reference_zoomout_features(img, res.spmap, radius)
+            assert got.features.tobytes() == ref.features.tobytes()
+            assert got.level_offsets == ref.level_offsets
+
+    def test_default_radii(self):
+        img, res = slic_maps(count=1)[0]
+        fm = np.ones((2, *res.spmap.shape))
+        assert np.array_equal(
+            build_features(img, res.spmap, "proximal,subscene", fm).features,
+            build_features(img, res.spmap, "proximal:2,subscene:3", fm).features)
+
+    @pytest.mark.parametrize("levels", ["proximal:0", "subscene:0", "subscene:-1", "local:5",
+                                        "pooled:3", "scene:1", "bogus", "proximal:x"])
+    def test_bad_level_spec_rejected(self, levels):
+        spmap = np.array([[0, 1], [0, 1]], dtype=np.int32)
+        with pytest.raises(ValueError):
+            build_features(np.zeros((2, 2, 3), dtype=np.uint8), spmap, levels, np.ones((1, 2, 2)))
+
+    def test_featmap_levels_need_a_featmap(self):
+        spmap = np.array([[0, 1], [0, 1]], dtype=np.int32)
+        with pytest.raises(ValueError, match="feature map"):
+            build_features(np.zeros((2, 2, 3), dtype=np.uint8), spmap, "local,scene")
