@@ -9,6 +9,7 @@ error, 2 I/O error.  Every subcommand is deterministic for a fixed
 """
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -136,15 +137,19 @@ _SPECS = {
 }
 
 
-def build_parser(suppress_defaults=False):
+def build_parser():
+    """Parser that checks flag names and types but sets no defaults.
+
+    Required options and defaults are left to _merge_config, so that a
+    --config file may supply them.
+    """
     parser = argparse.ArgumentParser(prog="zok")
     subs = parser.add_subparsers(dest="command", required=True)
     for name, spec in _SPECS.items():
         sub = subs.add_parser(name)
         for flags, kwargs in spec + _COMMON:
-            if suppress_defaults:
-                kwargs = dict(kwargs, default=argparse.SUPPRESS)
-                kwargs.pop("required", None)
+            kwargs = dict(kwargs, default=argparse.SUPPRESS)
+            kwargs.pop("required", None)
             sub.add_argument(*flags, **kwargs)
     return parser
 
@@ -217,14 +222,6 @@ def _merge_config(explicit, command):
     return merged
 
 
-def _round4(value):
-    if value is None:
-        return None
-    if isinstance(value, float):
-        return None if math.isnan(value) else round(value, 4)
-    return value
-
-
 def report_emit(scores, path=None, fmt="json"):
     """Render a scores dict as JSON or an aligned text table.
 
@@ -238,7 +235,7 @@ def report_emit(scores, path=None, fmt="json"):
             if isinstance(obj, (list, tuple, np.ndarray)):
                 return [clean(v) for v in obj]
             if isinstance(obj, (np.floating, float)):
-                return _round4(float(obj))
+                return None if math.isnan(obj) else round(float(obj), 4)
             if isinstance(obj, np.integer):
                 return int(obj)
             return obj
@@ -303,7 +300,7 @@ def _cmd_slic(args):
 def _cmd_rect(args):
     if args.get("input"):
         h, w = read_ppm(args["input"]).shape[:2]
-    elif args.get("width") and args.get("height"):
+    elif args.get("width") is not None and args.get("height") is not None:
         w, h = args["width"], args["height"]
     else:
         raise ValueError("rect needs --input or both --width and --height")
@@ -324,7 +321,7 @@ def _cmd_features(args):
         # the mirrored image reads the same, unmirrored feature map
         mirrored = zoomout.build_features(img[:, ::-1], spmap[:, ::-1], args["levels"], full)
         feats = zoomout.mirror_max_fuse(feats, mirrored)
-    write_tensor(feats.features.astype(np.float32), args["out"])
+    write_tensor(feats.astype(np.float32), args["out"])
 
 
 def _cmd_pool(args):
@@ -340,16 +337,16 @@ def _parse_hidden(text):
 
 
 def _cmd_train(args):
-    features = _read_finite(args["features"], "features").astype(np.float64)
-    labels = read_tensor(args["labels"]).astype(np.int64)
-    weights = (_read_finite(args["weights"], "weights").astype(np.float64)
-               if args.get("weights") else None)
     cfg = learner.TrainConfig(
         epochs=args["epochs"], batch_size=args["batch_size"],
         learning_rate=args["lr"], momentum=args["momentum"],
         weight_decay=args["weight_decay"], dropout=args["dropout"],
         seed=args["seed"], loss=args["loss"], hidden=_parse_hidden(args["hidden"]),
     )
+    features = _read_finite(args["features"], "features").astype(np.float64)
+    labels = read_tensor(args["labels"]).astype(np.int64)
+    weights = (_read_finite(args["weights"], "weights").astype(np.float64)
+               if args.get("weights") else None)
     model = learner.train(features, labels, cfg, num_classes=args.get("classes"),
                           sample_weights=weights)
     learner.write_model(model, args["out"])
@@ -371,12 +368,7 @@ def _cmd_sample(args):
     rows = []
     all_fg = []
     for c in range(scores.shape[0]):
-        if args["mode"] == "diverse":
-            pts = weaksup.diverse_sample_fg(scores[c], z, args["k"])
-        elif args["mode"] == "topk":
-            pts = weaksup.topk_sample(scores[c], args["k"])
-        else:
-            pts = weaksup.spatial_diverse_sample(scores[c], None, args["k"])
+        pts = weaksup.sample_foreground(scores[c], z, args["k"], args["mode"])
         all_fg.append(pts)
         rows.extend((c, int(r), int(col), rank) for rank, (r, col) in enumerate(pts))
     if args["bg"]:
@@ -391,35 +383,31 @@ def _cmd_crf(args):
     img = read_ppm(args["image"])
     lab = rgb_to_lab(img)
     h, w = lab.shape[:2]
-    if args.get("superpixels"):
-        spmap = _read_spmap(args["superpixels"])
-        if spmap.shape != (h, w):
-            raise ValueError("superpixel map size != image size")
-        k = int(spmap.max()) + 1
-        if unary.ndim != 2 or unary.shape[0] != k:
-            raise ValueError("superpixel unary must be (K, C)")
-        node = labxy_means(lab, spmap)
-        node_lab, node_pos = node[:, :3], node[:, 3:]
-        probs = unary
-    else:
+    pixels = not args.get("superpixels")
+    if pixels:
         if unary.ndim != 3 or unary.shape[1:] != (h, w):
             raise ValueError("pixel unary must be (C, H, W) matching the image")
         if h * w > 4096:
             raise ValueError("pixel-mode CRF limited to 4096 pixels; pass --superpixels")
-        node_lab = lab.reshape(-1, 3)
-        ys, xs = np.mgrid[0:h, 0:w]
-        node_pos = np.stack([xs.ravel(), ys.ravel()], axis=1).astype(np.float64)
+        spmap = np.arange(h * w).reshape(h, w)  # every pixel is a node
         probs = unary.reshape(unary.shape[0], -1).T
+    else:
+        spmap = _read_spmap(args["superpixels"])
+        if spmap.shape != (h, w):
+            raise ValueError("superpixel map size != image size")
+        if unary.ndim != 2 or unary.shape[0] != int(spmap.max()) + 1:
+            raise ValueError("superpixel unary must be (K, C)")
+        probs = unary
+    node = labxy_means(lab, spmap)
     model, features = crf_mod.image_crf(
-        node_lab, probs, node_pos,
+        node[:, :3], probs, node[:, 3:],
         w_appearance=args["w_appearance"], w_smooth=args["w_smooth"],
         sigma_xy=args["sigma_xy"], sigma_lab=args["sigma_lab"],
         sigma_xy_smooth=args["sigma_xy_smooth"],
     )
-    state = crf_mod.mean_field_refine(model, features, args["iters"],
-                                      args["damping"], args["mode"])
-    q = state.q
-    if not args.get("superpixels"):
+    q = crf_mod.mean_field_refine(model, features, args["iters"],
+                                  args["damping"], args["mode"]).q
+    if pixels:
         q = q.T.reshape(unary.shape)
     write_tensor(q.astype(np.float32), args["out"])
 
@@ -445,12 +433,7 @@ def _cmd_eval(args):
 def _cmd_eval_depth(args):
     pred = read_tensor(args["pred"]).astype(np.float64)
     gt = read_tensor(args["gt"]).astype(np.float64)
-    scores = metrics.depth_metrics(pred, gt, args["rel_denominator"])
-    report = {
-        "rmse_lin": scores.rmse_lin, "rmse_log": scores.rmse_log,
-        "abs_rel": scores.abs_rel, "sqr_rel": scores.sqr_rel,
-        "delta_1": scores.delta_1, "delta_2": scores.delta_2, "delta_3": scores.delta_3,
-    }
+    report = dataclasses.asdict(metrics.depth_metrics(pred, gt, args["rel_denominator"]))
     print(report_emit(report, args.get("out"), args["report"]))
 
 
@@ -495,21 +478,27 @@ def pipeline_run(config):
 
     The keys, their types and defaults are those of _PIPELINE; classes,
     test_dir and (unless oracle) train_dir are required.  crf null or {}
-    skips the CRF stage, and report is the output path.  An unknown key
-    or a wrongly typed value, at any level, raises ValueError.  Returns
-    the report dict.
+    skips the CRF stage, and report is the output path.  An unknown key,
+    a wrongly typed value or an out-of-range SLIC, train or CRF value, at
+    any level, raises ValueError before any image is loaded.  Returns the
+    report dict.
     """
     cfg = _pipeline_section(config, "config")
     _require(cfg, {"classes", "test_dir"} | (set() if cfg["oracle"] else {"train_dir"}),
              "pipeline keys")
     params = SlicParams(**_pipeline_section(cfg["slic"], "slic"))
-    train_cfg = _pipeline_section(cfg["train"], "train")
+    train = _pipeline_section(cfg["train"], "train")
+    train_cfg = learner.TrainConfig(**dict(train, hidden=tuple(train["hidden"])))
     crf_cfg = _pipeline_section(cfg["crf"], "crf") if cfg["crf"] else None
     if crf_cfg:
         # what is left after iters and damping are image_crf's keywords
         iters, damping = crf_cfg.pop("iters"), crf_cfg.pop("damping")
+        crf_mod.check_mean_field(iters, damping)
+        crf_mod.check_sigmas(crf_cfg["sigma_xy"], crf_cfg["sigma_lab"],
+                             crf_cfg["sigma_xy_smooth"])
     num_classes, ignore, oracle = cfg["classes"], cfg["ignore"], cfg["oracle"]
     levels = f"local,proximal:{cfg['proximal_radius']}"
+    zoomout._parse_levels(levels)  # rejects a radius below 1 before any image loads
     timings = {}
     t0 = time.perf_counter()
     train_pairs = [] if oracle else _stage("load", load_dataset, cfg["train_dir"])
@@ -523,19 +512,17 @@ def pipeline_run(config):
         for img, gt in train_pairs:
             res = _stage("slic", run_slic, img, params)
             feats = _stage("features", zoomout.build_features, img, res.spmap, levels)
-            sp_labels = metrics.oracle_labels(gt, res.spmap, ignore)
-            first = _first_label_per_superpixel(sp_labels, res.spmap)
-            counts = np.bincount(res.spmap.ravel(), minlength=len(first))
-            keep = first != ignore
-            xs.append(feats.features[keep])
-            ys.append(first[keep])
+            sp_labels = metrics.majority_labels(gt, res.spmap, ignore)
+            counts = np.bincount(res.spmap.ravel(), minlength=len(sp_labels))
+            keep = sp_labels != ignore
+            xs.append(feats[keep])
+            ys.append(sp_labels[keep])
             ws.append(counts[keep])
         timings["train_features"] = time.perf_counter() - t0
         t0 = time.perf_counter()
-        cfg_train = learner.TrainConfig(**dict(train_cfg, hidden=tuple(train_cfg["hidden"])))
         model = _stage(
             "train", learner.train,
-            np.concatenate(xs), np.concatenate(ys).astype(np.int64), cfg_train,
+            np.concatenate(xs), np.concatenate(ys).astype(np.int64), train_cfg,
             num_classes=num_classes, sample_weights=np.concatenate(ws),
         )
         timings["train"] = time.perf_counter() - t0
@@ -550,7 +537,7 @@ def pipeline_run(config):
             cm += metrics.confusion(np.where(pred == ignore, 0, pred), gt, num_classes, ignore)
             continue
         feats = _stage("features", zoomout.build_features, img, res.spmap, levels)
-        probs = learner.forward(model, feats.features)
+        probs = learner.forward(model, feats)
         sp_pred = np.argmax(probs, axis=1)
         cm += metrics.confusion(sp_pred[res.spmap], gt, num_classes, ignore)
         if crf_cfg:
@@ -572,14 +559,6 @@ def pipeline_run(config):
         report_emit({k: v for k, v in report.items() if k != "timings"},
                     cfg["report"], "json")
     return report
-
-
-def _first_label_per_superpixel(label_map, spmap):
-    """label_map is constant within each superpixel; pick its value."""
-    k = int(spmap.max()) + 1
-    first_idx = np.full(k, label_map.size, dtype=np.int64)
-    np.minimum.at(first_idx, spmap.ravel(), np.arange(label_map.size))
-    return label_map.ravel()[first_idx].astype(np.int64)
 
 
 def _cmd_pipeline(args):
@@ -609,10 +588,8 @@ _HANDLERS = {
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
-    # the suppressed parser validates flag names/types but leaves required
-    # options to the merge step, so a config file may supply them
     try:
-        namespace = build_parser(suppress_defaults=True).parse_args(argv)
+        namespace = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors; report them as validation errors
         return 0 if exc.code in (0, None) else 1

@@ -70,7 +70,6 @@ class CrfModel:
 @dataclass
 class MeanFieldState:
     q: np.ndarray               # (N, C) per-node distributions
-    iterations: int
     free_energies: list = field(default_factory=list)
 
 
@@ -183,6 +182,16 @@ def free_energy(q, model, features, ksum=None):
     return e + float(ent)
 
 
+def check_mean_field(iters, damping, mode="parallel"):
+    """Raise ValueError unless mean_field_refine accepts these settings."""
+    if iters < 1:
+        raise ValueError(f"iters must be >= 1, got {iters}")
+    if not 0.0 <= damping < 1.0:
+        raise ValueError(f"damping must be in [0, 1), got {damping}")
+    if mode not in ("parallel", "sequential"):
+        raise ValueError(f"unknown mode {mode!r}")
+
+
 def mean_field_refine(model, features, iters=10, damping=0.5, mode="parallel"):
     """Naive mean-field refinement of the unary prediction.
 
@@ -193,12 +202,7 @@ def mean_field_refine(model, features, iters=10, damping=0.5, mode="parallel"):
     nodes in index order using current values.  Both modes record the
     free energy of the initial Q and after every sweep.
     """
-    if iters < 1:
-        raise ValueError("iters must be >= 1")
-    if not 0.0 <= damping < 1.0:
-        raise ValueError("damping must be in [0, 1)")
-    if mode not in ("parallel", "sequential"):
-        raise ValueError(f"unknown mode {mode!r}")
+    check_mean_field(iters, damping, mode)
     ksum = kernel_sum_matrix(model, features)
     neg = -model.unary
     neg = neg - neg.max(axis=1, keepdims=True)
@@ -222,7 +226,7 @@ def mean_field_refine(model, features, iters=10, damping=0.5, mode="parallel"):
                 qi /= qi.sum()
                 q[i] = (1.0 - damping) * qi + damping * q[i]
         energies.append(free_energy(q, model, features, ksum))
-    return MeanFieldState(q, iters, energies)
+    return MeanFieldState(q, energies)
 
 
 def map_labels(state):
@@ -231,22 +235,24 @@ def map_labels(state):
     return np.argmax(q, axis=1).astype(np.int32)
 
 
-def image_crf(lab, probs, positions=None, w_appearance=3.0, w_smooth=1.0,
+def check_sigmas(sigma_xy, sigma_lab, sigma_xy_smooth):
+    """Raise ValueError unless every image_crf kernel width is > 0."""
+    if not min(sigma_xy, sigma_lab, sigma_xy_smooth) > 0:
+        raise ValueError("sigma_xy, sigma_lab and sigma_xy_smooth must be > 0")
+
+
+def image_crf(lab, probs, positions, w_appearance=3.0, w_smooth=1.0,
               sigma_xy=10.0, sigma_lab=10.0, sigma_xy_smooth=3.0):
     """Build (model, features) for nodes with Lab colors and positions.
 
-    lab: (N, 3) mean Lab per node; positions: (N, 2) x,y (defaults to
-    index order for callers that pre-flatten a grid); probs: (N, C) unary
-    probabilities.  Two kernels: appearance over (x, y, l, a, b) and a
-    smoothness kernel over position only.  Kernel widths enter as diagonal
-    precisions 1/sigma^2, so every sigma must be > 0.
+    lab: (N, 3) mean Lab per node; positions: (N, 2) x,y per node, which
+    is required; probs: (N, C) unary probabilities.  Two kernels:
+    appearance over (x, y, l, a, b) and a smoothness kernel over position
+    only.  Kernel widths enter as diagonal precisions 1/sigma^2, so every
+    sigma must be > 0.
     """
-    if not min(sigma_xy, sigma_lab, sigma_xy_smooth) > 0:
-        raise ValueError("sigma_xy, sigma_lab and sigma_xy_smooth must be > 0")
+    check_sigmas(sigma_xy, sigma_lab, sigma_xy_smooth)
     lab = np.asarray(lab, dtype=np.float64)
-    n = lab.shape[0]
-    if positions is None:
-        positions = np.stack([np.arange(n), np.zeros(n)], axis=1).astype(np.float64)
     positions = np.asarray(positions, dtype=np.float64)
     features = {
         "appearance": np.concatenate([positions, lab], axis=1),

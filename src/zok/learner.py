@@ -24,12 +24,6 @@ _PROB_FLOOR = 1e-12
 
 
 @dataclass
-class ClassFrequencies:
-    f: np.ndarray  # per-class frequency; zero for absent classes, rest sums to 1
-    basis: str = "pixels"
-
-
-@dataclass
 class MlpModel:
     weights: list            # per layer (out, in) float64
     biases: list             # per layer (out,) float64
@@ -59,6 +53,10 @@ class TrainConfig:
     hidden: tuple = ()
 
     def __post_init__(self):
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.learning_rate <= 0:
             raise ValueError("learning rate must be > 0")
         if not 0.0 <= self.dropout < 1.0:
@@ -67,8 +65,8 @@ class TrainConfig:
             raise ValueError(f"unknown loss {self.loss!r}")
 
 
-def compute_class_frequencies(labels, weights=None, num_classes=None, ignore=None, basis="pixels"):
-    """Weighted per-class frequencies, normalized over present classes.
+def compute_class_frequencies(labels, weights=None, num_classes=None, ignore=None):
+    """(C,) weighted per-class frequencies: zero for absent classes, summing to 1.
 
     weights defaults to 1 per sample; pass superpixel pixel counts for the
     pixel basis.  Samples labeled `ignore` are excluded.
@@ -85,7 +83,7 @@ def compute_class_frequencies(labels, weights=None, num_classes=None, ignore=Non
     if num_classes is None:
         num_classes = int(labels.max()) + 1
     counts = np.bincount(labels, weights=weights, minlength=num_classes)
-    return ClassFrequencies(counts / counts.sum(), basis)
+    return counts / counts.sum()
 
 
 def init_model(layer_sizes, seed, mean=None, std=None):
@@ -112,7 +110,7 @@ def _softmax(logits):
 
 
 def _forward_pass(model, x, dropout_masks=None):
-    """Returns (activations per layer incl. normalized input, probs)."""
+    """Returns (activations per layer incl. normalized input, logits)."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if x.shape[1] != model.weights[0].shape[1]:
         raise ValueError(f"feature dim {x.shape[1]} != model dim {model.weights[0].shape[1]}")
@@ -127,38 +125,30 @@ def _forward_pass(model, x, dropout_masks=None):
                 a = a * dropout_masks[i]
             acts.append(a)
         else:
-            return acts, _softmax(z)
+            return acts, z
 
 
 def logits(model, x):
     """Pre-softmax scores; used by score-field heads."""
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    a = (x - model.mean) / model.std
-    last = len(model.weights) - 1
-    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = a @ w.T + b
-        if i == last:
-            return z
-        a = np.maximum(z, 0.0)
+    return _forward_pass(model, x)[1]
 
 
 def forward(model, x):
     """Class probabilities for (N, D) or (D,) features; rows sum to 1."""
     single = np.asarray(x).ndim == 1
-    _, probs = _forward_pass(model, x)
+    probs = _softmax(_forward_pass(model, x)[1])
     return probs[0] if single else probs
 
 
 def asymmetric_loss(probs, labels, freqs):
     """Inverse-frequency weighted log-loss over a batch.
 
-    probs: (N, C) predicted distributions; freqs: ClassFrequencies or a
-    per-class frequency array.  Probabilities are floored at 1e-12 inside
-    the log.
+    probs: (N, C) predicted distributions; freqs: (C,) per-class
+    frequencies.  Probabilities are floored at 1e-12 inside the log.
     """
     probs = np.atleast_2d(np.asarray(probs, dtype=np.float64))
     labels = np.asarray(labels)
-    f = freqs.f if isinstance(freqs, ClassFrequencies) else np.asarray(freqs, dtype=np.float64)
+    f = np.asarray(freqs, dtype=np.float64)
     if np.any(f[labels] <= 0):
         raise ValueError("label with zero recorded frequency")
     p = np.clip(probs[np.arange(len(labels)), labels], _PROB_FLOOR, None)
@@ -166,7 +156,7 @@ def asymmetric_loss(probs, labels, freqs):
 
 
 def _per_sample_weights(labels, freqs, n):
-    f = freqs.f if isinstance(freqs, ClassFrequencies) else np.asarray(freqs, dtype=np.float64)
+    f = np.asarray(freqs, dtype=np.float64)
     return 1.0 / (f[labels] * n)
 
 
@@ -207,8 +197,8 @@ def loss_gradient(model, x, labels, freqs, dropout_masks=None):
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     labels = np.asarray(labels)
-    acts, probs = _forward_pass(model, x, dropout_masks)
-    delta = probs.copy()
+    acts, z = _forward_pass(model, x, dropout_masks)
+    delta = _softmax(z)
     delta[np.arange(len(labels)), labels] -= 1.0
     delta *= _per_sample_weights(labels, freqs, len(labels))[:, None]
     return _backward(model, acts, delta, dropout_masks)
@@ -219,14 +209,13 @@ def zero_velocity(model):
             [np.zeros_like(b) for b in model.biases])
 
 
-def sgd_step(model, grads, cfg, velocity=None):
+def sgd_step(model, grads, cfg, velocity):
     """Classical momentum update: v <- mu*v - lr*(g + wd*w); w <- w + v.
 
-    Mutates the model (and velocity) in place and returns the model.
+    Mutates the model and the zero_velocity-shaped velocity in place and
+    returns the model.
     """
     grads_w, grads_b = grads
-    if velocity is None:
-        velocity = zero_velocity(model)
     vw, vb = velocity
     for i in range(len(model.weights)):
         vw[i] *= cfg.momentum
@@ -257,10 +246,7 @@ def train(features, labels, cfg, num_classes=None, sample_weights=None):
     sizes = [features.shape[1], *cfg.hidden, num_classes]
     model = init_model(sizes, cfg.seed, mean, std)
     if cfg.loss == "asymmetric":
-        freqs = compute_class_frequencies(
-            labels, sample_weights, num_classes,
-            basis="pixels" if sample_weights is not None else "superpixels")
-        f = freqs.f.copy()
+        f = compute_class_frequencies(labels, sample_weights, num_classes)
         f[f == 0] = 1.0  # absent classes never occur in labels
     else:
         # Plain mean log-loss: constant unit weight per sample.

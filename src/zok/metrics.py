@@ -87,10 +87,10 @@ def seg_scores(cm):
     return SegScores(iou_per_class(cm), mean_iou(cm), pixel_accuracy(cm), class_accuracy(cm))
 
 
-def oracle_labels(gt, spmap, ignore=255):
-    """Label every superpixel with its majority ground-truth class.
+def majority_labels(gt, spmap, ignore=255):
+    """(K,) majority ground-truth class of every superpixel.
 
-    Ignore pixels do not vote; an all-ignore superpixel stays ignore.
+    Ignore pixels do not vote; an all-ignore superpixel gets ignore.
     Modal ties go to the smallest label.
     """
     gt = np.asarray(gt)
@@ -105,8 +105,12 @@ def oracle_labels(gt, spmap, ignore=255):
     votes = np.bincount(flat_sp * num_classes + flat_gt, minlength=k * num_classes)
     votes = votes.reshape(k, num_classes)
     winner = np.argmax(votes, axis=1)  # first maximum = smallest label
-    winner = np.where(votes.sum(axis=1) > 0, winner, ignore)
-    return winner[spmap].astype(gt.dtype)
+    return np.where(votes.sum(axis=1) > 0, winner, ignore)
+
+
+def oracle_labels(gt, spmap, ignore=255):
+    """Label every pixel with its superpixel's majority_labels class."""
+    return majority_labels(gt, spmap, ignore)[spmap].astype(np.asarray(gt).dtype)
 
 
 def depth_metrics(pred, gt, rel_denominator="pred"):

@@ -343,8 +343,6 @@ def run_slic(img, params):
     """
     lab = rgb_to_lab(img)
     h, w = lab.shape[:2]
-    if params.k > h * w:
-        raise ValueError(f"k={params.k} exceeds pixel count {h * w}")
     s = grid_interval(h * w, params.k)
     centers = init_centers(lab, s)
     centers = perturb_centers(lab, centers)

@@ -142,6 +142,13 @@ def _flat_points(indices, width):
     return np.stack([indices // width, indices % width], axis=1).astype(np.int64)
 
 
+def _check_k(k, size):
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if k > size:
+        raise ValueError(f"k={k} exceeds grid size {size}")
+
+
 def _score_order(scores_flat):
     """Indices by descending score, smallest index first on ties."""
     return np.argsort(-scores_flat, kind="stable")
@@ -182,10 +189,7 @@ def diverse_sample_fg(scores, z, k):
     """
     scores = np.asarray(scores, dtype=np.float64)
     w = scores.shape[1]
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if k > scores.size:
-        raise ValueError(f"k={k} exceeds grid size {scores.size}")
+    _check_k(k, scores.size)
     zf = np.asarray(z, dtype=np.float64).reshape(z.shape[0], -1).T  # (N, D)
     flat = scores.ravel().copy()
     valid = (zf**2).sum(axis=1) > _NORM_EPS
@@ -227,25 +231,18 @@ def diverse_sample_bg(z, fg_points, k_bg):
 def topk_sample(scores, k):
     """Top-k locations by score; ties to the smallest row-major index."""
     scores = np.asarray(scores, dtype=np.float64)
-    if k > scores.size:
-        raise ValueError(f"k={k} exceeds grid size {scores.size}")
+    _check_k(k, scores.size)
     order = _score_order(scores.ravel())[:k]
     return _flat_points(order, scores.shape[1])
 
 
-def spatial_diverse_sample(scores, positions, k):
-    """Diverse sampling with spatial similarity 1 - dist/diag.
-
-    positions: (H, W, 2) coordinate array, or None for the pixel grid.
-    """
+def spatial_diverse_sample(scores, k):
+    """Diverse sampling with spatial similarity 1 - dist/diag on the pixel grid."""
     scores = np.asarray(scores, dtype=np.float64)
     h, w = scores.shape
-    if k > scores.size:
-        raise ValueError(f"k={k} exceeds grid size {scores.size}")
-    if positions is None:
-        ry, rx = np.mgrid[0:h, 0:w]
-        positions = np.stack([ry, rx], axis=2).astype(np.float64)
-    pos = np.asarray(positions, dtype=np.float64).reshape(-1, 2)
+    _check_k(k, scores.size)
+    ry, rx = np.mgrid[0:h, 0:w]
+    pos = np.stack([ry, rx], axis=2).astype(np.float64).reshape(-1, 2)
     span = pos.max(axis=0) - pos.min(axis=0)
     diag = max(np.hypot(span[0], span[1]), _NORM_EPS)
 
@@ -255,6 +252,21 @@ def spatial_diverse_sample(scores, positions, k):
 
     chosen = _greedy_diverse(scores.ravel().copy(), sim_to, k)
     return _flat_points(np.array(chosen), w)
+
+
+def sample_foreground(scores, z, k, mode="diverse"):
+    """(k, 2) row/col foreground points of an (H, W) score grid.
+
+    mode is "diverse" (diverse_sample_fg over the unit feature field z),
+    "topk" or "spatial"; the last two do not read z.
+    """
+    if mode == "diverse":
+        return diverse_sample_fg(scores, z, k)
+    if mode == "topk":
+        return topk_sample(scores, k)
+    if mode == "spatial":
+        return spatial_diverse_sample(scores, k)
+    raise ValueError(f"unknown sampling mode {mode!r}")
 
 
 @dataclass
@@ -383,24 +395,17 @@ def point_supervision_pipeline(fields, presence, num_classes, k, mode="diverse",
             cfg_c,
         )
 
+    # (H*W, D) rows of every field, for sampled points and predictions
+    flats = [np.asarray(f, dtype=np.float64).reshape(f.shape[0], -1).T for f in fields]
     xs, ys = [], []
-    for i in range(n):
+    for i, flat in enumerate(flats):
         fg_pts = []
-        d = fields[i].shape[0]
-        flat = np.asarray(fields[i], dtype=np.float64).reshape(d, -1).T
         width = fields[i].shape[2]
         for c in sorted(presence[i]):
             if c not in localizers:
                 continue
             s, _ = score_field(localizers[c], fields[i])
-            if mode == "diverse":
-                pts = diverse_sample_fg(s, z_fields[i], k)
-            elif mode == "topk":
-                pts = topk_sample(s, k)
-            elif mode == "spatial":
-                pts = spatial_diverse_sample(s, None, k)
-            else:
-                raise ValueError(f"unknown sampling mode {mode!r}")
+            pts = sample_foreground(s, z_fields[i], k, mode)
             fg_pts.append(pts)
             xs.append(flat[pts[:, 0] * width + pts[:, 1]])
             ys.append(np.full(len(pts), c))
@@ -411,10 +416,5 @@ def point_supervision_pipeline(fields, presence, num_classes, k, mode="diverse",
 
     clf = learner.train(np.concatenate(xs), np.concatenate(ys).astype(np.int64),
                         classifier_cfg, num_classes=num_classes)
-    preds = []
-    for i in range(n):
-        d = fields[i].shape[0]
-        flat = np.asarray(fields[i], dtype=np.float64).reshape(d, -1).T
-        labels = learner.predict_labels(clf, flat)
-        preds.append(labels.reshape(fields[i].shape[1:]).astype(np.int32))
-    return preds
+    return [learner.predict_labels(clf, flat).reshape(f.shape[1:]).astype(np.int32)
+            for f, flat in zip(fields, flats)]

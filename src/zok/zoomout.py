@@ -6,14 +6,12 @@ neighbors (proximal), the bounding box of a wider ball (subscene) and the
 whole image (scene).  Dense feature maps are ingested as (C, H', W')
 arrays, upsampled to image resolution and mean-pooled over superpixels;
 hand-crafted local descriptors cover color histograms, entropies and
-normalized location.  Per-level vectors are concatenated into one feature
-matrix with recorded level offsets.
+normalized location.  Per-level vectors are concatenated into one (K, D)
+feature matrix.
 
 Per-superpixel accumulation always runs in pixel row-major order, so
 results are bit-stable.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,21 +23,6 @@ _CHANNEL_RANGES = ((0.0, 100.0), (-110.0, 110.0), (-110.0, 110.0))
 _FINE_BINS = 32
 _COARSE_BINS = 8
 LOCAL_COLOR_DIM = 3 * (_FINE_BINS + _COARSE_BINS) * 2 + 3  # fixed + entropy + adaptive
-
-
-@dataclass
-class ZoomOutFeature:
-    """Concatenated per-superpixel features with level segment offsets."""
-
-    features: np.ndarray       # (num_superpixels, D)
-    level_offsets: list        # start index of each level segment
-
-    def __post_init__(self):
-        offs = list(self.level_offsets)
-        if offs != sorted(set(offs)) or (offs and offs[0] != 0):
-            raise ValueError(f"offsets must be strictly increasing from 0, got {offs}")
-        if offs and offs[-1] >= self.features.shape[1]:
-            raise ValueError("last offset beyond feature dimension")
 
 
 def build_adjacency(spmap):
@@ -150,18 +133,20 @@ def pool_over_superpixels(fm, spmap):
     return region_means(spmap, fm)
 
 
-def _hist_features(flat_ids, k, values, edges_lo, edges_hi, nbins):
-    """Normalized equal-width histograms per superpixel for one channel."""
-    idx = np.floor((values - edges_lo) / (edges_hi - edges_lo) * nbins).astype(np.int64)
-    np.clip(idx, 0, nbins - 1, out=idx)
-    hist = np.bincount(flat_ids * nbins + idx, minlength=k * nbins).reshape(k, nbins)
-    return hist / hist.sum(axis=1, keepdims=True)
+def _histograms(flat_ids, k, values, nbins, value_range=None):
+    """Normalized per-superpixel histograms of one channel.
 
-
-def _adaptive_hist(flat_ids, k, values, nbins):
-    """Histograms with bin edges at the per-image channel quantiles."""
-    edges = np.quantile(values, np.linspace(0.0, 1.0, nbins + 1))
-    idx = np.clip(np.searchsorted(edges, values, side="right") - 1, 0, nbins - 1)
+    The bins split value_range into nbins equal widths; without a range
+    their edges are the channel's per-image quantiles.  Values outside
+    the bins clamp to the end bins.
+    """
+    if value_range is None:
+        edges = np.quantile(values, np.linspace(0.0, 1.0, nbins + 1))
+        idx = np.searchsorted(edges, values, side="right") - 1
+    else:
+        lo, hi = value_range
+        idx = np.floor((values - lo) / (hi - lo) * nbins).astype(np.int64)
+    idx = np.clip(idx, 0, nbins - 1)
     hist = np.bincount(flat_ids * nbins + idx, minlength=k * nbins).reshape(k, nbins)
     return hist / hist.sum(axis=1, keepdims=True)
 
@@ -183,15 +168,14 @@ def local_color_features(lab, spmap):
     adaptive = []
     for ch in range(3):
         values = lab[:, :, ch].ravel()
-        lo, hi = _CHANNEL_RANGES[ch]
-        fine = _hist_features(flat, k, values, lo, hi, _FINE_BINS)
+        fine = _histograms(flat, k, values, _FINE_BINS, _CHANNEL_RANGES[ch])
         fixed.append(fine)
-        fixed.append(_hist_features(flat, k, values, lo, hi, _COARSE_BINS))
+        fixed.append(_histograms(flat, k, values, _COARSE_BINS, _CHANNEL_RANGES[ch]))
         with np.errstate(divide="ignore", invalid="ignore"):
             plogp = np.where(fine > 0, fine * np.log(fine), 0.0)
         entropies.append(-plogp.sum(axis=1))
-        adaptive.append(_adaptive_hist(flat, k, values, _FINE_BINS))
-        adaptive.append(_adaptive_hist(flat, k, values, _COARSE_BINS))
+        adaptive.append(_histograms(flat, k, values, _FINE_BINS))
+        adaptive.append(_histograms(flat, k, values, _COARSE_BINS))
     out = np.concatenate(fixed + [np.stack(entropies, axis=1)] + adaptive, axis=1)
     assert out.shape[1] == LOCAL_COLOR_DIM
     return out
@@ -262,22 +246,6 @@ def subscene_bboxes(spmap, graph, radius=3):
     )
 
 
-def concat_levels(levels):
-    """Concatenate per-level (K, F_i) matrices into one ZoomOutFeature."""
-    levels = [np.asarray(lv) for lv in levels]
-    if not levels:
-        raise ValueError("need at least one level")
-    k = levels[0].shape[0]
-    if any(lv.shape[0] != k for lv in levels):
-        raise ValueError("levels cover different superpixel sets")
-    offsets = []
-    pos = 0
-    for lv in levels:
-        offsets.append(pos)
-        pos += lv.shape[1]
-    return ZoomOutFeature(np.concatenate(levels, axis=1), offsets)
-
-
 # Levels that take a hop radius, with its default; the others take none.
 _RADIUS_LEVELS = {"proximal": 2, "subscene": 3}
 
@@ -303,11 +271,13 @@ def _parse_levels(text):
         if radius < 1:
             raise ValueError(f"level {name!r} needs a radius >= 1, got {radius}")
         levels.append((name, radius))
+    if not levels:
+        raise ValueError("need at least one level")
     return levels
 
 
 def build_features(img, spmap, levels="local,proximal:2", featmap=None):
-    """Zoom-out features of every superpixel of an (H, W, 3) uint8 image.
+    """(K, D) zoom-out features of every superpixel of an (H, W, 3) uint8 image.
 
     levels is a _parse_levels spec; its levels are concatenated in order.
     local is the color descriptor plus location, proximal its mean over
@@ -338,19 +308,15 @@ def build_features(img, spmap, levels="local,proximal:2", featmap=None):
                 x0, y0, x1, y1 = boxes[s]
                 sub[s] = featmap[:, y0 : y1 + 1, x0 : x1 + 1].mean(axis=(1, 2))
             blocks.append(sub)
-    return concat_levels(blocks)
+    return np.concatenate(blocks, axis=1)
 
 
 def mirror_max_fuse(f_orig, f_mirror):
-    """Element-wise max of a feature set and its mirror-image counterpart."""
-    a = f_orig.features if isinstance(f_orig, ZoomOutFeature) else np.asarray(f_orig)
-    b = f_mirror.features if isinstance(f_mirror, ZoomOutFeature) else np.asarray(f_mirror)
+    """Element-wise max of a feature matrix and its mirror-image counterpart."""
+    a, b = np.asarray(f_orig), np.asarray(f_mirror)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
-    fused = np.maximum(a, b)
-    if isinstance(f_orig, ZoomOutFeature):
-        return ZoomOutFeature(fused, list(f_orig.level_offsets))
-    return fused
+    return np.maximum(a, b)
 
 
 def rect_regions(width, height, count):
@@ -361,6 +327,8 @@ def rect_regions(width, height, count):
     """
     if count < 1:
         raise ValueError("count must be >= 1")
+    if width < 1 or height < 1:
+        raise ValueError(f"width and height must be >= 1, got {width}x{height}")
     ncols = int(np.ceil(np.sqrt(count * width / height)))
     nrows = int(np.ceil(np.sqrt(count * height / width)))
     ncols = min(ncols, width)

@@ -8,8 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from zok import cli, learner
-from zok.core_io import read_tensor, write_pgm, write_tensor
+from zok import cli, crf, learner
+from zok.core_io import read_tensor, rgb_to_lab, write_pgm, write_ppm, write_tensor
+from zok.slic import labxy_means
 from zok.synth import SyntheticSpec, synth_generate
 
 
@@ -372,6 +373,44 @@ class TestCrfCommand:
                    "--out", tmp_path / "q.zot") == 1
 
 
+def reference_pixel_crf_nodes(lab):
+    """Node Lab and (x, y) of pixel-mode `zok crf` before it shared
+    labxy_means with the --superpixels mode."""
+    h, w = lab.shape[:2]
+    node_lab = lab.reshape(-1, 3)
+    ys, xs = np.mgrid[0:h, 0:w]
+    node_pos = np.stack([xs.ravel(), ys.ravel()], axis=1).astype(np.float64)
+    return node_lab, node_pos
+
+
+class TestCrfPixelModeOracle:
+    def test_refined_q_matches_reference_bytes(self, tmp_path):
+        rng = np.random.default_rng(12)
+        for i in range(20):
+            h, w = (int(v) for v in rng.integers(1, 41, size=2))
+            if i % 4 == 0:  # flat image: every pixel has the same Lab
+                img = np.broadcast_to(rng.integers(0, 256, 3), (h, w, 3)).astype(np.uint8)
+            else:
+                img = rng.integers(0, 256, (h, w, 3)).astype(np.uint8)
+            c = int(rng.integers(2, 5))
+            unary = rng.dirichlet(np.ones(c), size=h * w).T.reshape(c, h, w).astype(np.float32)
+            write_ppm(img, tmp_path / "i.ppm")
+            write_tensor(unary, tmp_path / "u.zot")
+            assert run("crf", "--unary", tmp_path / "u.zot", "--image", tmp_path / "i.ppm",
+                       "--iters", 3, "--out", tmp_path / "q.zot") == 0
+            lab = rgb_to_lab(img)
+            node_lab, node_pos = reference_pixel_crf_nodes(lab)
+            node = labxy_means(lab, np.arange(h * w).reshape(h, w))
+            assert node[:, :3].tobytes() == node_lab.tobytes()
+            assert node[:, 3:].tobytes() == node_pos.tobytes()
+            probs = unary.astype(np.float64).reshape(c, -1).T
+            q_ref = crf.mean_field_refine(*crf.image_crf(node_lab, probs, node_pos), 3).q
+            q_new = crf.mean_field_refine(*crf.image_crf(node[:, :3], probs, node[:, 3:]), 3).q
+            assert q_new.tobytes() == q_ref.tobytes()
+            expected = q_ref.T.reshape(unary.shape).astype(np.float32)
+            assert read_tensor(tmp_path / "q.zot").tobytes() == expected.tobytes()
+
+
 class TestEvalCommands:
     def test_eval_json_report(self, tmp_path, capsys):
         labels = np.array([[0, 1], [2, 3]])
@@ -500,8 +539,10 @@ class TestPipelineCommand:
 
 
 class TestConfigValueTypes:
-    """Wrongly typed config values, for subcommands and the pipeline alike,
-    exit 1 with one error line that names the key, never a traceback."""
+    """Wrongly typed or out-of-range config values, for subcommands and the
+    pipeline alike, exit 1 with one error line that names the key, never a
+    traceback.  A pipeline value is checked before any image loads, so a
+    bad value beside a missing train_dir ("MISSING") still exits 1."""
 
     # case -> (subcommand or "pipeline", config change, text the error holds)
     CASES = {
@@ -521,6 +562,29 @@ class TestConfigValueTypes:
         "pipeline-crf-list": ("pipeline", {"crf": [1]}, "key 'crf'"),
         "pipeline-crf-sigma-zero": ("pipeline", {"crf": {"sigma_xy": 0}}, "sigma_xy"),
         "pipeline-classes-missing": ("pipeline", {"classes": None}, "['classes']"),
+        "train-batch-size-negative": ("train", {"batch_size": -1}, "batch_size"),
+        "train-batch-size-zero": ("train", {"batch_size": 0}, "batch_size"),
+        "train-epochs-negative": ("train", {"epochs": -3}, "epochs"),
+        "sample-topk-k-negative": ("sample", {"mode": "topk", "k": -1}, "k must be >= 1"),
+        "sample-spatial-k-zero": ("sample", {"mode": "spatial", "k": 0}, "k must be >= 1"),
+        "sample-diverse-k-zero": ("sample", {"mode": "diverse", "k": 0}, "k must be >= 1"),
+        "rect-width-negative": ("rect", {"width": -5, "height": 4, "count": 3},
+                                "width and height must be >= 1"),
+        "rect-height-zero": ("rect", {"width": 8, "height": 0, "count": 3},
+                             "width and height must be >= 1"),
+        "pipeline-batch-size-negative": ("pipeline", {"train": {"batch_size": -1}},
+                                         "batch_size"),
+        "pipeline-epochs-negative": ("pipeline", {"train": {"epochs": -3}}, "epochs"),
+        "pipeline-crf-iters-zero": ("pipeline", {"crf": {"iters": 0}}, "iters"),
+        "pipeline-crf-damping-one": ("pipeline", {"crf": {"damping": 1.0}}, "damping"),
+        "pipeline-crf-sigma-zero-no-train-dir": (
+            "pipeline", {"crf": {"sigma_xy": 0}, "train_dir": "MISSING"}, "sigma_xy"),
+        "pipeline-crf-iters-zero-no-train-dir": (
+            "pipeline", {"crf": {"iters": 0}, "train_dir": "MISSING"}, "iters"),
+        "pipeline-batch-size-zero-no-train-dir": (
+            "pipeline", {"train": {"batch_size": 0}, "train_dir": "MISSING"}, "batch_size"),
+        "pipeline-proximal-radius-zero-no-train-dir": (
+            "pipeline", {"proximal_radius": 0, "train_dir": "MISSING"}, "radius >= 1"),
     }
 
     @pytest.mark.parametrize("case", list(CASES))
@@ -536,12 +600,17 @@ class TestConfigValueTypes:
                 if isinstance(value, dict) and isinstance(cfg.get(name), dict):
                     cfg[name] = dict(cfg[name], **value)
                 else:
-                    cfg[name] = value
+                    cfg[name] = str(tmp_path / "missing") if value == "MISSING" else value
             argv = ["pipeline"]
         else:
             cfg = change
+            rng = np.random.default_rng(5)
+            write_tensor(rng.uniform(0.1, 1.0, (3, 5, 6)).astype(np.float32), tmp_path / "s.zot")
+            write_tensor(rng.normal(size=(4, 5, 6)).astype(np.float32), tmp_path / "z.zot")
             argv = {"slic": [command, "--input", img_path, "--out", tmp_path / "o"],
-                    "rect": [command, "--width", 8, "--height", 8, "--out", tmp_path / "o"],
+                    "rect": [command, "--out", tmp_path / "o"],
+                    "sample": [command, "--scores", tmp_path / "s.zot",
+                               "--features", tmp_path / "z.zot", "--out", tmp_path / "o"],
                     "crf": [command, "--unary", tmp_path / "u.zot", "--image", img_path,
                             "--out", tmp_path / "o"],
                     "train": [command, "--features", tmp_path / "x.zot", "--labels",

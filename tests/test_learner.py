@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from zok import learner
-from zok.learner import (ClassFrequencies, MlpModel, TrainConfig,
+from zok.learner import (MlpModel, TrainConfig,
                          asymmetric_loss, compute_class_frequencies, forward,
                          init_model, loss_gradient, predict_labels, read_model,
                          sgd_step, train, write_model, zero_velocity)
@@ -13,19 +13,19 @@ from zok.learner import (ClassFrequencies, MlpModel, TrainConfig,
 class TestClassFrequencies:
     def test_balanced(self):
         f = compute_class_frequencies(np.array([0, 1]))
-        assert np.allclose(f.f, [0.5, 0.5])
+        assert np.allclose(f, [0.5, 0.5])
 
     def test_counts(self):
         f = compute_class_frequencies(np.array([0, 0, 0, 1]))
-        assert np.allclose(f.f, [0.75, 0.25])
+        assert np.allclose(f, [0.75, 0.25])
 
     def test_pixel_basis(self):
         f = compute_class_frequencies(np.array([0, 1]), weights=np.array([10, 30]))
-        assert np.allclose(f.f, [0.25, 0.75])
+        assert np.allclose(f, [0.25, 0.75])
 
     def test_ignore_excluded(self):
         f = compute_class_frequencies(np.array([0, 1, 255]), ignore=255, num_classes=2)
-        assert np.allclose(f.f, [0.5, 0.5])
+        assert np.allclose(f, [0.5, 0.5])
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -35,7 +35,7 @@ class TestClassFrequencies:
         rng = np.random.default_rng(0)
         labels = rng.integers(0, 5, size=100)
         f = compute_class_frequencies(labels, num_classes=7)
-        assert f.f.sum() == pytest.approx(1.0, abs=1e-9)
+        assert f.sum() == pytest.approx(1.0, abs=1e-9)
 
 
 def linear_model(weights, biases, d=None):
@@ -123,6 +123,15 @@ class TestTrainConfigValidation:
         with pytest.raises(ValueError):
             TrainConfig(loss="hinge")
 
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_batch_size_below_one(self, batch_size):
+        with pytest.raises(ValueError, match="batch_size"):
+            TrainConfig(batch_size=batch_size)
+
+    def test_negative_epochs(self):
+        with pytest.raises(ValueError, match="epochs"):
+            TrainConfig(epochs=-3)
+
 
 def numeric_gradient(model, x, labels, f, h=1e-3):
     """Central finite differences on every parameter (float64)."""
@@ -190,7 +199,7 @@ def reference_loss_gradient(model, x, labels, freqs, dropout_masks=None):
     pass, kept verbatim as its oracle."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     labels = np.asarray(labels)
-    _, probs = learner._forward_pass(model, x, dropout_masks)
+    probs = learner._softmax(learner._forward_pass(model, x, dropout_masks)[1])
     delta = probs.copy()
     delta[np.arange(len(labels)), labels] -= 1.0
     delta *= learner._per_sample_weights(labels, freqs, len(labels))[:, None]

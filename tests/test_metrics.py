@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from zok.metrics import (class_accuracy, confusion, depth_metrics,
-                         iou_per_class, mean_iou, oracle_labels,
+                         iou_per_class, majority_labels, mean_iou, oracle_labels,
                          pixel_accuracy, seg_scores)
+from zok.slic import SlicParams, run_slic
+from zok.synth import SyntheticSpec, generate_dataset
 
 
 class TestConfusion:
@@ -191,3 +193,33 @@ class TestDepthMetrics:
     def test_no_valid_pixels(self):
         with pytest.raises(ValueError):
             depth_metrics(np.zeros((2, 2)), np.zeros((2, 2)))
+
+
+def reference_first_label_per_superpixel(label_map, spmap):
+    """The (K,) read-back of an oracle_labels map that the pipeline used
+    before majority_labels: the label of each superpixel's first pixel."""
+    k = int(spmap.max()) + 1
+    first_idx = np.full(k, label_map.size, dtype=np.int64)
+    np.minimum.at(first_idx, spmap.ravel(), np.arange(label_map.size))
+    return label_map.ravel()[first_idx].astype(np.int64)
+
+
+class TestMajorityLabels:
+    def test_matches_reference_bytes_on_noisy_blobs(self):
+        spec = SyntheticSpec(size=64, num_classes=4, kind="blobs", noise_sigma=8.0)
+        rng = np.random.default_rng(6)
+        for img, gt in generate_dataset(spec, 6, 4):
+            gt = gt.copy()
+            gt[rng.random(gt.shape) < 0.1] = 255
+            spmap = run_slic(img, SlicParams(k=64)).spmap
+            got = majority_labels(gt, spmap)
+            ref = reference_first_label_per_superpixel(oracle_labels(gt, spmap), spmap)
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+
+    def test_all_ignore_superpixel_matches_reference(self):
+        gt = np.array([[255, 255, 1], [255, 255, 2], [0, 2, 2]])
+        sp = np.array([[0, 0, 1], [0, 0, 1], [2, 2, 2]], dtype=np.int32)
+        got = majority_labels(gt, sp)
+        assert got.tolist() == [255, 1, 2]
+        ref = reference_first_label_per_superpixel(oracle_labels(gt, sp), sp)
+        assert got.tobytes() == ref.tobytes()

@@ -7,7 +7,7 @@ from zok import learner, weaksup
 from zok.weaksup import (LocalizerConfig, _sigmoid, _softplus, diverse_sample_bg,
                          diverse_sample_fg, global_softmax_prob,
                          image_loss_and_grad, normalize_features,
-                         pixel_softmax_prob, score_field,
+                         pixel_softmax_prob, sample_foreground, score_field,
                          spatial_diverse_sample, topk_sample, train_localizer)
 
 
@@ -297,18 +297,36 @@ class TestBaselineSamplers:
     def test_spatial_k1_is_argmax(self):
         rng = np.random.default_rng(15)
         scores = rng.uniform(0.1, 1.0, size=(4, 4))
-        pts = spatial_diverse_sample(scores, None, 1)
+        pts = spatial_diverse_sample(scores, 1)
         assert tuple(pts[0]) == np.unravel_index(np.argmax(scores), scores.shape)
 
     def test_spatial_spreads_on_uniform_scores(self):
         scores = np.ones((9, 9))
         k = 4
-        pts = spatial_diverse_sample(scores, None, k).astype(float)
+        pts = spatial_diverse_sample(scores, k).astype(float)
         diag = math.hypot(8, 8)
         for i in range(k):
             for j in range(i + 1, k):
                 d = math.hypot(*(pts[i] - pts[j]))
                 assert d >= diag / (2 * k)
+
+    @pytest.mark.parametrize("k", [0, -1])
+    @pytest.mark.parametrize("mode", ["diverse", "topk", "spatial"])
+    def test_k_below_one_rejected(self, mode, k):
+        scores = np.ones((5, 6))
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            sample_foreground(scores, np.ones((2, 5, 6)), k, mode)
+
+    def test_sample_foreground_dispatches_by_mode(self):
+        rng = np.random.default_rng(16)
+        scores = rng.uniform(0.1, 1.0, size=(5, 6))
+        z, _, _ = normalize_features([rng.normal(size=(3, 5, 6))])
+        for mode, expected in (("diverse", diverse_sample_fg(scores, z[0], 4)),
+                               ("topk", topk_sample(scores, 4)),
+                               ("spatial", spatial_diverse_sample(scores, 4))):
+            assert np.array_equal(sample_foreground(scores, z[0], 4, mode), expected)
+        with pytest.raises(ValueError, match="unknown sampling mode"):
+            sample_foreground(scores, z[0], 4, "random")
 
 
 class TestLocalizer:

@@ -10,9 +10,9 @@ from hypothesis.extra.numpy import arrays
 from zok.core_io import rgb_to_lab
 from zok.slic import SlicParams, run_slic
 from zok.synth import SyntheticSpec, generate_dataset
-from zok.zoomout import (LOCAL_COLOR_DIM, ZoomOutFeature, build_adjacency,
-                         build_features, concat_levels, local_color_features,
-                         location_features_all, mirror_max_fuse, neighbor_balls,
+from zok.zoomout import (LOCAL_COLOR_DIM, build_adjacency, build_features,
+                         local_color_features, location_features_all,
+                         mirror_max_fuse, neighbor_balls,
                          pool_over_superpixels, proximal_average,
                          rect_regions, region_means, scene_pool, subscene_bboxes,
                          superpixel_bboxes, upsample_featuremap)
@@ -380,30 +380,6 @@ class TestSubsceneBbox:
             assert tuple(sub[s]) == reference_subscene_bbox(spmap, graph, s, radius)
 
 
-class TestConcatLevels:
-    def test_single_level_identity(self):
-        feats = np.random.default_rng(8).random((3, 5))
-        zo = concat_levels([feats])
-        assert np.array_equal(zo.features, feats)
-        assert zo.level_offsets == [0]
-
-    def test_two_levels_offsets(self):
-        a = np.zeros((2, 3))
-        b = np.ones((2, 5))
-        zo = concat_levels([a, b])
-        assert zo.features.shape == (2, 8)
-        assert zo.level_offsets == [0, 3]
-
-    def test_three_levels_order_preserved(self):
-        parts = [np.full((1, 2), i, dtype=float) for i in range(3)]
-        zo = concat_levels(parts)
-        assert np.array_equal(zo.features[0], [0, 0, 1, 1, 2, 2])
-
-    def test_count_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            concat_levels([np.zeros((2, 3)), np.zeros((3, 3))])
-
-
 class TestMirrorMaxFuse:
     def test_idempotent(self):
         f = np.random.default_rng(9).random((4, 6))
@@ -424,14 +400,13 @@ class TestMirrorMaxFuse:
         with pytest.raises(ValueError):
             mirror_max_fuse(np.zeros((2, 2)), np.zeros((2, 3)))
 
-    def test_zoomout_feature_offsets_preserved(self):
-        zo = concat_levels([np.zeros((2, 2)), np.ones((2, 2))])
-        fused = mirror_max_fuse(zo, zo)
-        assert isinstance(fused, ZoomOutFeature)
-        assert fused.level_offsets == [0, 2]
-
 
 class TestRectRegions:
+    @pytest.mark.parametrize("width, height", [(-5, 4), (0, 4), (4, 0)])
+    def test_size_below_one_rejected(self, width, height):
+        with pytest.raises(ValueError, match="width and height"):
+            rect_regions(width, height, 3)
+
     def test_4x4_count_4(self):
         spmap = rect_regions(4, 4, 4)
         assert np.array_equal(spmap, [[0, 0, 1, 1], [0, 0, 1, 1],
@@ -519,7 +494,7 @@ def reference_zoomout_features(img, spmap, proximal_radius=2):
     local = np.concatenate(
         [local_color_features(lab, spmap), location_features_all(spmap)], axis=1)
     proximal = proximal_average(local, graph, proximal_radius)
-    return concat_levels([local, proximal])
+    return np.concatenate([local, proximal], axis=1)
 
 
 def slic_maps(count=3, size=48, k=32):
@@ -574,18 +549,17 @@ class TestBuildFeatures:
         for img, res in slic_maps():
             got = build_features(img, res.spmap, f"local,proximal:{radius}")
             ref = reference_zoomout_features(img, res.spmap, radius)
-            assert got.features.tobytes() == ref.features.tobytes()
-            assert got.level_offsets == ref.level_offsets
+            assert got.tobytes() == ref.tobytes()
 
     def test_default_radii(self):
         img, res = slic_maps(count=1)[0]
         fm = np.ones((2, *res.spmap.shape))
         assert np.array_equal(
-            build_features(img, res.spmap, "proximal,subscene", fm).features,
-            build_features(img, res.spmap, "proximal:2,subscene:3", fm).features)
+            build_features(img, res.spmap, "proximal,subscene", fm),
+            build_features(img, res.spmap, "proximal:2,subscene:3", fm))
 
     @pytest.mark.parametrize("levels", ["proximal:0", "subscene:0", "subscene:-1", "local:5",
-                                        "pooled:3", "scene:1", "bogus", "proximal:x"])
+                                        "pooled:3", "scene:1", "bogus", "proximal:x", ""])
     def test_bad_level_spec_rejected(self, levels):
         spmap = np.array([[0, 1], [0, 1]], dtype=np.int32)
         with pytest.raises(ValueError):
