@@ -399,14 +399,13 @@ def _cmd_crf(args):
             raise ValueError("superpixel unary must be (K, C)")
         probs = unary
     node = labxy_means(lab, spmap)
-    model, features = crf_mod.image_crf(
+    model = crf_mod.image_crf(
         node[:, :3], probs, node[:, 3:],
         w_appearance=args["w_appearance"], w_smooth=args["w_smooth"],
         sigma_xy=args["sigma_xy"], sigma_lab=args["sigma_lab"],
         sigma_xy_smooth=args["sigma_xy_smooth"],
     )
-    q = crf_mod.mean_field_refine(model, features, args["iters"],
-                                  args["damping"], args["mode"]).q
+    q = crf_mod.mean_field_refine(model, args["iters"], args["damping"], args["mode"]).q
     if pixels:
         q = q.T.reshape(unary.shape)
     write_tensor(q.astype(np.float32), args["out"])
@@ -542,11 +541,11 @@ def pipeline_run(config):
         cm += metrics.confusion(sp_pred[res.spmap], gt, num_classes, ignore)
         if crf_cfg:
             # SLIC's centers are the mean Lab and (x, y) of each superpixel
-            cmodel, cfeat = _stage("crf", crf_mod.image_crf, res.centers[:, :3], probs,
-                                   res.centers[:, 3:], **crf_cfg)
-            state = _stage("crf", crf_mod.mean_field_refine, cmodel, cfeat, iters, damping)
+            cmodel = _stage("crf", crf_mod.image_crf, res.centers[:, :3], probs,
+                            res.centers[:, 3:], **crf_cfg)
+            q = _stage("crf", crf_mod.mean_field_refine, cmodel, iters, damping).q
             cm_crf += metrics.confusion(
-                crf_mod.map_labels(state)[res.spmap], gt, num_classes, ignore)
+                crf_mod.map_labels(q)[res.spmap], gt, num_classes, ignore)
     timings["test"] = time.perf_counter() - t0
 
     report = _seg_report(cm)

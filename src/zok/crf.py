@@ -6,12 +6,15 @@ The energy of a labeling x over N nodes is
 
 with Gaussian kernels k_m(f_i, f_j) = exp(-1/2 (f_i-f_j)^T Lambda (f_i-f_j))
 over per-node feature vectors, and a label compatibility mu (Potts by
-default: 0 on the diagonal, 1 off it).  The Gibbs distribution
-P(x) = exp(-E(x)) / Z can be evaluated exactly on tiny instances by full
-enumeration; larger unary predictions are refined by naive O(N^2 C)
-mean field, either with damped parallel updates or with damped sequential
-sweeps (whose variational free energy never increases, since the exact
-per-node update minimizes a convex restriction).
+default: 0 on the diagonal, 1 off it).  A CrfModel is the whole instance:
+its unaries, its compatibility and its kernels, each kernel holding its
+own (N, d) node features, so no function here takes features beside the
+model.  The Gibbs distribution P(x) = exp(-E(x)) / Z can be evaluated
+exactly on tiny instances by full enumeration; larger unary predictions
+are refined by naive O(N^2 C) mean field, either with damped parallel
+updates or with damped sequential sweeps (whose variational free energy
+never increases, since the exact per-node update minimizes a convex
+restriction).
 
 Everything is desk scale: no lattice acceleration, N up to a few
 thousand nodes.
@@ -29,14 +32,17 @@ _PROB_FLOOR = 1e-12
 class Kernel:
     weight: float
     precision: np.ndarray       # diagonal of Lambda, entries > 0
-    features_key: str = "f"     # which entry of the features dict to use
+    features: np.ndarray        # (N, d) per-node features, d = len(precision)
 
     def __post_init__(self):
         self.precision = np.asarray(self.precision, dtype=np.float64)
+        self.features = np.asarray(self.features, dtype=np.float64)
         if self.weight < 0:
             raise ValueError("kernel weight must be >= 0")
         if np.any(self.precision <= 0):
             raise ValueError("precision entries must be > 0")
+        if self.features.ndim != 2 or self.features.shape[1:] != self.precision.shape:
+            raise ValueError("feature/precision dimension mismatch")
 
 
 def potts_compat(num_labels):
@@ -57,6 +63,8 @@ class CrfModel:
         self.compat = np.asarray(self.compat, dtype=np.float64)
         if not np.allclose(self.compat, self.compat.T):
             raise ValueError("compatibility must be symmetric")
+        if any(len(kern.features) != self.num_nodes for kern in self.kernels):
+            raise ValueError("kernel feature rows != node count")
 
     @property
     def num_nodes(self):
@@ -73,43 +81,18 @@ class MeanFieldState:
     free_energies: list = field(default_factory=list)
 
 
-def kernel_eval(f_i, f_j, precision):
-    """Gaussian kernel exp(-1/2 (f_i-f_j)^T Lambda (f_i-f_j)), in (0, 1]."""
-    d = np.asarray(f_i, dtype=np.float64) - np.asarray(f_j, dtype=np.float64)
-    lam = np.asarray(precision, dtype=np.float64)
-    if d.shape != lam.shape:
-        raise ValueError("feature/precision dimension mismatch")
-    return float(np.exp(-0.5 * (lam * d * d).sum()))
-
-
-def pairwise_potential(x_i, x_j, f_i, f_j, model):
-    """mu(x_i, x_j) * sum_m w_m k_m for one node pair.
-
-    f_i, f_j: dicts mapping features_key to that node's feature vector.
-    """
-    if x_i >= model.num_labels or x_j >= model.num_labels:
-        raise ValueError("label out of range")
-    total = 0.0
-    for kern in model.kernels:
-        total += kern.weight * kernel_eval(
-            f_i[kern.features_key], f_j[kern.features_key], kern.precision)
-    return model.compat[x_i, x_j] * total
-
-
-def kernel_sum_matrix(model, features):
+def kernel_sum_matrix(model):
     """(N, N) matrix K_ij = sum_m w_m k_m(f_i, f_j), zero diagonal.
 
-    features: dict mapping features_key to an (N, d) array.  Every kernel
-    is evaluated in place in two (N, N) buffers allocated once per call,
-    in the operation order of max(|a|^2 + |b|^2 - (2a)^T b, 0), then
-    exp(-d2/2) * w, so no further (N, N) temporaries are made.
+    Every kernel is evaluated in place in two (N, N) buffers allocated
+    once per call, in the operation order of max(|a|^2 + |b|^2 - (2a)^T b, 0),
+    then exp(-d2/2) * w, so no further (N, N) temporaries are made.
     """
     n = model.num_nodes
     total = np.zeros((n, n))
     buf, cross = np.empty((n, n)), np.empty((n, n))
     for kern in model.kernels:
-        f = np.asarray(features[kern.features_key], dtype=np.float64)
-        scaled = f * np.sqrt(kern.precision)
+        scaled = kern.features * np.sqrt(kern.precision)
         sq = (scaled**2).sum(axis=1)
         np.matmul(2.0 * scaled, scaled.T, out=cross)
         np.add(sq[:, None], sq[None, :], out=buf)
@@ -123,19 +106,21 @@ def kernel_sum_matrix(model, features):
     return total
 
 
-def gibbs_energy(x, model, features):
+def gibbs_energy(x, model):
     """E(x) over the complete graph, each unordered pair counted once."""
     x = np.asarray(x)
     if len(x) != model.num_nodes:
         raise ValueError("labeling length != node count")
-    ksum = kernel_sum_matrix(model, features)
+    if np.any((x < 0) | (x >= model.num_labels)):
+        raise ValueError("label out of range")
+    ksum = kernel_sum_matrix(model)
     e = float(model.unary[np.arange(len(x)), x].sum())
     mu = model.compat[x[:, None], x[None, :]]
     e += float((mu * ksum).sum() / 2.0)
     return e
 
 
-def gibbs_distribution_bruteforce(model, features):
+def gibbs_distribution_bruteforce(model):
     """Exact Gibbs distribution by enumerating all C^N labelings.
 
     Returns (labelings, probs) with labelings in lexicographic order
@@ -144,7 +129,7 @@ def gibbs_distribution_bruteforce(model, features):
     n, c = model.num_nodes, model.num_labels
     if c**n > BRUTE_FORCE_LIMIT:
         raise ValueError(f"instance too large: {c}^{n} labelings")
-    ksum = kernel_sum_matrix(model, features)
+    ksum = kernel_sum_matrix(model)
     labelings = np.stack(
         np.meshgrid(*([np.arange(c)] * n), indexing="ij"), axis=-1
     ).reshape(-1, n)
@@ -160,23 +145,20 @@ def gibbs_distribution_bruteforce(model, features):
     return labelings, probs
 
 
-def unary_from_probs(probs, floor=_PROB_FLOOR):
-    """psi = -log p with the probabilities floored."""
-    return -np.log(np.clip(np.asarray(probs, dtype=np.float64), floor, None))
+def unary_from_probs(probs):
+    """psi = -log p with the probabilities floored at 1e-12."""
+    return -np.log(np.clip(np.asarray(probs, dtype=np.float64), _PROB_FLOOR, None))
 
 
-def free_energy(q, model, features, ksum=None):
-    """Variational free energy F(Q) = E_Q[E] - H(Q).
+def free_energy(q, model, kq):
+    """Variational free energy F(Q) = E_Q[E] - H(Q), given kq = K Q.
 
     The pairwise term tr(Q^T K Q mu) / 2 is summed as the elementwise
-    product of (K Q) and (Q mu), in O(N^2 C) time and without an (N, N)
-    temporary.
+    product of (K Q) and (Q mu), in O(N C^2) time once K Q is known.
     """
     q = np.asarray(q, dtype=np.float64)
-    if ksum is None:
-        ksum = kernel_sum_matrix(model, features)
     e = float((q * model.unary).sum())
-    e += float(((ksum @ q) * (q @ model.compat)).sum() / 2.0)
+    e += float((kq * (q @ model.compat)).sum() / 2.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         ent = np.where(q > 0, q * np.log(q), 0.0).sum()
     return e + float(ent)
@@ -192,7 +174,7 @@ def check_mean_field(iters, damping, mode="parallel"):
         raise ValueError(f"unknown mode {mode!r}")
 
 
-def mean_field_refine(model, features, iters=10, damping=0.5, mode="parallel"):
+def mean_field_refine(model, iters=10, damping=0.5, mode="parallel"):
     """Naive mean-field refinement of the unary prediction.
 
     Q starts at the per-node softmax of -psi.  Each update sets
@@ -200,18 +182,20 @@ def mean_field_refine(model, features, iters=10, damping=0.5, mode="parallel"):
     then mixes with the previous Q by the damping factor.  "parallel"
     updates every node from the previous sweep; "sequential" updates
     nodes in index order using current values.  Both modes record the
-    free energy of the initial Q and after every sweep.
+    free energy of the initial Q and after every sweep; K Q is formed once
+    per sweep and serves that energy and the next parallel message.
     """
     check_mean_field(iters, damping, mode)
-    ksum = kernel_sum_matrix(model, features)
+    ksum = kernel_sum_matrix(model)
     neg = -model.unary
     neg = neg - neg.max(axis=1, keepdims=True)
     q = np.exp(neg)
     q /= q.sum(axis=1, keepdims=True)
-    energies = [free_energy(q, model, features, ksum)]
+    kq = ksum @ q
+    energies = [free_energy(q, model, kq)]
     for _ in range(iters):
         if mode == "parallel":
-            msg = (ksum @ q) @ model.compat
+            msg = kq @ model.compat
             logq = -model.unary - msg
             logq -= logq.max(axis=1, keepdims=True)
             qnew = np.exp(logq)
@@ -225,13 +209,13 @@ def mean_field_refine(model, features, iters=10, damping=0.5, mode="parallel"):
                 qi = np.exp(logq)
                 qi /= qi.sum()
                 q[i] = (1.0 - damping) * qi + damping * q[i]
-        energies.append(free_energy(q, model, features, ksum))
+        kq = ksum @ q
+        energies.append(free_energy(q, model, kq))
     return MeanFieldState(q, energies)
 
 
-def map_labels(state):
+def map_labels(q):
     """Per-node argmax of Q; ties go to the smallest label."""
-    q = state.q if isinstance(state, MeanFieldState) else np.asarray(state)
     return np.argmax(q, axis=1).astype(np.int32)
 
 
@@ -243,7 +227,7 @@ def check_sigmas(sigma_xy, sigma_lab, sigma_xy_smooth):
 
 def image_crf(lab, probs, positions, w_appearance=3.0, w_smooth=1.0,
               sigma_xy=10.0, sigma_lab=10.0, sigma_xy_smooth=3.0):
-    """Build (model, features) for nodes with Lab colors and positions.
+    """Build the CrfModel for nodes with Lab colors and positions.
 
     lab: (N, 3) mean Lab per node; positions: (N, 2) x,y per node, which
     is required; probs: (N, C) unary probabilities.  Two kernels:
@@ -252,18 +236,11 @@ def image_crf(lab, probs, positions, w_appearance=3.0, w_smooth=1.0,
     sigma must be > 0.
     """
     check_sigmas(sigma_xy, sigma_lab, sigma_xy_smooth)
-    lab = np.asarray(lab, dtype=np.float64)
-    positions = np.asarray(positions, dtype=np.float64)
-    features = {
-        "appearance": np.concatenate([positions, lab], axis=1),
-        "position": positions,
-    }
     kernels = [
         Kernel(w_appearance,
                [1 / sigma_xy**2, 1 / sigma_xy**2,
                 1 / sigma_lab**2, 1 / sigma_lab**2, 1 / sigma_lab**2],
-               "appearance"),
-        Kernel(w_smooth, [1 / sigma_xy_smooth**2, 1 / sigma_xy_smooth**2], "position"),
+               np.concatenate([positions, lab], axis=1)),
+        Kernel(w_smooth, [1 / sigma_xy_smooth**2, 1 / sigma_xy_smooth**2], positions),
     ]
-    model = CrfModel(unary_from_probs(probs), kernels)
-    return model, features
+    return CrfModel(unary_from_probs(probs), kernels)

@@ -65,19 +65,16 @@ class TrainConfig:
             raise ValueError(f"unknown loss {self.loss!r}")
 
 
-def compute_class_frequencies(labels, weights=None, num_classes=None, ignore=None):
+def compute_class_frequencies(labels, weights=None, num_classes=None):
     """(C,) weighted per-class frequencies: zero for absent classes, summing to 1.
 
     weights defaults to 1 per sample; pass superpixel pixel counts for the
-    pixel basis.  Samples labeled `ignore` are excluded.
+    pixel basis.
     """
     labels = np.asarray(labels)
     if weights is None:
         weights = np.ones(labels.shape, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
-    if ignore is not None:
-        keep = labels != ignore
-        labels, weights = labels[keep], weights[keep]
     if labels.size == 0:
         raise ValueError("no labeled samples")
     if num_classes is None:

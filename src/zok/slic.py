@@ -126,17 +126,6 @@ def perturb_centers(lab, centers):
     return out
 
 
-def slic_distance(center, pixel_labxy, m, s):
-    """Distance D = d_lab + (m/S) * d_xy between a center and one pixel."""
-    if m <= 0 or s <= 0:
-        raise ValueError("m and S must be > 0")
-    center = np.asarray(center, dtype=np.float64)
-    pixel = np.asarray(pixel_labxy, dtype=np.float64)
-    d_lab = math.sqrt(((center[:3] - pixel[:3]) ** 2).sum())
-    d_xy = math.sqrt(((center[3:] - pixel[3:]) ** 2).sum())
-    return d_lab + (m / s) * d_xy
-
-
 def assign_pixels(lab, centers, m, s):
     """Assign every pixel to its best center; returns (spmap, best distance).
 

@@ -280,6 +280,18 @@ class LocalizerConfig:
     model: str = "global"     # image-level pooling scheme
     restarts: int = 3         # random-init restarts; best training loss wins
 
+    def __post_init__(self):
+        if self.hidden < 1:
+            raise ValueError(f"hidden must be >= 1, got {self.hidden}")
+        if self.learning_rate <= 0:
+            raise ValueError("learning rate must be > 0")
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        if self.model not in ("pixel", "global"):
+            raise ValueError(f"unknown model {self.model!r}")
+        if self.restarts < 1:
+            raise ValueError(f"restarts must be >= 1, got {self.restarts}")
+
 
 def _localizer_run(flats, present, cfg, mean, std, seed):
     d = flats[0].shape[0]
@@ -342,7 +354,7 @@ def train_localizer(fields, present, cfg):
     std = np.maximum(allv.std(axis=1), _STD_FLOOR)
     best = None
     best_loss = np.inf
-    for r in range(max(1, cfg.restarts)):
+    for r in range(cfg.restarts):
         model, loss = _localizer_run(flats, present, cfg, mean, std,
                                      cfg.seed + 1000 * r)
         if loss < best_loss:
@@ -358,7 +370,7 @@ def score_field(model, field):
 
 
 def point_supervision_pipeline(fields, presence, num_classes, k, mode="diverse",
-                               seed=0, localizer_cfg=None, classifier_cfg=None):
+                               seed=0, classifier_cfg=None):
     """Weakly-supervised segmentation from image-level tags.
 
     fields: list of (D, H, W) feature fields; presence: list of sets of
@@ -371,8 +383,6 @@ def point_supervision_pipeline(fields, presence, num_classes, k, mode="diverse",
     returns a list of (H, W) predicted grid label maps.
     """
     rng = np.random.default_rng(seed)
-    if localizer_cfg is None:
-        localizer_cfg = LocalizerConfig(seed=seed)
     if classifier_cfg is None:
         classifier_cfg = learner.TrainConfig(
             epochs=60, batch_size=64, learning_rate=0.05, momentum=0.9,
@@ -388,11 +398,10 @@ def point_supervision_pipeline(fields, presence, num_classes, k, mode="diverse",
             continue
         neg = list(rng.choice(neg_pool, size=min(len(pos), len(neg_pool)), replace=False))
         subset = pos + neg
-        cfg_c = LocalizerConfig(**{**localizer_cfg.__dict__, "seed": localizer_cfg.seed + c})
         localizers[c] = train_localizer(
             [fields[i] for i in subset],
             [c in presence[i] for i in subset],
-            cfg_c,
+            LocalizerConfig(seed=seed + c),
         )
 
     # (H*W, D) rows of every field, for sampled points and predictions

@@ -265,27 +265,26 @@ def test_7_crf_oracles():
     with criterion("7 CRF brute force, hand energies, free energy, MAP match"):
         # exact normalization
         rng = np.random.default_rng(0)
-        model = crf.CrfModel(rng.normal(size=(4, 3)), [crf.Kernel(0.5, [1.0, 1.0])])
-        _, probs = crf.gibbs_distribution_bruteforce(model, {"f": rng.normal(size=(4, 2))})
+        unary = rng.normal(size=(4, 3))
+        model = crf.CrfModel(unary, [crf.Kernel(0.5, [1.0, 1.0], rng.normal(size=(4, 2)))])
+        _, probs = crf.gibbs_distribution_bruteforce(model)
         assert abs(probs.sum() - 1.0) <= 1e-9
 
         # 2-node hand arithmetic
         unary = np.array([[1.0, 2.0], [3.0, 4.0]])
-        model = crf.CrfModel(unary, [crf.Kernel(2.0, [1.0])])
-        feats = {"f": np.array([[0.0], [1.0]])}
+        model = crf.CrfModel(unary, [crf.Kernel(2.0, [1.0], [[0.0], [1.0]])])
         k01 = math.exp(-0.5)
-        assert crf.gibbs_energy([0, 1], model, feats) == pytest.approx(1 + 4 + 2 * k01)
-        assert crf.gibbs_energy([0, 0], model, feats) == pytest.approx(4.0)
+        assert crf.gibbs_energy([0, 1], model) == pytest.approx(1 + 4 + 2 * k01)
+        assert crf.gibbs_energy([0, 0], model) == pytest.approx(4.0)
 
         # 3-node hand arithmetic
         unary3 = np.array([[0.5, 1.0], [2.0, 0.25], [1.5, 1.0]])
-        feats3 = {"f": np.array([[0.0], [1.0], [3.0]])}
-        model3 = crf.CrfModel(unary3, [crf.Kernel(1.0, [1.0])])
+        model3 = crf.CrfModel(unary3, [crf.Kernel(1.0, [1.0], [[0.0], [1.0], [3.0]])])
         x = [0, 1, 0]
         hand = (0.5 + 0.25 + 1.5
                 + math.exp(-0.5 * 1.0)       # nodes 0,1 differ, delta 1
                 + math.exp(-0.5 * 4.0))      # nodes 1,2 differ, delta 2
-        assert crf.gibbs_energy(x, model3, feats3) == pytest.approx(hand)
+        assert crf.gibbs_energy(x, model3) == pytest.approx(hand)
 
         # sequential damped mean field: free energy never increases; MAP match
         # (coupling strengths in the moderate regime CRF refinement targets)
@@ -295,13 +294,11 @@ def test_7_crf_oracles():
             unary = rng.normal(0.0, 1.5, size=(4, 2))
             weight = float(rng.uniform(0.2, 1.5))
             lam = float(rng.uniform(0.5, 4.0))
-            feats = {"f": rng.normal(size=(4, 2))}
-            model = crf.CrfModel(unary, [crf.Kernel(weight, [lam, lam])])
-            state = crf.mean_field_refine(model, feats, iters=30, damping=0.3,
-                                          mode="sequential")
+            model = crf.CrfModel(unary, [crf.Kernel(weight, [lam, lam], rng.normal(size=(4, 2)))])
+            state = crf.mean_field_refine(model, iters=30, damping=0.3, mode="sequential")
             assert np.all(np.diff(state.free_energies) <= 1e-10)
-            labelings, probs = crf.gibbs_distribution_bruteforce(model, feats)
-            hits += np.array_equal(crf.map_labels(state), labelings[np.argmax(probs)])
+            labelings, probs = crf.gibbs_distribution_bruteforce(model)
+            hits += np.array_equal(crf.map_labels(state.q), labelings[np.argmax(probs)])
         assert hits / 100 >= 0.9
 
 

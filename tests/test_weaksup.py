@@ -369,6 +369,14 @@ class TestLocalizer:
                 np.unravel_index(np.argmax(f[0]), s.shape)
         assert hits / total >= 0.8
 
+    @pytest.mark.parametrize("key,value", [
+        ("restarts", 0), ("restarts", -5), ("epochs", -1), ("hidden", 0),
+        ("learning_rate", 0.0), ("model", "x"),
+    ])
+    def test_config_rejects_bad_values(self, key, value):
+        with pytest.raises(ValueError, match=key.replace("_", " ")):
+            LocalizerConfig(**{key: value})
+
 
 # --- the localizer's training loop before it was rewritten, kept verbatim
 # as the oracle for weaksup._localizer_run and image_loss_and_grad
