@@ -4,8 +4,9 @@ One executable with subcommands: slic, rect, features, pool, train,
 predict, sample, crf, eval, eval-depth, synth and pipeline.  A JSON file
 passed via --config supplies defaults that explicit flags override;
 unknown config keys are rejected.  Exit codes: 0 success, 1 validation
-error, 2 I/O error.  Every subcommand is deterministic for a fixed
---seed.
+error, 2 I/O error or malformed file (a --config that is not valid UTF-8
+JSON included).  Every subcommand is deterministic; train and synth take
+a --seed, and the pipeline config a train.seed.
 """
 
 import argparse
@@ -29,10 +30,7 @@ def _arg(*flags, **kwargs):
     return flags, kwargs
 
 
-_COMMON = [
-    _arg("--config", help="JSON file with defaults for this subcommand"),
-    _arg("--seed", type=int, default=0),
-]
+_COMMON = [_arg("--config", help="JSON file with defaults for this subcommand")]
 
 _SPECS = {
     "slic": [
@@ -79,6 +77,7 @@ _SPECS = {
         _arg("--momentum", type=float, default=0.9),
         _arg("--weight-decay", type=float, default=1e-3),
         _arg("--dropout", type=float, default=0.0),
+        _arg("--seed", type=int, default=0),
         _arg("--out", required=True),
     ],
     "predict": [
@@ -130,6 +129,7 @@ _SPECS = {
         _arg("--classes", type=int, default=4),
         _arg("--kind", default="blobs", choices=["quadrants", "blobs", "stripes"]),
         _arg("--noise", type=float, default=0.0),
+        _arg("--seed", type=int, default=0),
     ],
     "pipeline": [
         _arg("--report-out", help="override the report path from the config"),
@@ -209,8 +209,13 @@ def _require(merged, keys, what):
 
 
 def _load_json(path):
-    with open(path) as fh:
-        return json.load(fh)
+    """Parsed JSON file; bytes that are not UTF-8 JSON raise FormatError."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return json.loads(data.decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
+        raise FormatError(f"{path}: not a UTF-8 JSON file: {exc}") from None
 
 
 def _merge_config(explicit, command):
@@ -363,8 +368,7 @@ def _cmd_sample(args):
     field = _read_finite(args["features"], "features").astype(np.float64)
     if scores.ndim != 3 or field.ndim != 3:
         raise ValueError("scores must be (C,H,W) and features (D,H,W)")
-    z, _, _ = weaksup.normalize_features([field])
-    z = z[0]
+    z = weaksup.normalize_features([field])[0]
     rows = []
     all_fg = []
     for c in range(scores.shape[0]):
@@ -412,12 +416,11 @@ def _cmd_crf(args):
 
 
 def _seg_report(cm):
-    scores = metrics.seg_scores(cm)
     return {
-        "mIoU": scores.mean_iou,
-        "per_class_iou": [None if math.isnan(v) else v for v in scores.per_class_iou],
-        "pixel_acc": scores.pixel_accuracy,
-        "class_acc": scores.class_accuracy,
+        "mIoU": metrics.mean_iou(cm),
+        "per_class_iou": [None if math.isnan(v) else v for v in metrics.iou_per_class(cm)],
+        "pixel_acc": metrics.pixel_accuracy(cm),
+        "class_acc": metrics.class_accuracy(cm),
     }
 
 

@@ -32,10 +32,6 @@ class MlpModel:
     epoch_losses: list = field(default_factory=list)
 
     @property
-    def sizes(self):
-        return [self.weights[0].shape[1]] + [w.shape[0] for w in self.weights]
-
-    @property
     def num_classes(self):
         return self.weights[-1].shape[0]
 
@@ -157,20 +153,9 @@ def _per_sample_weights(labels, freqs, n):
     return 1.0 / (f[labels] * n)
 
 
-def backprop(model, x, output_delta, dropout_masks=None):
-    """Gradients of all weights/biases given dLoss/dLogits rows.
-
-    For callers that supply their own output deltas: one forward pass
-    over x for the activations, then the backward pass.  loss_gradient
-    and the weak-supervision localizer already hold the activations and
-    run only the backward pass.
-    """
-    acts, _ = _forward_pass(model, x, dropout_masks)
-    return _backward(model, acts, output_delta, dropout_masks)
-
-
 def _backward(model, acts, output_delta, dropout_masks=None):
-    """Backward pass over the activations _forward_pass returned."""
+    """Gradients of all weights/biases given dLoss/dLogits rows, from the
+    activations _forward_pass returned."""
     grads_w = [None] * len(model.weights)
     grads_b = [None] * len(model.biases)
     delta = output_delta
@@ -227,7 +212,8 @@ def sgd_step(model, grads, cfg, velocity):
 def train(features, labels, cfg, num_classes=None, sample_weights=None):
     """Train an MLP classifier; deterministic for a fixed seed.
 
-    features: (N, D); labels: (N,) ints.  sample_weights feed the class
+    features: (N, D); labels: (N,) ints in 0..num_classes-1.
+    sample_weights, (N,) >= 0 with a positive sum, feed the class
     frequency computation (pixel basis).  Normalization statistics come
     from the training features.  Records the full-dataset loss after each
     epoch in model.epoch_losses.
@@ -236,8 +222,21 @@ def train(features, labels, cfg, num_classes=None, sample_weights=None):
     labels = np.asarray(labels)
     if features.ndim != 2 or len(features) == 0:
         raise ValueError("features must be a nonempty (N, D) matrix")
+    n = len(features)
+    if labels.shape != (n,):
+        raise ValueError(f"labels must be ({n},) to match the features, got {labels.shape}")
     if num_classes is None:
         num_classes = int(labels.max()) + 1
+    if labels.min() < 0 or labels.max() >= num_classes:
+        raise ValueError(f"labels must be in 0..{num_classes - 1}, "
+                         f"got {labels.min()}..{labels.max()}")
+    if sample_weights is not None:
+        sample_weights = np.asarray(sample_weights, dtype=np.float64)
+        if sample_weights.shape != (n,):
+            raise ValueError(f"sample_weights must be ({n},) to match the features, "
+                             f"got {sample_weights.shape}")
+        if not ((sample_weights >= 0).all() and sample_weights.sum() > 0):
+            raise ValueError("sample_weights must be >= 0 with a positive sum")
     mean = features.mean(axis=0)
     std = np.maximum(features.std(axis=0), _STD_FLOOR)
     sizes = [features.shape[1], *cfg.hidden, num_classes]
@@ -250,7 +249,6 @@ def train(features, labels, cfg, num_classes=None, sample_weights=None):
         f = np.ones(num_classes)
     rng = np.random.default_rng(cfg.seed)
     velocity = zero_velocity(model)
-    n = len(features)
     for _ in range(cfg.epochs):
         order = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):

@@ -19,14 +19,6 @@ import numpy as np
 
 
 @dataclass
-class SegScores:
-    per_class_iou: np.ndarray   # NaN where the class has empty union
-    mean_iou: float
-    pixel_accuracy: float
-    class_accuracy: float
-
-
-@dataclass
 class DepthScores:
     rmse_lin: float
     rmse_log: float
@@ -81,10 +73,6 @@ def class_accuracy(cm):
     with np.errstate(invalid="ignore", divide="ignore"):
         recall = np.where(row > 0, np.diag(cm) / row, np.nan)
     return float(np.nanmean(recall))
-
-
-def seg_scores(cm):
-    return SegScores(iou_per_class(cm), mean_iou(cm), pixel_accuracy(cm), class_accuracy(cm))
 
 
 def majority_labels(gt, spmap, ignore=255):

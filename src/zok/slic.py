@@ -16,15 +16,15 @@ deterministic: ties are always broken toward the smallest index.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core_io import rgb_to_lab
 from .zoomout import region_means
 
-# Center array columns.
-L, A, B, X, Y = range(5)
+# x and y columns of the (K, 5) labxy center array
+X, Y = 3, 4
 
 
 @dataclass
@@ -49,8 +49,7 @@ class SlicResult:
     spmap: np.ndarray            # (H, W) int32, ids contiguous 0..K'-1
     centers: np.ndarray          # (K', 5) mean labxy of each final region
     iterations_run: int
-    final_residual: float
-    history: list = field(default_factory=list)  # residual E per iteration
+    history: list                # residual E per iteration; the last is final
 
 
 def grid_interval(num_pixels, k):
@@ -347,4 +346,4 @@ def run_slic(img, params):
     spmap = compact_ids(spmap)
     if params.enforce_connectivity:
         spmap = enforce_connectivity(spmap)
-    return SlicResult(spmap, labxy_means(lab, spmap), iterations, residual, history)
+    return SlicResult(spmap, labxy_means(lab, spmap), iterations, history)

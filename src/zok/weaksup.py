@@ -32,7 +32,6 @@ import numpy as np
 
 from . import learner
 
-_STD_FLOOR = 1e-8
 _NORM_EPS = 1e-12
 
 
@@ -114,6 +113,12 @@ def image_loss_and_grad(s, sbar, present, model="global"):
     return loss, ds, dsbar
 
 
+def _field_stats(flats):
+    """Per-dimension mean and floored std over the columns of (D, n) arrays."""
+    allv = np.concatenate(flats, axis=1)
+    return allv.mean(axis=1), np.maximum(allv.std(axis=1), learner._STD_FLOOR)
+
+
 def normalize_features(fields):
     """Two-stage normalization of (D, H, W) feature fields.
 
@@ -121,21 +126,19 @@ def normalize_features(fields):
     statistics over every location of every field (std floored at 1e-8);
     stage 2 scales each location vector to unit Euclidean norm.  Vectors
     that standardize to zero stay zero and are excluded from sampling.
-    Returns (z_fields, mean, std).
+    Returns the list of z fields.
     """
     if not fields:
         raise ValueError("need at least one field")
-    flats = [np.asarray(f, dtype=np.float64).reshape(f.shape[0], -1) for f in fields]
-    allv = np.concatenate(flats, axis=1)
-    mean = allv.mean(axis=1)
-    std = np.maximum(allv.std(axis=1), _STD_FLOOR)
+    mean, std = _field_stats(
+        [np.asarray(f, dtype=np.float64).reshape(f.shape[0], -1) for f in fields])
     out = []
     for f in fields:
         z = (np.asarray(f, dtype=np.float64) - mean[:, None, None]) / std[:, None, None]
         norms = np.sqrt((z**2).sum(axis=0))
         safe = np.where(norms > _NORM_EPS, norms, 1.0)
         out.append(np.where(norms[None] > _NORM_EPS, z / safe[None], 0.0))
-    return out, mean, std
+    return out
 
 
 def _flat_points(indices, width):
@@ -349,9 +352,7 @@ def train_localizer(fields, present, cfg):
         raise ValueError("no training fields")
     d = fields[0].shape[0]
     flats = [np.asarray(f, dtype=np.float64).reshape(d, -1) for f in fields]
-    allv = np.concatenate(flats, axis=1)
-    mean = allv.mean(axis=1)
-    std = np.maximum(allv.std(axis=1), _STD_FLOOR)
+    mean, std = _field_stats(flats)
     best = None
     best_loss = np.inf
     for r in range(cfg.restarts):
@@ -370,7 +371,7 @@ def score_field(model, field):
 
 
 def point_supervision_pipeline(fields, presence, num_classes, k, mode="diverse",
-                               seed=0, classifier_cfg=None):
+                               seed=0, *, classifier_cfg):
     """Weakly-supervised segmentation from image-level tags.
 
     fields: list of (D, H, W) feature fields; presence: list of sets of
@@ -380,14 +381,11 @@ def point_supervision_pipeline(fields, presence, num_classes, k, mode="diverse",
     points per present class per image with the requested strategy
     ("diverse", "topk" or "spatial"; background points always use
     dissimilarity sampling with k_bg = k), trains a point classifier and
-    returns a list of (H, W) predicted grid label maps.
+    returns a list of (H, W) predicted grid label maps.  classifier_cfg is
+    the learner.TrainConfig of the point classifier.
     """
     rng = np.random.default_rng(seed)
-    if classifier_cfg is None:
-        classifier_cfg = learner.TrainConfig(
-            epochs=60, batch_size=64, learning_rate=0.05, momentum=0.9,
-            weight_decay=1e-4, seed=seed, loss="asymmetric", hidden=(32,))
-    z_fields, _, _ = normalize_features(fields)
+    z_fields = normalize_features(fields)
 
     localizers = {}
     n = len(fields)

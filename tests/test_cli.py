@@ -419,7 +419,7 @@ class TestEvalCommands:
         assert run("eval", "--pred", tmp_path / "p.pgm", "--gt", tmp_path / "g.pgm",
                    "--classes", 4, "--report", "json") == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["mIoU"] == 1.0
+        assert report["mIoU"] == 1.0 and report["pixel_acc"] == 1.0
         assert report["per_class_iou"] == [1.0, 1.0, 1.0, 1.0]
 
     def test_eval_depth(self, tmp_path, capsys):
@@ -632,3 +632,221 @@ class TestConfigValueTypes:
         cfg_path.write_text(json.dumps({"k": 4, "m": 10, "residual_threshold": 1}))
         assert run("slic", "--config", cfg_path, "--input", img_path,
                    "--out", tmp_path / "sp.zot") == 0
+
+
+class TestSeedFlag:
+    """--seed is declared only where a handler reads it: train and synth."""
+
+    @pytest.mark.parametrize("command", list(cli._SPECS))
+    def test_seed_declared_only_where_read(self, capsys, command):
+        parser = cli.build_parser()
+        if command in ("train", "synth"):
+            assert parser.parse_args([command, "--seed", "3"]).seed == 3
+        else:
+            with pytest.raises(SystemExit):
+                parser.parse_args([command, "--seed", "3"])
+
+    def test_slic_seed_flag_exit_1(self, tmp_path, capsys, quad_image):
+        out = tmp_path / "sp.zot"
+        assert run("slic", "--input", quad_image[0], "--k", 4, "--seed", 9, "--out", out) == 1
+        assert "--seed" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_pipeline_seed_flag_exit_1(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"test_dir": str(tmp_path), "classes": 2,
+                                        "oracle": True}))
+        assert run("pipeline", "--config", cfg_path, "--seed", 9) == 1
+        assert "--seed" in capsys.readouterr().err
+
+    def test_slic_seed_config_key_exit_1(self, tmp_path, capsys, quad_image):
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps({"k": 4, "seed": 9}))
+        capsys.readouterr()
+        assert run("slic", "--config", cfg_path, "--input", quad_image[0],
+                   "--out", tmp_path / "sp.zot") == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "'seed'" in err[0]
+
+    def test_train_and_synth_honour_seed(self, tmp_path):
+        rng = np.random.default_rng(6)
+        write_tensor(rng.normal(size=(12, 3)).astype(np.float32), tmp_path / "x.zot")
+        write_tensor(rng.integers(0, 3, size=12).astype(np.uint32), tmp_path / "y.zot")
+        models, images = {}, {}
+        for seed in (1, 1, 2):
+            model = tmp_path / f"m{seed}.zom"
+            assert run("train", "--features", tmp_path / "x.zot", "--labels",
+                       tmp_path / "y.zot", "--epochs", 2, "--seed", seed, "--out", model) == 0
+            models.setdefault(seed, []).append(model.read_bytes())
+            data = tmp_path / f"d{seed}_{len(images.get(seed, []))}"
+            assert run("synth", "--out", data, "--size", 16, "--noise", 5.0,
+                       "--seed", seed) == 0
+            images.setdefault(seed, []).append(
+                b"".join(p.read_bytes() for p in sorted(data.iterdir())))
+        for got in (models, images):
+            assert got[1][0] == got[1][1] and got[1][0] != got[2][0]
+
+
+class TestBadTrainingInputs:
+    """Labels out of the class range or of the wrong length, and sample
+    weights that are all zero or negative, exit 1 with one error line for
+    `train` and `pipeline` alike, never a traceback or a NaN model."""
+
+    # case -> (array replaced, its new values, extra train flags, text the error holds)
+    CASES = {
+        "train-label-above-classes": ("y", [0, 1, 0, 3], ["--classes", 3], "labels"),
+        "train-labels-short": ("y", [0, 1, 0], [], "labels"),
+        "train-labels-long": ("y", [0, 1, 0, 1, 0], [], "labels"),
+        "train-weights-all-zero": ("w", [0.0, 0.0, 0.0, 0.0], [], "weights"),
+        "train-weights-negative": ("w", [1.0, -1.0, 1.0, 1.0], [], "weights"),
+        "pipeline-gt-label-above-classes": (None, None, None, "labels"),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_exit_1_with_one_error_line(self, tmp_path, capsys, quad_image, case):
+        name, values, flags, text = self.CASES[case]
+        out = tmp_path / "out"
+        if name is None:
+            # quad_image's ground truth holds labels 0..3, above classes=3
+            data = str(tmp_path / "data")
+            cfg = {"train_dir": data, "test_dir": data, "classes": 3,
+                   "slic": {"k": 4, "m": 10}, "train": {"epochs": 1, "hidden": []},
+                   "report": str(out)}
+            (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+            argv = ["pipeline", "--config", tmp_path / "cfg.json"]
+        else:
+            arrays = {"x": np.zeros((4, 2), dtype=np.float32),
+                      "y": np.array([0, 1, 0, 1], dtype=np.uint32),
+                      "w": np.ones(4, dtype=np.float32)}
+            arrays[name] = np.array(values, dtype=arrays[name].dtype)
+            for key, arr in arrays.items():
+                write_tensor(arr, tmp_path / f"{key}.zot")
+            argv = ["train", "--features", tmp_path / "x.zot", "--labels", tmp_path / "y.zot",
+                    "--weights", tmp_path / "w.zot", "--epochs", 1, *flags, "--out", out]
+        capsys.readouterr()
+        assert run(*argv) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and text in err[0]
+        assert not out.exists()
+
+
+# file-input placeholder -> file name
+INPUT_FILES = {
+    "img": "i.ppm", "sp": "sp.zot", "fm": "fm.zot", "x": "x.zot", "y": "y.zot",
+    "w": "w.zot", "model": "m.zom", "scores": "s.zot", "field": "f.zot", "u": "u.zot",
+    "pred-pgm": "p.pgm", "gt-pgm": "g.pgm", "pred-depth": "p.zot", "gt-depth": "g.zot",
+}
+
+
+def valid_input_files(tmp_path):
+    """{placeholder: path} of one valid file for every INPUT_FILES entry."""
+    rng = np.random.default_rng(13)
+    paths = {key: tmp_path / name for key, name in INPUT_FILES.items()}
+    write_ppm(rng.integers(0, 256, (8, 8, 3)).astype(np.uint8), paths["img"])
+    write_tensor(np.zeros((8, 8), dtype=np.uint32), paths["sp"])
+    write_tensor(np.ones((2, 4, 4), dtype=np.float32), paths["fm"])
+    write_tensor(rng.normal(size=(4, 2)).astype(np.float32), paths["x"])
+    write_tensor(np.array([0, 1, 0, 1], dtype=np.uint32), paths["y"])
+    write_tensor(np.ones(4, dtype=np.float32), paths["w"])
+    learner.write_model(learner.init_model([2, 2], seed=0), paths["model"])
+    write_tensor(rng.uniform(0.1, 1.0, (2, 6, 6)).astype(np.float32), paths["scores"])
+    write_tensor(rng.normal(size=(4, 6, 6)).astype(np.float32), paths["field"])
+    write_tensor(np.full((1, 2), 0.5, dtype=np.float32), paths["u"])
+    for key in ("pred-pgm", "gt-pgm"):
+        write_pgm(np.array([[0, 1], [2, 3]]), paths[key])
+    for key in ("pred-depth", "gt-depth"):
+        write_tensor(np.full((4, 4), 2.0, dtype=np.float32), paths[key])
+    return paths
+
+
+# subcommand -> valid argv (before --config and --out); a value that is an
+# INPUT_FILES key is a file input
+INPUT_ARGV = {
+    "slic": ["--input", "img", "--k", 4],
+    "rect": ["--input", "img", "--count", 4],
+    "features": ["--image", "img", "--superpixels", "sp", "--featmap", "fm",
+                 "--levels", "local,pooled"],
+    "pool": ["--featmap", "fm", "--superpixels", "sp"],
+    "train": ["--features", "x", "--labels", "y", "--weights", "w", "--epochs", 1],
+    "predict": ["--model", "model", "--features", "x"],
+    "sample": ["--scores", "scores", "--features", "field", "--k", 2],
+    "crf": ["--unary", "u", "--image", "img", "--superpixels", "sp", "--iters", 1],
+    "eval": ["--pred", "pred-pgm", "--gt", "gt-pgm", "--classes", 4],
+    "eval-depth": ["--pred", "pred-depth", "--gt", "gt-depth"],
+    "synth": ["--count", 1, "--size", 8],
+    "pipeline": [],
+}
+
+FILE_FLAGS = [(command, flag) for command, argv in INPUT_ARGV.items()
+              for flag, value in zip(argv[::2], argv[1::2]) if value in INPUT_FILES]
+
+BAD_FILES = {
+    "truncated": lambda data: data[: len(data) // 2],
+    "empty": lambda data: b"",
+    "wrong-magic": lambda data: b"XX" + data[2:],
+}
+
+
+class TestMalformedInputFiles:
+    """A malformed file given to any file-input flag, or as --config, exits 2
+    with one error line."""
+
+    def test_every_file_flag_listed(self):
+        assert len(FILE_FLAGS) == 21
+        assert set(INPUT_ARGV) == set(cli._SPECS)
+
+    def argv(self, command, paths, replace=None, config=None):
+        """INPUT_ARGV[command] with files filled in and one flag's file replaced."""
+        argv = [command]
+        spec = INPUT_ARGV[command]
+        for flag, value in zip(spec[::2], spec[1::2]):
+            if replace and flag == replace[0]:
+                value = replace[1]
+            argv += [flag, paths.get(value, value)]
+        if config:
+            argv += ["--config", config]
+        if command != "pipeline":
+            argv += ["--out", paths["out"]]
+        return argv
+
+    @pytest.mark.parametrize("command", [c for c in INPUT_ARGV if c not in ("synth", "pipeline")])
+    def test_valid_files_exit_0(self, tmp_path, command):
+        paths = dict(valid_input_files(tmp_path), out=tmp_path / "out")
+        assert run(*self.argv(command, paths)) == 0
+
+    @pytest.mark.parametrize("kind", list(BAD_FILES))
+    @pytest.mark.parametrize("command,flag", FILE_FLAGS)
+    def test_bad_file_exit_2(self, tmp_path, capsys, command, flag, kind):
+        paths = dict(valid_input_files(tmp_path), out=tmp_path / "out")
+        value = dict(zip(INPUT_ARGV[command][::2], INPUT_ARGV[command][1::2]))[flag]
+        bad = tmp_path / ("bad" + paths[value].suffix)
+        bad.write_bytes(BAD_FILES[kind](paths[value].read_bytes()))
+        capsys.readouterr()
+        assert run(*self.argv(command, paths, replace=(flag, bad))) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert not paths["out"].exists()
+
+    @pytest.mark.parametrize("command", list(INPUT_ARGV))
+    def test_malformed_config_exit_2(self, tmp_path, capsys, command):
+        paths = dict(valid_input_files(tmp_path), out=tmp_path / "out")
+        config = tmp_path / "c.json"
+        config.write_bytes(b'{"k": 4,')
+        capsys.readouterr()
+        assert run(*self.argv(command, paths, config=config)) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and str(config) in err[0]
+        assert not paths["out"].exists()
+
+    @pytest.mark.parametrize("command", ["slic", "pipeline"])
+    @pytest.mark.parametrize("body,code", [(b'\xff\xfe{"k": 4}', 2), (b"[4]", 1)])
+    def test_config_encoding_and_shape(self, tmp_path, capsys, command, body, code):
+        # bytes that are not UTF-8 are a malformed file; valid JSON that is
+        # not an object is a bad value
+        paths = dict(valid_input_files(tmp_path), out=tmp_path / "out")
+        config = tmp_path / "c.json"
+        config.write_bytes(body)
+        capsys.readouterr()
+        assert run(*self.argv(command, paths, config=config)) == code
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")

@@ -190,6 +190,13 @@ class TestLossGradient:
             assert rel_err(a, n) < 1e-4
 
 
+def reference_backprop(model, x, output_delta, dropout_masks=None):
+    """Gradients for caller-supplied dLoss/dLogits rows: a forward pass
+    over x for the activations, then the backward pass."""
+    acts, _ = learner._forward_pass(model, x, dropout_masks)
+    return learner._backward(model, acts, output_delta, dropout_masks)
+
+
 def reference_loss_gradient(model, x, labels, freqs, dropout_masks=None):
     """loss_gradient before it shared one forward pass with the backward
     pass, kept verbatim as its oracle."""
@@ -199,7 +206,7 @@ def reference_loss_gradient(model, x, labels, freqs, dropout_masks=None):
     delta = probs.copy()
     delta[np.arange(len(labels)), labels] -= 1.0
     delta *= learner._per_sample_weights(labels, freqs, len(labels))[:, None]
-    return learner.backprop(model, x, delta, dropout_masks)
+    return reference_backprop(model, x, delta, dropout_masks)
 
 
 class TestLossGradientOracle:
@@ -300,6 +307,27 @@ class TestTrain:
                           seed=5, loss="symmetric")
         model = train(x, y, cfg)
         assert len(model.epoch_losses) == 3
+
+    # case -> (labels, num_classes, sample_weights, text the error holds)
+    BAD_INPUTS = {
+        "label-above-classes": ([0, 1, 0, 3], 3, None, "labels"),
+        "negative-label": ([0, -1, 0, 1], None, None, "labels"),
+        "labels-short": ([0, 1, 0], None, None, "labels"),
+        "labels-long": ([0, 1, 0, 1, 0], None, None, "labels"),
+        "labels-2d": ([[0, 1, 0, 1]], None, None, "labels"),
+        "weights-short": ([0, 1, 0, 1], None, [1.0, 1.0, 1.0], "sample_weights"),
+        "weights-all-zero": ([0, 1, 0, 1], None, [0.0] * 4, "sample_weights"),
+        "weights-negative": ([0, 1, 0, 1], None, [1.0, -1.0, 1.0, 1.0], "sample_weights"),
+        "weights-nan": ([0, 1, 0, 1], None, [1.0, np.nan, 1.0, 1.0], "sample_weights"),
+    }
+
+    @pytest.mark.parametrize("case", list(BAD_INPUTS))
+    def test_bad_inputs_rejected(self, case):
+        labels, num_classes, weights, text = self.BAD_INPUTS[case]
+        with pytest.raises(ValueError, match=text):
+            train(np.zeros((4, 2)), np.array(labels), TrainConfig(epochs=1),
+                  num_classes=num_classes,
+                  sample_weights=None if weights is None else np.array(weights))
 
 
 class TestPredictLabels:

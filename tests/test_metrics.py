@@ -5,7 +5,7 @@ import pytest
 
 from zok.metrics import (class_accuracy, confusion, depth_metrics,
                          iou_per_class, majority_labels, mean_iou, oracle_labels,
-                         pixel_accuracy, seg_scores)
+                         pixel_accuracy)
 from zok.slic import SlicParams, run_slic
 from zok.synth import SyntheticSpec, generate_dataset
 
@@ -104,11 +104,6 @@ class TestAccuracies:
         assert class_accuracy(cm) == pytest.approx((0.5 + 1.0 + 0.5) / 3)
         # per-class IoU: 0: 1/(2+2-1)=1/3, 1: 2/(2+3-2)=2/3, 2: 1/(2+1-1)=1/2
         assert mean_iou(cm) == pytest.approx((1 / 3 + 2 / 3 + 1 / 2) / 3)
-
-    def test_seg_scores_bundle(self):
-        labels = np.array([[0, 1]])
-        scores = seg_scores(confusion(labels, labels, 2))
-        assert scores.mean_iou == 1.0 and scores.pixel_accuracy == 1.0
 
 
 class TestOracleLabels:

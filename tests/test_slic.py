@@ -291,7 +291,7 @@ class TestRunSlic:
         assert sorted(np.unique(res.spmap)) == list(range(k))
         assert len(res.centers) == k
         assert np.all(res.centers[:, 3] >= 0) and np.all(res.centers[:, 3] < 64)
-        assert np.isfinite(res.final_residual)
+        assert np.isfinite(res.history[-1])
 
     def test_k_exceeding_pixels_rejected(self):
         with pytest.raises(ValueError):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from test_learner import reference_backprop
 from zok import learner, weaksup
 from zok.weaksup import (LocalizerConfig, _sigmoid, _softplus, diverse_sample_bg,
                          diverse_sample_fg, global_softmax_prob,
@@ -121,12 +122,13 @@ class TestImageLossAndGrad:
 class TestNormalizeFeatures:
     def test_identical_vectors_become_invalid(self):
         fields = [np.full((3, 2, 2), 4.0)]
-        z, _, _ = normalize_features(fields)
+        z = normalize_features(fields)
         assert np.allclose(z[0], 0.0)
 
     def test_two_sample_hand_case(self):
         fields = [np.array([[[-1.0, 1.0]]])]  # one dim, two locations
-        z, mean, std = normalize_features(fields)
+        z = normalize_features(fields)
+        mean, std = weaksup._field_stats([fields[0].reshape(1, -1)])
         assert mean[0] == pytest.approx(0.0)
         assert std[0] == pytest.approx(1.0)
         assert np.allclose(z[0][0], [-1.0, 1.0])
@@ -134,7 +136,7 @@ class TestNormalizeFeatures:
     def test_unit_norms(self):
         rng = np.random.default_rng(7)
         fields = [rng.normal(size=(5, 4, 6)) for _ in range(3)]
-        zs, _, _ = normalize_features(fields)
+        zs = normalize_features(fields)
         for z in zs:
             norms = np.sqrt((z**2).sum(axis=0))
             assert np.allclose(norms, 1.0, atol=1e-5)
@@ -144,8 +146,8 @@ class TestNormalizeFeatures:
         fields = [rng.normal(size=(4, 3, 5)) for _ in range(2)]
         scale = rng.uniform(0.5, 3.0, size=4)[:, None, None]
         shift = rng.normal(size=4)[:, None, None]
-        z1, _, _ = normalize_features(fields)
-        z2, _, _ = normalize_features([f * scale + shift for f in fields])
+        z1 = normalize_features(fields)
+        z2 = normalize_features([f * scale + shift for f in fields])
         for a, b in zip(z1, z2):
             assert np.allclose(a, b, atol=1e-5)
 
@@ -320,7 +322,7 @@ class TestBaselineSamplers:
     def test_sample_foreground_dispatches_by_mode(self):
         rng = np.random.default_rng(16)
         scores = rng.uniform(0.1, 1.0, size=(5, 6))
-        z, _, _ = normalize_features([rng.normal(size=(3, 5, 6))])
+        z = normalize_features([rng.normal(size=(3, 5, 6))])
         for mode, expected in (("diverse", diverse_sample_fg(scores, z[0], 4)),
                                ("topk", topk_sample(scores, 4)),
                                ("spatial", spatial_diverse_sample(scores, 4))):
@@ -376,6 +378,12 @@ class TestLocalizer:
     def test_config_rejects_bad_values(self, key, value):
         with pytest.raises(ValueError, match=key.replace("_", " ")):
             LocalizerConfig(**{key: value})
+
+
+def test_pipeline_requires_classifier_cfg():
+    fields = [np.zeros((2, 3, 3))]
+    with pytest.raises(TypeError, match="classifier_cfg"):
+        weaksup.point_supervision_pipeline(fields, [{1}], 2, 1, "diverse", seed=0)
 
 
 # --- the localizer's training loop before it was rewritten, kept verbatim
@@ -441,7 +449,7 @@ def reference_localizer_run(flats, shapes, present, cfg, mean, std, seed):
             _, ds, dsbar = reference_image_loss_and_grad(s, sbar, present[img], cfg.model)
             rows = np.nonzero((ds.ravel() != 0) | (dsbar.ravel() != 0))[0]
             delta = np.stack([ds.ravel()[rows], dsbar.ravel()[rows]], axis=1)
-            grads = learner.backprop(model, x[rows], delta)
+            grads = reference_backprop(model, x[rows], delta)
             learner.sgd_step(model, grads, opt, velocity)
     total = 0.0
     for img in range(len(flats)):
