@@ -30,8 +30,6 @@ def _arg(*flags, **kwargs):
     return flags, kwargs
 
 
-_COMMON = [_arg("--config", help="JSON file with defaults for this subcommand")]
-
 _SPECS = {
     "slic": [
         _arg("--input", required=True),
@@ -147,10 +145,12 @@ def build_parser():
     subs = parser.add_subparsers(dest="command", required=True)
     for name, spec in _SPECS.items():
         sub = subs.add_parser(name)
-        for flags, kwargs in spec + _COMMON:
+        for flags, kwargs in spec:
             kwargs = dict(kwargs, default=argparse.SUPPRESS)
             kwargs.pop("required", None)
             sub.add_argument(*flags, **kwargs)
+        sub.add_argument("--config", default=argparse.SUPPRESS,
+                         help="JSON file with defaults for this subcommand")
     return parser
 
 
@@ -161,7 +161,7 @@ def _dest(flags):
 def _command_table(command):
     """({dest: (type, default)}, required dests) declared for one subcommand."""
     table, required = {}, set()
-    for flags, kwargs in _SPECS[command] + _COMMON:
+    for flags, kwargs in _SPECS[command]:
         if kwargs.get("action") == "store_true":
             table[_dest(flags)] = (bool, False)
         else:
@@ -303,6 +303,9 @@ def _cmd_slic(args):
 
 
 def _cmd_rect(args):
+    sized = args.get("width") is not None or args.get("height") is not None
+    if args.get("input") and sized:
+        raise ValueError("rect takes --input or --width/--height, not both")
     if args.get("input"):
         h, w = read_ppm(args["input"]).shape[:2]
     elif args.get("width") is not None and args.get("height") is not None:

@@ -15,6 +15,7 @@ and the little-endian "ZOT1" container for tensors.  All formats
 round-trip exactly.  Functions never mutate their inputs.
 """
 
+import functools
 import math
 import struct
 
@@ -23,6 +24,17 @@ import numpy as np
 
 class FormatError(Exception):
     """A file does not conform to its declared on-disk format."""
+
+
+def _names_path(read):
+    """Make the reader read(path) start each FormatError message with the path."""
+    @functools.wraps(read)
+    def reader(path):
+        try:
+            return read(path)
+        except FormatError as exc:
+            raise FormatError(f"{path}: {exc}") from None
+    return reader
 
 
 # ZOT1 dtype codes.
@@ -65,6 +77,7 @@ def _read_pnm_header(data, magic):
     return width, height, maxval, pos
 
 
+@_names_path
 def read_ppm(path):
     """Read a binary PPM (P6, maxval 255) into an (H, W, 3) uint8 array."""
     with open(path, "rb") as fh:
@@ -90,6 +103,7 @@ def write_ppm(img, path):
         fh.write(img.tobytes())
 
 
+@_names_path
 def read_pgm(path):
     """Read a binary PGM (P5) label map into an (H, W) uint16 array.
 
@@ -128,6 +142,7 @@ def write_pgm(labels, path):
         fh.write(labels.astype(dtype).tobytes())
 
 
+@_names_path
 def read_tensor(path):
     """Read a ZOT1 tensor file into a numpy array (little-endian payload)."""
     with open(path, "rb") as fh:

@@ -19,8 +19,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .core_io import FormatError, _names_path
+
 _STD_FLOOR = 1e-8
 _PROB_FLOOR = 1e-12
+_F32_OVERFLOW = float.fromhex("0x1.ffffffp+127")  # 2**128 - 2**103 rounds to float32 inf
 
 
 @dataclass
@@ -55,6 +58,12 @@ class TrainConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.learning_rate <= 0:
             raise ValueError("learning rate must be > 0")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
+        if self.weight_decay < 0:
+            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if any(size < 1 for size in self.hidden):
+            raise ValueError(f"hidden layer sizes must be >= 1, got {list(self.hidden)}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
         if self.loss not in ("asymmetric", "symmetric"):
@@ -216,7 +225,7 @@ def train(features, labels, cfg, num_classes=None, sample_weights=None):
     sample_weights, (N,) >= 0 with a positive sum, feed the class
     frequency computation (pixel basis).  Normalization statistics come
     from the training features.  Records the full-dataset loss after each
-    epoch in model.epoch_losses.
+    epoch in model.epoch_losses; an overflow or NaN in SGD raises ValueError.
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
@@ -249,21 +258,25 @@ def train(features, labels, cfg, num_classes=None, sample_weights=None):
         f = np.ones(num_classes)
     rng = np.random.default_rng(cfg.seed)
     velocity = zero_velocity(model)
-    for _ in range(cfg.epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            masks = None
-            if cfg.dropout > 0 and len(cfg.hidden) > 0:
-                # Inverted dropout on hidden activations.
-                masks = [
-                    (rng.random((len(idx), hsize)) >= cfg.dropout) / (1.0 - cfg.dropout)
-                    for hsize in cfg.hidden
-                ]
-            grads = loss_gradient(model, features[idx], labels[idx], f, masks)
-            sgd_step(model, grads, cfg, velocity)
-        probs = forward(model, features)
-        model.epoch_losses.append(asymmetric_loss(probs, labels, f))
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for _ in range(cfg.epochs):
+                order = rng.permutation(n)
+                for start in range(0, n, cfg.batch_size):
+                    idx = order[start : start + cfg.batch_size]
+                    masks = None
+                    if cfg.dropout > 0 and len(cfg.hidden) > 0:
+                        # Inverted dropout on hidden activations.
+                        masks = [
+                            (rng.random((len(idx), hsize)) >= cfg.dropout) / (1.0 - cfg.dropout)
+                            for hsize in cfg.hidden
+                        ]
+                    grads = loss_gradient(model, features[idx], labels[idx], f, masks)
+                    sgd_step(model, grads, cfg, velocity)
+                probs = forward(model, features)
+                model.epoch_losses.append(asymmetric_loss(probs, labels, f))
+    except FloatingPointError as exc:
+        raise ValueError(f"training diverged ({exc}); lower the learning rate") from None
     return model
 
 
@@ -275,7 +288,11 @@ def predict_labels(model, features):
 
 def write_model(model, path):
     """Serialize to ZOM1: magic, u32 C, u32 L, per-layer dims + f32 params,
-    then f32 mean and std vectors."""
+    then f32 mean and std vectors.  Refuses, before opening the file, a
+    parameter that is NaN or would overflow float32."""
+    params = [*model.weights, *model.biases, model.mean, model.std]
+    if not all((np.abs(p) < _F32_OVERFLOW).all() for p in params):  # no cast, no warning
+        raise ValueError("model parameters are NaN or beyond float32 range")
     with open(path, "wb") as fh:
         fh.write(b"ZOM1")
         fh.write(struct.pack("<II", model.num_classes, len(model.weights)))
@@ -288,14 +305,13 @@ def write_model(model, path):
         fh.write(model.std.astype("<f4").tobytes())
 
 
+@_names_path
 def read_model(path):
     """Read a ZOM1 model file.
 
     A truncated or inconsistent file, or one with a NaN or inf parameter,
     raises FormatError.
     """
-    from .core_io import FormatError
-
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:4] != b"ZOM1":

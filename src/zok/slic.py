@@ -23,9 +23,6 @@ import numpy as np
 from .core_io import rgb_to_lab
 from .zoomout import region_means
 
-# x and y columns of the (K, 5) labxy center array
-X, Y = 3, 4
-
 
 @dataclass
 class SlicParams:
@@ -73,15 +70,8 @@ def init_centers(lab, s):
     h, w = lab.shape[:2]
     xs = np.minimum(s / 2.0 + np.arange(math.ceil(w / s)) * s, w - 1.0)
     ys = np.minimum(s / 2.0 + np.arange(math.ceil(h / s)) * s, h - 1.0)
-    centers = np.empty((len(ys) * len(xs), 5))
-    i = 0
-    for cy in ys:
-        for cx in xs:
-            centers[i, :3] = lab[int(cy), int(cx)]
-            centers[i, X] = cx
-            centers[i, Y] = cy
-            i += 1
-    return centers
+    cx, cy = np.stack(np.meshgrid(xs, ys)).reshape(2, -1)
+    return np.column_stack([lab[cy.astype(int), cx.astype(int)], cx, cy])
 
 
 def gradient_map(lab):
@@ -90,12 +80,9 @@ def gradient_map(lab):
     G(x, y) = ||Lab(x+1,y) - Lab(x-1,y)||^2 + ||Lab(x,y+1) - Lab(x,y-1)||^2
     with coordinates clamped at the borders.
     """
-    h, w = lab.shape[:2]
-    xp = lab[:, np.minimum(np.arange(w) + 1, w - 1), :]
-    xm = lab[:, np.maximum(np.arange(w) - 1, 0), :]
-    yp = lab[np.minimum(np.arange(h) + 1, h - 1), :, :]
-    ym = lab[np.maximum(np.arange(h) - 1, 0), :, :]
-    return ((xp - xm) ** 2).sum(axis=2) + ((yp - ym) ** 2).sum(axis=2)
+    p = np.pad(lab, ((1, 1), (1, 1), (0, 0)), mode="edge")
+    return (((p[1:-1, 2:] - p[1:-1, :-2]) ** 2).sum(axis=2)
+            + ((p[2:, 1:-1] - p[:-2, 1:-1]) ** 2).sum(axis=2))
 
 
 def perturb_centers(lab, centers):
@@ -106,23 +93,36 @@ def perturb_centers(lab, centers):
     smallest row-major index wins.  Moved centers land on integer pixel
     positions and resample Lab there.
     """
-    h, w = lab.shape[:2]
     grad = gradient_map(lab)
-    out = centers.copy()
-    for i in range(len(centers)):
-        ax, ay = int(centers[i, X]), int(centers[i, Y])
-        best = grad[ay, ax]
-        bx = by = -1
-        for ny in range(max(0, ay - 1), min(h, ay + 2)):
-            for nx in range(max(0, ax - 1), min(w, ax + 2)):
-                if grad[ny, nx] < best:
-                    best = grad[ny, nx]
-                    bx, by = nx, ny
-        if bx >= 0:
-            out[i, :3] = lab[by, bx]
-            out[i, X] = bx
-            out[i, Y] = by
-    return out
+    ax, ay = centers[:, 3:].astype(int).T
+    # each center's 3x3 neighborhood in row-major order; off-image cells
+    # are +inf, so argmin picks the first minimum inside the image
+    dy, dx = np.divmod(np.arange(9), 3)
+    hood = np.pad(grad, 1, constant_values=np.inf)[ay[:, None] + dy, ax[:, None] + dx]
+    pick = hood.argmin(axis=1)
+    by, bx = ay + dy[pick] - 1, ax + dx[pick] - 1
+    moved = grad[by, bx] < grad[ay, ax]
+    return np.where(moved[:, None], np.column_stack([lab[by, bx], bx, by]), centers)
+
+
+def _windows(centers, s, shape):
+    """(K, 4) int rows (x0, x1, y0, y1): each center's inclusive search window
+    ceil(c - S)..floor(c + S), clipped to the image; empty where x0 > x1 or
+    y0 > y1."""
+    h, w = shape
+    lo = np.maximum(np.ceil(centers[:, 3:] - s), 0)
+    hi = np.minimum(np.floor(centers[:, 3:] + s), [w - 1, h - 1])
+    return np.column_stack([lo[:, 0], hi[:, 0], lo[:, 1], hi[:, 1]]).astype(np.int64)
+
+
+def _distance(pixels, centers, ratio):
+    """D = d_lab + ratio * d_xy between broadcastable (l, a, b, x, y) pixel
+    and center coordinate sequences; ratio is m / S."""
+    l, a, b, x, y = pixels
+    cl, ca, cb, cx, cy = centers
+    d_lab = np.sqrt((l - cl) ** 2 + (a - ca) ** 2 + (b - cb) ** 2)
+    d_xy = np.sqrt((x - cx) ** 2 + (y - cy) ** 2)
+    return d_lab + ratio * d_xy
 
 
 def assign_pixels(lab, centers, m, s):
@@ -140,22 +140,12 @@ def assign_pixels(lab, centers, m, s):
     ids = np.full((h, w), -1, dtype=np.int32)
     xs = np.arange(w, dtype=np.float64)
     ys = np.arange(h, dtype=np.float64)
-    for cid in range(len(centers)):
-        cl, ca, cb, cx, cy = centers[cid]
-        x0 = max(0, math.ceil(cx - s))
-        x1 = min(w - 1, math.floor(cx + s))
-        y0 = max(0, math.ceil(cy - s))
-        y1 = min(h - 1, math.floor(cy + s))
+    for cid, (x0, x1, y0, y1) in enumerate(_windows(centers, s, (h, w)).tolist()):
         if x0 > x1 or y0 > y1:
             continue
         win = lab[y0 : y1 + 1, x0 : x1 + 1]
-        d_lab = np.sqrt(
-            (win[:, :, 0] - cl) ** 2 + (win[:, :, 1] - ca) ** 2 + (win[:, :, 2] - cb) ** 2
-        )
-        d_xy = np.sqrt(
-            (xs[x0 : x1 + 1][None, :] - cx) ** 2 + (ys[y0 : y1 + 1][:, None] - cy) ** 2
-        )
-        d = d_lab + ratio * d_xy
+        d = _distance((win[:, :, 0], win[:, :, 1], win[:, :, 2],
+                       xs[None, x0 : x1 + 1], ys[y0 : y1 + 1, None]), centers[cid], ratio)
         bwin = best[y0 : y1 + 1, x0 : x1 + 1]
         upd = d < bwin
         bwin[upd] = d[upd]
@@ -163,13 +153,9 @@ def assign_pixels(lab, centers, m, s):
     missed = ids < 0
     if missed.any():
         my, mx = np.nonzero(missed)
-        pix = np.concatenate(
-            [lab[my, mx], mx[:, None].astype(np.float64), my[:, None].astype(np.float64)],
-            axis=1,
-        )
-        d_lab = np.sqrt(((pix[:, None, :3] - centers[None, :, :3]) ** 2).sum(axis=2))
-        d_xy = np.sqrt(((pix[:, None, 3:] - centers[None, :, 3:]) ** 2).sum(axis=2))
-        d = d_lab + ratio * d_xy
+        pixels = (*lab[my, mx].T[:, :, None], mx[:, None].astype(np.float64),
+                  my[:, None].astype(np.float64))
+        d = _distance(pixels, centers.T[:, None, :], ratio)
         ids[my, mx] = np.argmin(d, axis=1)  # argmin takes the first = smallest id
         best[my, mx] = d[np.arange(len(my)), ids[my, mx]]
     return ids, best
@@ -177,13 +163,8 @@ def assign_pixels(lab, centers, m, s):
 
 def window_eval_count(centers, s, shape):
     """Number of center/pixel distance evaluations one assignment pass does."""
-    h, w = shape
-    total = 0
-    for cx, cy in centers[:, 3:]:
-        nx = min(w - 1, math.floor(cx + s)) - max(0, math.ceil(cx - s)) + 1
-        ny = min(h - 1, math.floor(cy + s)) - max(0, math.ceil(cy - s)) + 1
-        total += max(0, nx) * max(0, ny)
-    return total
+    x0, x1, y0, y1 = _windows(centers, s, shape).T
+    return int((np.maximum(x1 - x0 + 1, 0) * np.maximum(y1 - y0 + 1, 0)).sum())
 
 
 def labxy_means(lab, spmap, k=None):
@@ -206,10 +187,7 @@ def update_centers(lab, spmap, centers):
 
 def compact_ids(spmap):
     """Renumber ids to a contiguous 0..K'-1 range, preserving order."""
-    used = np.unique(spmap)
-    remap = np.full(used.max() + 1 if len(used) else 1, -1, dtype=np.int32)
-    remap[used] = np.arange(len(used), dtype=np.int32)
-    return remap[spmap]
+    return np.unique(spmap, return_inverse=True)[1].reshape(spmap.shape).astype(np.int32)
 
 
 def _label_components(spmap):
@@ -330,20 +308,15 @@ def run_slic(img, params):
     centers are the mean labxy of each final region.
     """
     lab = rgb_to_lab(img)
-    h, w = lab.shape[:2]
-    s = grid_interval(h * w, params.k)
-    centers = init_centers(lab, s)
-    centers = perturb_centers(lab, centers)
+    s = grid_interval(lab.shape[0] * lab.shape[1], params.k)
+    centers = perturb_centers(lab, init_centers(lab, s))
     residual = math.inf
     history = []
-    iterations = 0
-    spmap = None
-    while iterations < params.max_iters and residual >= params.residual_threshold:
+    while len(history) < params.max_iters and residual >= params.residual_threshold:
         spmap, _ = assign_pixels(lab, centers, params.m, s)
         centers, residual = update_centers(lab, spmap, centers)
         history.append(residual)
-        iterations += 1
     spmap = compact_ids(spmap)
     if params.enforce_connectivity:
         spmap = enforce_connectivity(spmap)
-    return SlicResult(spmap, labxy_means(lab, spmap), iterations, history)
+    return SlicResult(spmap, labxy_means(lab, spmap), len(history), history)

@@ -7,11 +7,12 @@ is added per channel.  Generation is fully deterministic per seed.
 """
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core_io import _D65_WHITE, _SRGB_TO_XYZ, write_pgm, write_ppm
+from .core_io import (_D65_WHITE, _SRGB_TO_XYZ, read_pgm, read_ppm, write_pgm,
+                      write_ppm)
 
 _XYZ_TO_SRGB = np.linalg.inv(_SRGB_TO_XYZ)
 
@@ -62,10 +63,7 @@ class SyntheticSpec:
     size: int = 64                       # square images, size x size
     num_classes: int = 4
     kind: str = "blobs"                  # quadrants | blobs | stripes
-    colors: np.ndarray = None            # (C, 3) Lab; default palette
     noise_sigma: float = 0.0             # 8-bit Gaussian noise per channel
-    blob_count: tuple = (3, 6)           # inclusive range
-    blob_radius: tuple = field(default=None)  # default scaled to size
 
     def __post_init__(self):
         if self.size < 1:
@@ -74,11 +72,6 @@ class SyntheticSpec:
             raise ValueError("need at least 2 classes")
         if self.kind not in ("quadrants", "blobs", "stripes"):
             raise ValueError(f"unknown kind {self.kind!r}")
-        if self.colors is None:
-            self.colors = default_palette(self.num_classes)
-        self.colors = np.asarray(self.colors, dtype=np.float64)
-        if self.blob_radius is None:
-            self.blob_radius = (self.size // 8, self.size // 3)
 
 
 def _gt_quadrants(spec, rng):
@@ -91,15 +84,16 @@ def _gt_quadrants(spec, rng):
 
 
 def _gt_blobs(spec, rng):
+    """3 to 6 ellipses of random foreground classes, radii size/8..size/3."""
     size = spec.size
     gt = np.zeros((size, size), dtype=np.int32)
     ys, xs = np.mgrid[0:size, 0:size]
-    nblobs = int(rng.integers(spec.blob_count[0], spec.blob_count[1] + 1))
+    nblobs = int(rng.integers(3, 7))
     for _ in range(nblobs):
         cls = int(rng.integers(1, spec.num_classes))
         cy, cx = rng.uniform(0, size, size=2)
-        ry = rng.uniform(*spec.blob_radius)
-        rx = rng.uniform(*spec.blob_radius)
+        ry = rng.uniform(size // 8, size // 3)
+        rx = rng.uniform(size // 8, size // 3)
         mask = ((xs - cx) / rx) ** 2 + ((ys - cy) / ry) ** 2 <= 1.0
         gt[mask] = cls
     return gt
@@ -118,7 +112,7 @@ _GENERATORS = {"quadrants": _gt_quadrants, "blobs": _gt_blobs, "stripes": _gt_st
 def generate_image(spec, rng):
     """One (image, gt) pair; gt regions exactly match the painted shapes."""
     gt = _GENERATORS[spec.kind](spec, rng)
-    rgb = lab_to_rgb(spec.colors[gt]).astype(np.float64)
+    rgb = lab_to_rgb(default_palette(spec.num_classes)[gt]).astype(np.float64)
     if spec.noise_sigma > 0:
         rgb = rgb + rng.normal(0.0, spec.noise_sigma, size=rgb.shape)
     return np.clip(np.rint(rgb), 0, 255).astype(np.uint8), gt
@@ -145,8 +139,6 @@ def synth_generate(spec, count, seed, out_dir):
 
 def load_dataset(directory):
     """Read back img_*.ppm / gt_*.pgm pairs written by synth_generate."""
-    from .core_io import read_pgm, read_ppm
-
     names = sorted(f for f in os.listdir(directory) if f.startswith("img_") and f.endswith(".ppm"))
     pairs = []
     for name in names:

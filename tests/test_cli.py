@@ -585,6 +585,11 @@ class TestConfigValueTypes:
             "pipeline", {"train": {"batch_size": 0}, "train_dir": "MISSING"}, "batch_size"),
         "pipeline-proximal-radius-zero-no-train-dir": (
             "pipeline", {"proximal_radius": 0, "train_dir": "MISSING"}, "radius >= 1"),
+        "pipeline-hidden-zero-no-train-dir": (
+            "pipeline", {"train": {"hidden": [0]}, "train_dir": "MISSING"}, "hidden"),
+        "slic-config-key": ("slic", {"k": 4, "config": "other.json"}, "'config'"),
+        "rect-input-and-size": ("rect", {"input": "absent.ppm", "width": 5, "height": 3,
+                                         "count": 3}, "not both"),
     }
 
     @pytest.mark.parametrize("case", list(CASES))
@@ -688,17 +693,29 @@ class TestSeedFlag:
 
 
 class TestBadTrainingInputs:
-    """Labels out of the class range or of the wrong length, and sample
-    weights that are all zero or negative, exit 1 with one error line for
-    `train` and `pipeline` alike, never a traceback or a NaN model."""
+    """Labels out of the class range or of the wrong length, sample weights
+    that are all zero or negative, settings that cannot train and training
+    that diverges exit 1 with one error line for `train` and `pipeline`
+    alike, never a traceback, a RuntimeWarning or a model file."""
 
-    # case -> (array replaced, its new values, extra train flags, text the error holds)
+    # case -> (array replaced, its new values, extra train flags, text the error holds);
+    # the rows that test a flag rewrite w with its valid all-ones values
     CASES = {
         "train-label-above-classes": ("y", [0, 1, 0, 3], ["--classes", 3], "labels"),
         "train-labels-short": ("y", [0, 1, 0], [], "labels"),
         "train-labels-long": ("y", [0, 1, 0, 1, 0], [], "labels"),
         "train-weights-all-zero": ("w", [0.0, 0.0, 0.0, 0.0], [], "weights"),
         "train-weights-negative": ("w", [1.0, -1.0, 1.0, 1.0], [], "weights"),
+        "train-lr-diverges": ("w", [1.0, 1.0, 1.0, 1.0], ["--lr", 1e30, "--epochs", 5],
+                              "float32"),
+        "train-lr-overflows": ("w", [1.0, 1.0, 1.0, 1.0], ["--lr", 1e30, "--epochs", 50],
+                               "diverged"),
+        "train-momentum-negative": ("w", [1.0, 1.0, 1.0, 1.0], ["--momentum", -5],
+                                    "momentum"),
+        "train-momentum-one": ("w", [1.0, 1.0, 1.0, 1.0], ["--momentum", 1.0], "momentum"),
+        "train-weight-decay-negative": ("w", [1.0, 1.0, 1.0, 1.0], ["--weight-decay", -1],
+                                        "weight_decay"),
+        "train-hidden-zero": ("w", [1.0, 1.0, 1.0, 1.0], ["--hidden", 0], "hidden"),
         "pipeline-gt-label-above-classes": (None, None, None, "labels"),
     }
 
@@ -824,7 +841,7 @@ class TestMalformedInputFiles:
         capsys.readouterr()
         assert run(*self.argv(command, paths, replace=(flag, bad))) == 2
         err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("error:")
+        assert len(err) == 1 and err[0].startswith("error:") and str(bad) in err[0]
         assert not paths["out"].exists()
 
     @pytest.mark.parametrize("command", list(INPUT_ARGV))

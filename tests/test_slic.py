@@ -9,8 +9,8 @@ from hypothesis.extra.numpy import arrays
 
 from zok.core_io import rgb_to_lab
 from zok.slic import (SlicParams, _label_components, assign_pixels,
-                      compact_ids, enforce_connectivity, grid_interval,
-                      init_centers, perturb_centers, run_slic,
+                      compact_ids, enforce_connectivity, gradient_map,
+                      grid_interval, init_centers, perturb_centers, run_slic,
                       update_centers, window_eval_count)
 from zok.synth import SyntheticSpec, generate_dataset
 
@@ -484,6 +484,196 @@ class TestConnectivityOracle:
         out = enforce_connectivity(spmap)
         assert np.array_equal(out, [[0] * 8 + [1] * 6])
         assert np.array_equal(out, reference_enforce_connectivity(spmap))
+
+
+# Reference seeding, gradient, perturbation, assignment, window count and
+# id compaction: the loops and clamped gathers that the array versions
+# replaced, kept verbatim as the oracle for them.
+def reference_init_centers(lab, s):
+    h, w = lab.shape[:2]
+    xs = np.minimum(s / 2.0 + np.arange(math.ceil(w / s)) * s, w - 1.0)
+    ys = np.minimum(s / 2.0 + np.arange(math.ceil(h / s)) * s, h - 1.0)
+    centers = np.empty((len(ys) * len(xs), 5))
+    i = 0
+    for cy in ys:
+        for cx in xs:
+            centers[i, :3] = lab[int(cy), int(cx)]
+            centers[i, 3] = cx
+            centers[i, 4] = cy
+            i += 1
+    return centers
+
+
+def reference_gradient_map(lab):
+    h, w = lab.shape[:2]
+    xp = lab[:, np.minimum(np.arange(w) + 1, w - 1), :]
+    xm = lab[:, np.maximum(np.arange(w) - 1, 0), :]
+    yp = lab[np.minimum(np.arange(h) + 1, h - 1), :, :]
+    ym = lab[np.maximum(np.arange(h) - 1, 0), :, :]
+    return ((xp - xm) ** 2).sum(axis=2) + ((yp - ym) ** 2).sum(axis=2)
+
+
+def reference_perturb_centers(lab, centers):
+    h, w = lab.shape[:2]
+    grad = reference_gradient_map(lab)
+    out = centers.copy()
+    for i in range(len(centers)):
+        ax, ay = int(centers[i, 3]), int(centers[i, 4])
+        best = grad[ay, ax]
+        bx = by = -1
+        for ny in range(max(0, ay - 1), min(h, ay + 2)):
+            for nx in range(max(0, ax - 1), min(w, ax + 2)):
+                if grad[ny, nx] < best:
+                    best = grad[ny, nx]
+                    bx, by = nx, ny
+        if bx >= 0:
+            out[i, :3] = lab[by, bx]
+            out[i, 3] = bx
+            out[i, 4] = by
+    return out
+
+
+def reference_assign_pixels(lab, centers, m, s):
+    h, w = lab.shape[:2]
+    ratio = m / s
+    best = np.full((h, w), np.inf)
+    ids = np.full((h, w), -1, dtype=np.int32)
+    xs = np.arange(w, dtype=np.float64)
+    ys = np.arange(h, dtype=np.float64)
+    for cid in range(len(centers)):
+        cl, ca, cb, cx, cy = centers[cid]
+        x0 = max(0, math.ceil(cx - s))
+        x1 = min(w - 1, math.floor(cx + s))
+        y0 = max(0, math.ceil(cy - s))
+        y1 = min(h - 1, math.floor(cy + s))
+        if x0 > x1 or y0 > y1:
+            continue
+        win = lab[y0 : y1 + 1, x0 : x1 + 1]
+        d_lab = np.sqrt(
+            (win[:, :, 0] - cl) ** 2 + (win[:, :, 1] - ca) ** 2 + (win[:, :, 2] - cb) ** 2
+        )
+        d_xy = np.sqrt(
+            (xs[x0 : x1 + 1][None, :] - cx) ** 2 + (ys[y0 : y1 + 1][:, None] - cy) ** 2
+        )
+        d = d_lab + ratio * d_xy
+        bwin = best[y0 : y1 + 1, x0 : x1 + 1]
+        upd = d < bwin
+        bwin[upd] = d[upd]
+        ids[y0 : y1 + 1, x0 : x1 + 1][upd] = cid
+    missed = ids < 0
+    if missed.any():
+        my, mx = np.nonzero(missed)
+        pix = np.concatenate(
+            [lab[my, mx], mx[:, None].astype(np.float64), my[:, None].astype(np.float64)],
+            axis=1,
+        )
+        d_lab = np.sqrt(((pix[:, None, :3] - centers[None, :, :3]) ** 2).sum(axis=2))
+        d_xy = np.sqrt(((pix[:, None, 3:] - centers[None, :, 3:]) ** 2).sum(axis=2))
+        d = d_lab + ratio * d_xy
+        ids[my, mx] = np.argmin(d, axis=1)  # argmin takes the first = smallest id
+        best[my, mx] = d[np.arange(len(my)), ids[my, mx]]
+    return ids, best
+
+
+def reference_window_eval_count(centers, s, shape):
+    h, w = shape
+    total = 0
+    for cx, cy in centers[:, 3:]:
+        nx = min(w - 1, math.floor(cx + s)) - max(0, math.ceil(cx - s)) + 1
+        ny = min(h - 1, math.floor(cy + s)) - max(0, math.ceil(cy - s)) + 1
+        total += max(0, nx) * max(0, ny)
+    return total
+
+
+def reference_compact_ids(spmap):
+    used = np.unique(spmap)
+    remap = np.full(used.max() + 1 if len(used) else 1, -1, dtype=np.int32)
+    remap[used] = np.arange(len(used), dtype=np.int32)
+    return remap[spmap]
+
+
+def assert_seeding_matches_reference(lab, s):
+    """The gradient map and the seeded and perturbed centers equal the
+    reference's byte for byte; returns the perturbed centers."""
+    assert gradient_map(lab).tobytes() == reference_gradient_map(lab).tobytes()
+    centers = init_centers(lab, s)
+    assert centers.tobytes() == reference_init_centers(lab, s).tobytes()
+    perturbed = perturb_centers(lab, centers)
+    assert perturbed.tobytes() == reference_perturb_centers(lab, centers).tobytes()
+    return perturbed
+
+
+def assert_assignment_matches_reference(lab, centers, m, s):
+    """spmap, best distances, window count and compacted ids equal the
+    reference's."""
+    ids, best = assign_pixels(lab, centers, m, s)
+    ref_ids, ref_best = reference_assign_pixels(lab, centers, m, s)
+    assert ids.tobytes() == ref_ids.tobytes() and best.tobytes() == ref_best.tobytes()
+    assert compact_ids(ids).tobytes() == reference_compact_ids(ids).tobytes()
+    count = window_eval_count(centers, s, lab.shape[:2])
+    assert type(count) is int
+    assert count == reference_window_eval_count(centers, s, lab.shape[:2])
+
+
+@st.composite
+def slic_cases(draw):
+    """(Lab image 1..39 px a side, k, seed).  The image is Gaussian Lab,
+    quantized flat Lab (whose gradients tie), or the Lab of random RGB."""
+    h, w = draw(st.integers(1, 39)), draw(st.integers(1, 39))
+    kind = draw(st.sampled_from(["gaussian", "quantized", "rgb"]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    if kind == "gaussian":
+        lab = rng.normal(50.0, 30.0, (h, w, 3))
+    elif kind == "quantized":
+        lab = rng.integers(0, 2, (h, w, 3)) * 10.0
+    else:
+        lab = rgb_to_lab(rng.integers(0, 256, (h, w, 3), dtype=np.uint8))
+    return lab, draw(st.integers(1, h * w)), seed
+
+
+class TestSeedingAndAssignmentOracle:
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(slic_cases())
+    def test_random_images_match_reference(self, case):
+        lab, k, seed = case
+        h, w = lab.shape[:2]
+        s = grid_interval(h * w, k)
+        centers = assert_seeding_matches_reference(lab, s)
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 12))
+        # fractional centers anywhere in the image
+        inside = np.column_stack([rng.normal(50.0, 30.0, (n, 3)),
+                                  rng.uniform(0, w, n), rng.uniform(0, h, n)])
+        assert (perturb_centers(lab, inside).tobytes()
+                == reference_perturb_centers(lab, inside).tobytes())
+        # fractional centers up to 3 px beyond the borders, the first one on
+        # a border or one pixel past it; S = 0.7 leaves most pixels to the
+        # missed-pixel fallback
+        stray = np.column_stack([rng.normal(50.0, 30.0, (n, 3)),
+                                 rng.uniform(-3, w + 2, n), rng.uniform(-3, h + 2, n)])
+        stray[0, 3] = rng.choice([-1.0, 0.0, w - 1.0, float(w)])
+        stray[0, 4] = rng.choice([-1.0, 0.0, h - 1.0, float(h)])
+        for cs, ss in [(centers, s), (stray, s), (stray, 0.7)]:
+            assert_assignment_matches_reference(lab, cs, 15.0, ss)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 17), (23, 1)])
+    def test_point_and_line_images(self, shape):
+        rng = np.random.default_rng(shape[0] * 100 + shape[1])
+        lab = rgb_to_lab(rng.integers(0, 256, (*shape, 3), dtype=np.uint8))
+        for k in sorted({1, min(3, lab[..., 0].size), lab[..., 0].size}):
+            s = grid_interval(lab[..., 0].size, k)
+            centers = assert_seeding_matches_reference(lab, s)
+            assert_assignment_matches_reference(lab, centers, 15.0, s)
+
+    def test_missed_pixels_match_reference(self):
+        # with S = 0.7 the two windows cover only pixels (0, 0) and (3, 2);
+        # the other 10 of the 12 pixels go through the fallback
+        rng = np.random.default_rng(8)
+        lab = rgb_to_lab(rng.integers(0, 256, (3, 4, 3), dtype=np.uint8))
+        centers = np.array([[*lab[0, 0], 0.0, 0.0], [50.0, 5.0, -5.0, 3.5, 2.5]])
+        assert window_eval_count(centers, 0.7, (3, 4)) == 2
+        assert_assignment_matches_reference(lab, centers, 15.0, 0.7)
 
 
 class TestInvariants:

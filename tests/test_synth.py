@@ -28,7 +28,7 @@ class TestGeneration:
     def test_noiseless_colors_exact(self):
         spec = SyntheticSpec(size=16, num_classes=4, kind="quadrants", noise_sigma=0.0)
         img, gt = generate_image(spec, np.random.default_rng(0))
-        expected = lab_to_rgb(spec.colors[gt])
+        expected = lab_to_rgb(default_palette(spec.num_classes)[gt])
         assert np.array_equal(img, expected)
 
     def test_blobs_cover_foreground_classes(self):
