@@ -19,9 +19,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core_io import rgb_to_lab
 from .zoomout import region_means
+
+# Padded window cells one block of assign_pixels evaluates at most (unless
+# a single window is larger); bounds the block's temporaries, a few arrays
+# of this many float64, whatever the image size.
+_BLOCK_CELLS = 1 << 15
 
 
 @dataclass
@@ -35,10 +41,12 @@ class SlicParams:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        if self.m <= 0:
-            raise ValueError("m must be > 0")
+        if not 0 < self.m < math.inf:
+            raise ValueError(f"m must be finite and > 0, got {self.m}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
+        if math.isnan(self.residual_threshold):
+            raise ValueError("residual_threshold must not be NaN")
 
 
 @dataclass
@@ -117,40 +125,77 @@ def _windows(centers, s, shape):
 
 def _distance(pixels, centers, ratio):
     """D = d_lab + ratio * d_xy between broadcastable (l, a, b, x, y) pixel
-    and center coordinate sequences; ratio is m / S."""
+    and center coordinate sequences; ratio is m / S.
+
+    The l difference must already have the result's shape.  Every step
+    runs in place, in the order of d_lab = sqrt((l-cl)^2 + (a-ca)^2 +
+    (b-cb)^2), d_xy = sqrt((x-cx)^2 + (y-cy)^2), then d_lab + ratio*d_xy.
+    """
     l, a, b, x, y = pixels
     cl, ca, cb, cx, cy = centers
-    d_lab = np.sqrt((l - cl) ** 2 + (a - ca) ** 2 + (b - cb) ** 2)
-    d_xy = np.sqrt((x - cx) ** 2 + (y - cy) ** 2)
-    return d_lab + ratio * d_xy
+    d = np.square(np.subtract(l, cl))
+    t = np.empty_like(d)
+    d += np.square(np.subtract(a, ca, out=t), out=t)
+    d += np.square(np.subtract(b, cb, out=t), out=t)
+    np.sqrt(d, out=d)
+    np.sqrt(np.add(np.square(x - cx), np.square(y - cy), out=t), out=t)
+    d += np.multiply(t, ratio, out=t)
+    return d
 
 
 def assign_pixels(lab, centers, m, s):
     """Assign every pixel to its best center; returns (spmap, best distance).
 
-    Each center only competes inside its 2S x 2S window; ties go to the
-    smallest center id.  Pixels covered by no window fall back to the
-    globally nearest center.
+    Each center only competes inside its 2S x 2S window.  A pixel takes the
+    smallest distance of the windows that cover it and, among the centers
+    at that distance, the smallest id: what visiting the centers in id
+    order and replacing only on a strictly smaller distance gives.  A NaN
+    or +inf distance never wins.  Pixels where no window gives a distance
+    below +inf fall back to the globally nearest center.
+
+    The windows are evaluated in blocks of consecutive center ids, as many
+    per block as fit in _BLOCK_CELLS cells of the largest window, each
+    window padded to its block's largest.  Blocks run from the highest ids
+    down.  A block lowers `best` with one scattered fmin, and every pixel
+    where one of its distances equals the new best takes the smaller of
+    its id and the block's smallest center at that distance.  Every later
+    block holds smaller ids only, so a later tie or a later strictly
+    smaller distance both take over, as in the id-order visit.
     """
     if len(centers) == 0:
         raise ValueError("centers must be nonempty")
     h, w = lab.shape[:2]
     ratio = m / s
-    best = np.full((h, w), np.inf)
-    ids = np.full((h, w), -1, dtype=np.int32)
-    xs = np.arange(w, dtype=np.float64)
-    ys = np.arange(h, dtype=np.float64)
-    for cid, (x0, x1, y0, y1) in enumerate(_windows(centers, s, (h, w)).tolist()):
-        if x0 > x1 or y0 > y1:
-            continue
-        win = lab[y0 : y1 + 1, x0 : x1 + 1]
-        d = _distance((win[:, :, 0], win[:, :, 1], win[:, :, 2],
-                       xs[None, x0 : x1 + 1], ys[y0 : y1 + 1, None]), centers[cid], ratio)
-        bwin = best[y0 : y1 + 1, x0 : x1 + 1]
-        upd = d < bwin
-        bwin[upd] = d[upd]
-        ids[y0 : y1 + 1, x0 : x1 + 1][upd] = cid
-    missed = ids < 0
+    # the slot past the last pixel takes the padding cells
+    best = np.full(h * w + 1, np.inf)
+    ids = np.full(h * w + 1, np.iinfo(np.int32).max, dtype=np.int32)
+    bounds = _windows(centers, s, (h, w))
+    live = np.flatnonzero((bounds[:, 0] <= bounds[:, 1]) & (bounds[:, 2] <= bounds[:, 3]))
+    x0, x1, y0, y1 = bounds[live].T
+    widths, heights = x1 - x0 + 1, y1 - y0 + 1
+    step = max(1, _BLOCK_CELLS // int(widths.max(initial=1) * heights.max(initial=1)))
+    for lo in reversed(range(0, len(live), step)):
+        blk = slice(lo, lo + step)
+        bw, bh = int(widths[blk].max()), int(heights[blk].max())
+        # a padded window slides back inside the image; it still covers its
+        # center's window, and its cells outside that window go to the slot
+        sx, sy = np.minimum(x0[blk], w - bw), np.minimum(y0[blk], h - bh)
+        cols = sx[:, None] + np.arange(bw)
+        rows = sy[:, None] + np.arange(bh)
+        win = sliding_window_view(lab, (bh, bw), axis=(0, 1))[sy, sx]  # (K, 3, bh, bw)
+        d = _distance((*np.moveaxis(win, 1, 0), cols[:, None, :], rows[:, :, None]),
+                      centers[live[blk]].T[:, :, None, None], ratio).ravel()
+        del win  # the gathered Lab copy is the block's largest temporary
+        flat = (rows * w)[:, :, None] + cols[:, None, :]
+        flat[((cols < x0[blk, None]) | (cols > x1[blk, None]))[:, None, :]
+             | ((rows < y0[blk, None]) | (rows > y1[blk, None]))[:, :, None]] = h * w
+        flat = flat.ravel()
+        np.fmin.at(best, flat, d)
+        won = np.flatnonzero(d == best.take(flat))
+        per_center = np.diff(np.searchsorted(won, np.arange(len(cols) + 1) * (bh * bw)))
+        np.minimum.at(ids, flat.take(won), np.repeat(live[blk].astype(np.int32), per_center))
+    ids, best = ids[:-1].reshape(h, w), best[:-1].reshape(h, w)
+    missed = best == np.inf  # the id-order visit would have taken no distance here
     if missed.any():
         my, mx = np.nonzero(missed)
         pixels = (*lab[my, mx].T[:, :, None], mx[:, None].astype(np.float64),

@@ -288,6 +288,11 @@ class LocalizerConfig:
             raise ValueError(f"hidden must be >= 1, got {self.hidden}")
         if self.learning_rate <= 0:
             raise ValueError("learning rate must be > 0")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ValueError(f"LocalizerConfig momentum must be in [0, 1), got {self.momentum}")
+        if self.weight_decay < 0:
+            raise ValueError(
+                f"LocalizerConfig weight decay must be >= 0, got {self.weight_decay}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if self.model not in ("pixel", "global"):

@@ -53,6 +53,44 @@ class TestSlicCommand:
         assert run("slic", "--nonsense") == 1
 
 
+class TestNonFiniteSlicSettings:
+    """A NaN or infinite m and a NaN residual threshold exit 1 with one error
+    line that names the setting, for `slic` flags and a pipeline config
+    alike, and write nothing."""
+
+    # case -> (extra slic flags, or None for the pipeline, text the error holds)
+    CASES = {
+        "slic-m-nan": (["--m", "nan"], "m must be finite"),
+        "slic-m-inf": (["--m", "inf"], "m must be finite"),
+        "slic-residual-threshold-nan": (["--residual-threshold", "nan"],
+                                        "residual_threshold"),
+        "pipeline-m-nan": (None, "m must be finite"),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_exit_1_with_one_error_line(self, tmp_path, case):
+        flags, text = self.CASES[case]
+        spec = SyntheticSpec(size=32, num_classes=3, kind="blobs")
+        img_path, _ = synth_generate(spec, 1, 4, tmp_path / "data")[0]
+        out = tmp_path / "out"
+        if flags is None:
+            data = str(tmp_path / "data")
+            cfg = {"train_dir": data, "test_dir": data, "classes": 3,
+                   "slic": {"k": 16, "m": float("nan")}, "train": {"epochs": 1, "hidden": []},
+                   "report": str(out)}
+            (tmp_path / "cfg.json").write_text(json.dumps(cfg))  # writes the NaN literal
+            argv = ["pipeline", "--config", tmp_path / "cfg.json"]
+        else:
+            argv = ["slic", "--input", img_path, "--k", 16, *flags, "--out", out]
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-m", "zok.cli", *map(str, argv)],
+                              capture_output=True, text=True, env=env, timeout=300)
+        err = proc.stderr.strip().splitlines()
+        assert proc.returncode == 1, proc.stderr
+        assert len(err) == 1 and err[0].startswith("error:") and text in err[0], proc.stderr
+        assert not out.exists()
+
+
 class TestRectCommand:
     def test_grid_partition(self, tmp_path):
         out = tmp_path / "r.zot"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from zok import slic
 from zok.core_io import rgb_to_lab
 from zok.slic import (SlicParams, _label_components, assign_pixels,
                       compact_ids, enforce_connectivity, gradient_map,
@@ -632,6 +634,64 @@ def slic_cases(draw):
     return lab, draw(st.integers(1, h * w)), seed
 
 
+def tie_grid_case(shuffled):
+    """Quantized Lab and 42 centers of one color on a 4 px grid (S = 4):
+    every pixel midway between two row neighbours is at exactly the same
+    distance from both.  Returns (lab, centers, s)."""
+    rng = np.random.default_rng(21)
+    lab = rng.integers(0, 2, (24, 30, 3)) * 10.0
+    ys, xs = np.meshgrid(np.arange(2.0, 24, 4), np.arange(2.0, 30, 4), indexing="ij")
+    centers = np.column_stack([np.tile([10.0, 0.0, 10.0], (xs.size, 1)), xs.ravel(), ys.ravel()])
+    if shuffled:
+        centers = centers[rng.permutation(len(centers))]
+    return lab, centers, 4.0
+
+
+def nan_center_case():
+    """The tie grid with one center's Lab NaN: its distances never win."""
+    lab, centers, s = tie_grid_case(False)
+    centers[9, :3] = np.nan
+    return lab, centers, s
+
+
+def inf_center_case():
+    """Center 0's Lab is +inf, so its distances are +inf and the pixels only
+    its window covers take the fallback."""
+    rng = np.random.default_rng(23)
+    lab = rgb_to_lab(rng.integers(0, 256, (6, 6, 3), dtype=np.uint8))
+    centers = np.array([[np.inf, 0.0, 0.0, 1.0, 1.0], [50.0, 5.0, -5.0, 4.0, 4.0],
+                        [40.0, 0.0, 5.0, 4.0, 1.0]])
+    return lab, centers, 1.5
+
+
+def no_window_case():
+    """Every window lies off the image, so every pixel takes the fallback."""
+    rng = np.random.default_rng(22)
+    lab = rgb_to_lab(rng.integers(0, 256, (5, 7, 3), dtype=np.uint8))
+    centers = np.array([[50.0, 0.0, 0.0, -10.0, 2.0], [40.0, 5.0, 5.0, 3.0, 20.0],
+                        [60.0, -5.0, 5.0, 17.0, -9.0]])
+    return lab, centers, 1.5
+
+
+def missed_pixels_case():
+    """With S = 0.7 the two windows cover only pixels (0, 0) and (3, 2);
+    the other 10 of the 12 pixels go through the fallback."""
+    rng = np.random.default_rng(8)
+    lab = rgb_to_lab(rng.integers(0, 256, (3, 4, 3), dtype=np.uint8))
+    centers = np.array([[*lab[0, 0], 0.0, 0.0], [50.0, 5.0, -5.0, 3.5, 2.5]])
+    return lab, centers, 0.7
+
+
+BLOCK_EDGE_CASES = {
+    "ties": lambda: tie_grid_case(False),
+    "ties-shuffled": lambda: tie_grid_case(True),
+    "nan-center": nan_center_case,
+    "inf-center": inf_center_case,
+    "no-window": no_window_case,
+    "missed-pixels": missed_pixels_case,
+}
+
+
 class TestSeedingAndAssignmentOracle:
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(slic_cases())
@@ -667,13 +727,45 @@ class TestSeedingAndAssignmentOracle:
             assert_assignment_matches_reference(lab, centers, 15.0, s)
 
     def test_missed_pixels_match_reference(self):
-        # with S = 0.7 the two windows cover only pixels (0, 0) and (3, 2);
-        # the other 10 of the 12 pixels go through the fallback
-        rng = np.random.default_rng(8)
-        lab = rgb_to_lab(rng.integers(0, 256, (3, 4, 3), dtype=np.uint8))
-        centers = np.array([[*lab[0, 0], 0.0, 0.0], [50.0, 5.0, -5.0, 3.5, 2.5]])
-        assert window_eval_count(centers, 0.7, (3, 4)) == 2
-        assert_assignment_matches_reference(lab, centers, 15.0, 0.7)
+        lab, centers, s = missed_pixels_case()
+        assert window_eval_count(centers, s, (3, 4)) == 2
+        assert_assignment_matches_reference(lab, centers, 15.0, s)
+
+
+class TestBlockPass:
+    # block budget -> _BLOCK_CELLS as a multiple of the largest window's cells
+    # (the tie grid has 7 centers a row, so 10 a block splits rows)
+    BUDGETS = {"one-cell": lambda cells: 1, "mid-grid": lambda cells: 10 * cells,
+               "huge": lambda cells: 1 << 40}
+
+    @pytest.mark.parametrize("budget", list(BUDGETS))
+    @pytest.mark.parametrize("case", list(BLOCK_EDGE_CASES))
+    def test_block_edges_match_reference(self, monkeypatch, case, budget):
+        lab, centers, s = BLOCK_EDGE_CASES[case]()
+        x0, x1, y0, y1 = slic._windows(centers, s, lab.shape[:2]).T
+        cells = max(1, int((x1 - x0 + 1).max() * (y1 - y0 + 1).max()))
+        monkeypatch.setattr(slic, "_BLOCK_CELLS", self.BUDGETS[budget](cells))
+        assert_assignment_matches_reference(lab, centers, 15.0, s)
+        if case == "ties":
+            # centers 9 (10, 6) and 10 (14, 6) tie at pixel (12, 6); with the
+            # mid-grid budget they sit in different blocks
+            assert assign_pixels(lab, centers, 15.0, s)[0][6, 12] == 9
+        if case == "no-window":
+            assert window_eval_count(centers, s, lab.shape[:2]) == 0
+
+    def test_peak_memory_bounded_on_large_windows(self):
+        # 512^2 with k = 16: S = 128, windows of 257^2 cells, one per block
+        rng = np.random.default_rng(3)
+        lab = rng.normal(50.0, 30.0, (512, 512, 3))
+        s = grid_interval(512 * 512, 16)
+        centers = init_centers(lab, s)
+        tracemalloc.start()
+        try:
+            assign_pixels(lab, centers, 15.0, s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestInvariants:

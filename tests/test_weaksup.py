@@ -373,7 +373,8 @@ class TestLocalizer:
 
     @pytest.mark.parametrize("key,value", [
         ("restarts", 0), ("restarts", -5), ("epochs", -1), ("hidden", 0),
-        ("learning_rate", 0.0), ("model", "x"),
+        ("learning_rate", 0.0), ("model", "x"), ("momentum", -5), ("momentum", 1.0),
+        ("weight_decay", -1e-4),
     ])
     def test_config_rejects_bad_values(self, key, value):
         with pytest.raises(ValueError, match=key.replace("_", " ")):
