@@ -499,8 +499,7 @@ def pipeline_run(config):
         # what is left after iters and damping are image_crf's keywords
         iters, damping = crf_cfg.pop("iters"), crf_cfg.pop("damping")
         crf_mod.check_mean_field(iters, damping)
-        crf_mod.check_sigmas(crf_cfg["sigma_xy"], crf_cfg["sigma_lab"],
-                             crf_cfg["sigma_xy_smooth"])
+        crf_mod.check_image_crf(**crf_cfg)
     num_classes, ignore, oracle = cfg["classes"], cfg["ignore"], cfg["oracle"]
     levels = f"local,proximal:{cfg['proximal_radius']}"
     zoomout._parse_levels(levels)  # rejects a radius below 1 before any image loads

@@ -37,9 +37,9 @@ class Kernel:
     def __post_init__(self):
         self.precision = np.asarray(self.precision, dtype=np.float64)
         self.features = np.asarray(self.features, dtype=np.float64)
-        if self.weight < 0:
+        if not self.weight >= 0:  # NaN fails
             raise ValueError("kernel weight must be >= 0")
-        if np.any(self.precision <= 0):
+        if not np.all(self.precision > 0):
             raise ValueError("precision entries must be > 0")
         if self.features.ndim != 2 or self.features.shape[1:] != self.precision.shape:
             raise ValueError("feature/precision dimension mismatch")
@@ -219,10 +219,16 @@ def map_labels(q):
     return np.argmax(q, axis=1).astype(np.int32)
 
 
-def check_sigmas(sigma_xy, sigma_lab, sigma_xy_smooth):
-    """Raise ValueError unless every image_crf kernel width is > 0."""
-    if not min(sigma_xy, sigma_lab, sigma_xy_smooth) > 0:
-        raise ValueError("sigma_xy, sigma_lab and sigma_xy_smooth must be > 0")
+def check_image_crf(w_appearance, w_smooth, sigma_xy, sigma_lab, sigma_xy_smooth):
+    """Raise ValueError unless image_crf accepts these settings: kernel
+    weights finite and >= 0, kernel widths finite and > 0 (NaN fails both)."""
+    for name, weight in (("w_appearance", w_appearance), ("w_smooth", w_smooth)):
+        if not 0 <= weight < np.inf:
+            raise ValueError(f"{name} must be finite and >= 0, got {weight}")
+    for name, sigma in (("sigma_xy", sigma_xy), ("sigma_lab", sigma_lab),
+                        ("sigma_xy_smooth", sigma_xy_smooth)):
+        if not 0 < sigma < np.inf:
+            raise ValueError(f"{name} must be finite and > 0, got {sigma}")
 
 
 def image_crf(lab, probs, positions, w_appearance=3.0, w_smooth=1.0,
@@ -233,9 +239,9 @@ def image_crf(lab, probs, positions, w_appearance=3.0, w_smooth=1.0,
     is required; probs: (N, C) unary probabilities.  Two kernels:
     appearance over (x, y, l, a, b) and a smoothness kernel over position
     only.  Kernel widths enter as diagonal precisions 1/sigma^2, so every
-    sigma must be > 0.
+    sigma must be finite and > 0; the weights must be finite and >= 0.
     """
-    check_sigmas(sigma_xy, sigma_lab, sigma_xy_smooth)
+    check_image_crf(w_appearance, w_smooth, sigma_xy, sigma_lab, sigma_xy_smooth)
     kernels = [
         Kernel(w_appearance,
                [1 / sigma_xy**2, 1 / sigma_xy**2,

@@ -56,12 +56,13 @@ class TrainConfig:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.learning_rate <= 0:
-            raise ValueError("learning rate must be > 0")
+        # written so that NaN fails every range check
+        if not self.learning_rate > 0:
+            raise ValueError(f"learning rate must be > 0, got learning_rate={self.learning_rate}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
-        if self.weight_decay < 0:
-            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if not self.weight_decay >= 0:
+            raise ValueError(f"weight decay must be >= 0, got weight_decay={self.weight_decay}")
         if any(size < 1 for size in self.hidden):
             raise ValueError(f"hidden layer sizes must be >= 1, got {list(self.hidden)}")
         if not 0.0 <= self.dropout < 1.0:

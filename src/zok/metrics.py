@@ -103,6 +103,8 @@ def oracle_labels(gt, spmap, ignore=255):
 
 def depth_metrics(pred, gt, rel_denominator="pred"):
     """Five depth error measures over jointly valid (> 0) pixels."""
+    if rel_denominator not in ("pred", "gt"):
+        raise ValueError(f"rel_denominator must be 'pred' or 'gt', got {rel_denominator!r}")
     pred = np.asarray(pred, dtype=np.float64)
     gt = np.asarray(gt, dtype=np.float64)
     if pred.shape != gt.shape:

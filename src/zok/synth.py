@@ -72,6 +72,8 @@ class SyntheticSpec:
             raise ValueError("need at least 2 classes")
         if self.kind not in ("quadrants", "blobs", "stripes"):
             raise ValueError(f"unknown kind {self.kind!r}")
+        if not 0 <= self.noise_sigma < np.inf:  # NaN fails
+            raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
 
 
 def _gt_quadrants(spec, rng):

@@ -11,9 +11,10 @@ or the global softmax model
     p(c) = exp(max S) / (exp(max S) + exp(max Sbar)),
 
 and the binary image-level log-loss routes its gradient through the
-argmax location(s) only.  Trained score maps are turned into point-wise
-supervision by greedy diverse sampling: pick the highest-scoring
-location, then repeatedly pick the location maximizing
+argmax location(s) only; the reference code for both p(c) lives in the
+tests.  Trained score maps are turned into point-wise supervision by
+greedy diverse sampling: pick the highest-scoring location, then
+repeatedly pick the location maximizing
 
     S(i) * (1 - max_{chosen} |z_i . z_chosen|)
 
@@ -26,7 +27,7 @@ duplicates, so candidates are restricted to S(i) > 0; when no positive
 score exists the sampler falls back to plain score order.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,28 +45,6 @@ def _sigmoid(x):
         return 1.0 / (1.0 + np.exp(-x))
     e = np.exp(x)
     return e / (1.0 + e)
-
-
-def pixel_softmax_prob(s, sbar):
-    """Max over locations of the per-location foreground probability."""
-    s = np.asarray(s, dtype=np.float64)
-    sbar = np.asarray(sbar, dtype=np.float64)
-    if s.size == 0:
-        raise ValueError("empty score grid")
-    m = np.maximum(s, sbar)
-    es = np.exp(s - m)
-    return float((es / (es + np.exp(sbar - m))).max())
-
-
-def global_softmax_prob(s, sbar):
-    """Foreground probability from separately max-pooled score maps."""
-    s = np.asarray(s, dtype=np.float64)
-    sbar = np.asarray(sbar, dtype=np.float64)
-    if s.size == 0:
-        raise ValueError("empty score grid")
-    a, b = s.max(), sbar.max()
-    m = max(a, b)
-    return float(np.exp(a - m) / (np.exp(a - m) + np.exp(b - m)))
 
 
 def _argmax_loss(s, sbar, present, model):
@@ -96,23 +75,6 @@ def _argmax_loss(s, sbar, present, model):
     return loss, rows, delta
 
 
-def image_loss_and_grad(s, sbar, present, model="global"):
-    """Binary image-level log-loss and its gradient on the score grids.
-
-    The gradient is nonzero only at the argmax location(s): one location
-    (both channels) for the pixel model; the argmax of S and the argmax
-    of Sbar separately for the global model.  Returns (loss, dS, dSbar).
-    """
-    s = np.asarray(s, dtype=np.float64)
-    sbar = np.asarray(sbar, dtype=np.float64)
-    loss, rows, delta = _argmax_loss(s.ravel(), sbar.ravel(), present, model)
-    ds = np.zeros_like(s)
-    dsbar = np.zeros_like(sbar)
-    ds.flat[rows] = delta[:, 0]
-    dsbar.flat[rows] = delta[:, 1]
-    return loss, ds, dsbar
-
-
 def _field_stats(flats):
     """Per-dimension mean and floored std over the columns of (D, n) arrays."""
     allv = np.concatenate(flats, axis=1)
@@ -141,6 +103,12 @@ def normalize_features(fields):
     return out
 
 
+def _unit_rows(z):
+    """(N, D) rows of a (D, H, W) unit field, and the mask of its nonzero rows."""
+    zf = np.asarray(z, dtype=np.float64).reshape(np.shape(z)[0], -1).T
+    return zf, (zf**2).sum(axis=1) > _NORM_EPS
+
+
 def _flat_points(indices, width):
     return np.stack([indices // width, indices % width], axis=1).astype(np.int64)
 
@@ -159,8 +127,7 @@ def _score_order(scores_flat):
 
 def _greedy_diverse(scores_flat, sim_to, k):
     """Shared greedy loop: maximize score * (1 - current max similarity)."""
-    n = scores_flat.size
-    maxsim = np.zeros(n)
+    maxsim = np.zeros(scores_flat.size)
     available = scores_flat > 0
     chosen = []
     for _ in range(k):
@@ -172,13 +139,10 @@ def _greedy_diverse(scores_flat, sim_to, k):
         available[pick] = False
         np.maximum(maxsim, sim_to(pick), out=maxsim)
     if len(chosen) < k:
-        taken = set(chosen)
-        for idx in _score_order(scores_flat):
-            if len(chosen) == k or scores_flat[idx] == -np.inf:
-                break
-            if int(idx) not in taken:
-                chosen.append(int(idx))
-                taken.add(int(idx))
+        # the rest in score order, up to the first excluded (-inf) location
+        order = _score_order(scores_flat)
+        order = order[np.logical_and.accumulate(scores_flat[order] != -np.inf)]
+        chosen += order[~np.isin(order, chosen)][: k - len(chosen)].tolist()
     return chosen
 
 
@@ -191,14 +155,12 @@ def diverse_sample_fg(scores, z, k):
     candidates run out.
     """
     scores = np.asarray(scores, dtype=np.float64)
-    w = scores.shape[1]
     _check_k(k, scores.size)
-    zf = np.asarray(z, dtype=np.float64).reshape(z.shape[0], -1).T  # (N, D)
+    zf, valid = _unit_rows(z)
     flat = scores.ravel().copy()
-    valid = (zf**2).sum(axis=1) > _NORM_EPS
     flat[~valid] = -np.inf  # excluded from both greedy picks and fallback
     chosen = _greedy_diverse(flat, sim_to=lambda pick: np.abs(zf @ zf[pick]), k=k)
-    return _flat_points(np.array(chosen), w)
+    return _flat_points(np.array(chosen), scores.shape[1])
 
 
 def diverse_sample_bg(z, fg_points, k_bg):
@@ -211,13 +173,10 @@ def diverse_sample_bg(z, fg_points, k_bg):
     fg_points = np.asarray(fg_points)
     if fg_points.size == 0:
         raise ValueError("foreground samples must be nonempty")
-    z = np.asarray(z, dtype=np.float64)
-    w = z.shape[2]
-    zf = z.reshape(z.shape[0], -1).T
-    valid = (zf**2).sum(axis=1) > _NORM_EPS
+    zf, available = _unit_rows(z)
+    w = np.shape(z)[2]
     fg_idx = fg_points[:, 0] * w + fg_points[:, 1]
     obj = np.abs(zf @ zf[fg_idx].T).max(axis=1)
-    available = valid.copy()
     available[fg_idx] = False
     chosen = []
     for _ in range(k_bg):
@@ -282,36 +241,29 @@ class LocalizerConfig:
     seed: int = 0
     model: str = "global"     # image-level pooling scheme
     restarts: int = 3         # random-init restarts; best training loss wins
+    # the SGD settings above as the learner.TrainConfig every run steps with
+    sgd: learner.TrainConfig = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.hidden < 1:
-            raise ValueError(f"hidden must be >= 1, got {self.hidden}")
-        if self.learning_rate <= 0:
-            raise ValueError("learning rate must be > 0")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError(f"LocalizerConfig momentum must be in [0, 1), got {self.momentum}")
-        if self.weight_decay < 0:
-            raise ValueError(
-                f"LocalizerConfig weight decay must be >= 0, got {self.weight_decay}")
-        if self.epochs < 0:
-            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        try:
+            self.sgd = learner.TrainConfig(
+                epochs=self.epochs, learning_rate=self.learning_rate, momentum=self.momentum,
+                weight_decay=self.weight_decay, hidden=(self.hidden,))
+        except ValueError as exc:
+            raise ValueError(f"LocalizerConfig {exc}") from None
         if self.model not in ("pixel", "global"):
             raise ValueError(f"unknown model {self.model!r}")
         if self.restarts < 1:
             raise ValueError(f"restarts must be >= 1, got {self.restarts}")
 
 
-def _localizer_run(flats, present, cfg, mean, std, seed):
-    d = flats[0].shape[0]
-    model = learner.init_model([d, cfg.hidden, 2], seed, mean, std)
-    opt = learner.TrainConfig(
-        learning_rate=cfg.learning_rate, momentum=cfg.momentum,
-        weight_decay=cfg.weight_decay, seed=seed)
+def _localizer_run(normed, present, cfg, mean, std, seed):
+    """One seeded run on the fields' normalized (n, D) rows; returns (model, mean loss)."""
+    model = learner.init_model([normed[0].shape[1], cfg.hidden, 2], seed, mean, std)
     velocity = learner.zero_velocity(model)
     rng = np.random.default_rng(seed)
-    # learner.logits, inlined so that each image is normalized once and
-    # every full-grid pass writes into the same two buffers
-    normed = [(f.T - model.mean) / model.std for f in flats]
+    # learner.logits, inlined so that every full-grid pass writes into the
+    # same two buffers
     rows_max = max(len(a) for a in normed)
     hidden_buf = np.empty((rows_max, cfg.hidden))
     out_buf = np.empty((rows_max, 2))
@@ -329,18 +281,18 @@ def _localizer_run(flats, present, cfg, mean, std, seed):
         return out[:, 0], out[:, 1]
 
     for _ in range(cfg.epochs):
-        for img in rng.permutation(len(flats)):
+        for img in rng.permutation(len(normed)):
             _, rows, delta = _argmax_loss(*scores(img), present[img], cfg.model)
             keep = (delta != 0).any(axis=1)
             # the gradient rows get their own forward pass: slicing them
             # out of the full-grid buffer differs in the last bits
             a = normed[img][rows[keep]]
             grads = learner._backward(model, [a, hidden(a)], delta[keep])
-            learner.sgd_step(model, grads, opt, velocity)
+            learner.sgd_step(model, grads, cfg.sgd, velocity)
     total = 0.0
-    for img in range(len(flats)):
+    for img in range(len(normed)):
         total += _argmax_loss(*scores(img), present[img], cfg.model)[0]
-    return model, total / len(flats)
+    return model, total / len(normed)
 
 
 def train_localizer(fields, present, cfg):
@@ -350,22 +302,18 @@ def train_localizer(fields, present, cfg):
     The scorer is an MLP applied at every location, producing S and Sbar;
     the image-level loss backpropagates through its argmax location(s).
     The argmax routing makes training sensitive to initialization, so
-    cfg.restarts seeded runs are trained and the one with the lowest
-    training-set image loss wins.
+    cfg.restarts seeded runs are trained on the same normalized rows and
+    the first one with the lowest training-set image loss wins.
     """
     if not fields:
         raise ValueError("no training fields")
     d = fields[0].shape[0]
     flats = [np.asarray(f, dtype=np.float64).reshape(d, -1) for f in fields]
     mean, std = _field_stats(flats)
-    best = None
-    best_loss = np.inf
-    for r in range(cfg.restarts):
-        model, loss = _localizer_run(flats, present, cfg, mean, std,
-                                     cfg.seed + 1000 * r)
-        if loss < best_loss:
-            best, best_loss = model, loss
-    return best
+    normed = [(f.T - mean) / std for f in flats]
+    runs = [_localizer_run(normed, present, cfg, mean, std, cfg.seed + 1000 * r)
+            for r in range(cfg.restarts)]
+    return min(runs, key=lambda run: run[1])[0]
 
 
 def score_field(model, field):

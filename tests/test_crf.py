@@ -45,6 +45,11 @@ class TestKernelEval:
         assert all(a > b for a, b in zip(vals, vals[1:]))
         assert all(0 < v <= 1 for v in vals)
 
+    @pytest.mark.parametrize("weight,precision", [(math.nan, [1.0]), (1.0, [math.nan])])
+    def test_nan_weight_or_precision_rejected(self, weight, precision):
+        with pytest.raises(ValueError, match="weight|precision"):
+            Kernel(weight, precision, [[0.0], [1.0]])
+
     def test_dim_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
             Kernel(1.0, [1.0], [[1.0, 2.0], [1.0, 2.0]])
@@ -415,11 +420,18 @@ class TestHelpers:
         assert state.q.shape == (6, 4)
 
     @pytest.mark.parametrize("sigma", ["sigma_xy", "sigma_lab", "sigma_xy_smooth"])
-    @pytest.mark.parametrize("value", [0.0, -1.0])
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
     def test_image_crf_rejects_non_positive_sigma(self, sigma, value):
         lab, probs, pos = np.zeros((3, 3)), np.full((3, 2), 0.5), np.zeros((3, 2))
         with pytest.raises(ValueError, match=sigma):
             image_crf(lab, probs, pos, **{sigma: value})
+
+    @pytest.mark.parametrize("weight", ["w_appearance", "w_smooth"])
+    @pytest.mark.parametrize("value", [-1.0, math.nan, math.inf])
+    def test_image_crf_rejects_bad_weight(self, weight, value):
+        lab, probs, pos = np.zeros((3, 3)), np.full((3, 2), 0.5), np.zeros((3, 2))
+        with pytest.raises(ValueError, match=weight):
+            image_crf(lab, probs, pos, **{weight: value})
 
     def test_free_energy_entropy_term(self):
         # with zero unary and zero pairwise, F = -H(Q); onehot rows give 0

@@ -185,6 +185,10 @@ class TestDepthMetrics:
         scores = depth_metrics(pred, gt)
         assert scores.rmse_lin == 0.0  # only the two valid pixels count
 
+    def test_unknown_denominator_rejected(self):
+        with pytest.raises(ValueError, match="rel_denominator"):
+            depth_metrics(np.ones((2, 2)), np.ones((2, 2)), rel_denominator="bogus")
+
     def test_no_valid_pixels(self):
         with pytest.raises(ValueError):
             depth_metrics(np.zeros((2, 2)), np.zeros((2, 2)))

@@ -65,3 +65,6 @@ class TestGeneration:
             SyntheticSpec(num_classes=1)
         with pytest.raises(ValueError):
             SyntheticSpec(kind="donuts")
+        for noise in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="noise_sigma"):
+                SyntheticSpec(noise_sigma=noise)

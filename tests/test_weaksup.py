@@ -5,35 +5,78 @@ import pytest
 
 from test_learner import reference_backprop
 from zok import learner, weaksup
-from zok.weaksup import (LocalizerConfig, _sigmoid, _softplus, diverse_sample_bg,
-                         diverse_sample_fg, global_softmax_prob,
-                         image_loss_and_grad, normalize_features,
-                         pixel_softmax_prob, sample_foreground, score_field,
-                         spatial_diverse_sample, topk_sample, train_localizer)
+from zok.weaksup import (LocalizerConfig, _argmax_loss, _sigmoid, _softplus,
+                         diverse_sample_bg, diverse_sample_fg, normalize_features,
+                         sample_foreground, score_field, spatial_diverse_sample,
+                         topk_sample, train_localizer)
+
+
+# --- the paper's image-level probabilities, as weaksup computed them before
+# training came to need only _argmax_loss; kept verbatim as references
+
+
+def reference_pixel_softmax_prob(s, sbar):
+    """Max over locations of the per-location foreground probability."""
+    s = np.asarray(s, dtype=np.float64)
+    sbar = np.asarray(sbar, dtype=np.float64)
+    if s.size == 0:
+        raise ValueError("empty score grid")
+    m = np.maximum(s, sbar)
+    es = np.exp(s - m)
+    return float((es / (es + np.exp(sbar - m))).max())
+
+
+def reference_global_softmax_prob(s, sbar):
+    """Foreground probability from separately max-pooled score maps."""
+    s = np.asarray(s, dtype=np.float64)
+    sbar = np.asarray(sbar, dtype=np.float64)
+    if s.size == 0:
+        raise ValueError("empty score grid")
+    a, b = s.max(), sbar.max()
+    m = max(a, b)
+    return float(np.exp(a - m) / (np.exp(a - m) + np.exp(b - m)))
+
+
+REFERENCE_PROB = {"pixel": reference_pixel_softmax_prob,
+                  "global": reference_global_softmax_prob}
+
+
+def grid_loss_and_grad(s, sbar, present, model):
+    """_argmax_loss on two score grids, its (rows, delta) scattered onto
+    grids shaped like them: returns (loss, dS, dSbar)."""
+    s = np.asarray(s, dtype=np.float64)
+    sbar = np.asarray(sbar, dtype=np.float64)
+    loss, rows, delta = _argmax_loss(s.ravel(), sbar.ravel(), present, model)
+    ds = np.zeros_like(s)
+    dsbar = np.zeros_like(sbar)
+    ds.flat[rows] = delta[:, 0]
+    dsbar.flat[rows] = delta[:, 1]
+    return loss, ds, dsbar
 
 
 class TestPixelSoftmax:
     def test_equal_scores_half(self):
         s = np.zeros((3, 3))
-        assert pixel_softmax_prob(s, s) == pytest.approx(0.5)
+        assert reference_pixel_softmax_prob(s, s) == pytest.approx(0.5)
 
     def test_ln3_margin(self):
         s = np.full((2, 2), -1.0)
         sbar = np.full((2, 2), 0.0)
         s[1, 1] = math.log(3)
         sbar[1, 1] = 0.0
-        assert pixel_softmax_prob(s, sbar) == pytest.approx(0.75)
+        assert reference_pixel_softmax_prob(s, sbar) == pytest.approx(0.75)
 
     def test_single_location_equals_global(self):
         rng = np.random.default_rng(0)
         s = rng.normal(size=(1, 1))
         sbar = rng.normal(size=(1, 1))
-        assert pixel_softmax_prob(s, sbar) == pytest.approx(global_softmax_prob(s, sbar))
+        assert reference_pixel_softmax_prob(s, sbar) == pytest.approx(
+            reference_global_softmax_prob(s, sbar))
 
     def test_stable_at_large_scores(self):
         s = np.array([[800.0]])
         sbar = np.array([[799.0]])
-        p = pixel_softmax_prob(s, sbar)
+        p = reference_pixel_softmax_prob(s, sbar)
         assert 0.7 < p < 0.74
 
 
@@ -44,25 +87,25 @@ class TestGlobalSoftmax:
         s[0, 0] = 0.0
         sbar = rng.uniform(-1, 0, size=(3, 4))
         sbar[2, 1] = 0.0
-        assert global_softmax_prob(s, sbar) == pytest.approx(0.5)
+        assert reference_global_softmax_prob(s, sbar) == pytest.approx(0.5)
 
     def test_ln3_margin(self):
         s = np.array([[math.log(3), -5.0]])
         sbar = np.array([[0.0, -7.0]])
-        assert global_softmax_prob(s, sbar) == pytest.approx(0.75)
+        assert reference_global_softmax_prob(s, sbar) == pytest.approx(0.75)
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(2)
         s = rng.normal(size=(4, 4))
         sbar = rng.normal(size=(4, 4))
-        assert global_softmax_prob(s + 11.0, sbar + 11.0) == pytest.approx(
-            global_softmax_prob(s, sbar))
+        assert reference_global_softmax_prob(s + 11.0, sbar + 11.0) == pytest.approx(
+            reference_global_softmax_prob(s, sbar))
 
     def test_both_probabilities_in_unit_interval_and_monotone(self):
         rng = np.random.default_rng(3)
         s = rng.normal(size=(3, 3))
         sbar = rng.normal(size=(3, 3))
-        for fn in (pixel_softmax_prob, global_softmax_prob):
+        for fn in (reference_pixel_softmax_prob, reference_global_softmax_prob):
             base = fn(s, sbar)
             assert 0.0 < base < 1.0
             for idx in np.ndindex(3, 3):
@@ -77,7 +120,7 @@ class TestImageLossAndGrad:
         s[0, 1] = 20.0
         sbar = np.zeros((2, 2))
         for model in ("pixel", "global"):
-            loss, ds, dsbar = image_loss_and_grad(s, sbar, True, model)
+            loss, ds, dsbar = grid_loss_and_grad(s, sbar, True, model)
             assert loss < 1e-6
             assert np.abs(ds).max() < 1e-6 and np.abs(dsbar).max() < 1e-6
 
@@ -85,7 +128,7 @@ class TestImageLossAndGrad:
         rng = np.random.default_rng(4)
         s = rng.normal(size=(3, 4))
         sbar = rng.normal(size=(3, 4))
-        _, ds, dsbar = image_loss_and_grad(s, sbar, True, "pixel")
+        _, ds, dsbar = grid_loss_and_grad(s, sbar, True, "pixel")
         assert (ds != 0).sum() == 1
         assert (dsbar != 0).sum() == 1
         assert np.argmax(np.abs(ds)) == np.argmax(np.abs(dsbar))
@@ -94,7 +137,7 @@ class TestImageLossAndGrad:
         rng = np.random.default_rng(5)
         s = rng.normal(size=(3, 4))
         sbar = rng.normal(size=(3, 4))
-        _, ds, dsbar = image_loss_and_grad(s, sbar, False, "global")
+        _, ds, dsbar = grid_loss_and_grad(s, sbar, False, "global")
         assert (ds != 0).sum() == 1 and (dsbar != 0).sum() == 1
         cells = {np.flatnonzero(ds.ravel())[0], np.flatnonzero(dsbar.ravel())[0]}
         assert len(cells) in (1, 2)
@@ -105,18 +148,33 @@ class TestImageLossAndGrad:
         rng = np.random.default_rng(6)
         s = rng.normal(size=(3, 3))
         sbar = rng.normal(size=(3, 3))
-        _, ds, dsbar = image_loss_and_grad(s, sbar, present, model)
+        _, ds, dsbar = grid_loss_and_grad(s, sbar, present, model)
         h = 1e-6
         for grid, grad in ((s, ds), (sbar, dsbar)):
             for idx in np.ndindex(3, 3):
                 orig = grid[idx]
                 grid[idx] = orig + h
-                up = image_loss_and_grad(s, sbar, present, model)[0]
+                up = grid_loss_and_grad(s, sbar, present, model)[0]
                 grid[idx] = orig - h
-                down = image_loss_and_grad(s, sbar, present, model)[0]
+                down = grid_loss_and_grad(s, sbar, present, model)[0]
                 grid[idx] = orig
                 num = (up - down) / (2 * h)
                 assert abs(grad[idx] - num) <= 1e-4 * max(abs(num), 1e-6)
+
+
+    @pytest.mark.parametrize("model", ["pixel", "global"])
+    @pytest.mark.parametrize("present", [True, False])
+    def test_loss_matches_the_paper_probability(self, model, present):
+        # -log p for a present class, -log(1 - p) for an absent one
+        rng = np.random.default_rng(17)
+        for _ in range(50):
+            shape = tuple(rng.integers(1, 6, size=2))
+            s = rng.normal(0.0, rng.uniform(0.1, 4.0), size=shape)
+            sbar = rng.normal(0.0, rng.uniform(0.1, 4.0), size=shape)
+            p = REFERENCE_PROB[model](s, sbar)
+            want = -math.log(p) if present else -math.log1p(-p)
+            loss = _argmax_loss(s.ravel(), sbar.ravel(), present, model)[0]
+            assert loss == pytest.approx(want, rel=1e-9, abs=1e-12)
 
 
 class TestNormalizeFeatures:
@@ -247,6 +305,14 @@ class TestDiverseSampleFg:
         pts = diverse_sample_fg(scores, z, 2)
         assert [tuple(p) for p in pts] == [(0, 1), (0, 2)]
 
+    def test_fallback_skips_picks_and_zero_norm_locations(self):
+        # one positive score: the greedy pick, then the rest in score order,
+        # never repeating a pick and stopping where the zero-norm ones begin
+        scores = np.array([[-1.0, 2.0, -2.0, -0.5, -3.0]])
+        z = zfield([[1, 0], [0, 1], [1, 1], [0, 0], [1, 2]], 1, 5)
+        for k, want in ((1, [1]), (2, [1, 0]), (4, [1, 0, 2, 4]), (5, [1, 0, 2, 4])):
+            assert [int(c) for _, c in diverse_sample_fg(scores, z, k)] == want
+
     def test_k_larger_than_grid_rejected(self):
         with pytest.raises(ValueError):
             diverse_sample_fg(np.ones((2, 2)), np.ones((1, 2, 2)), 5)
@@ -352,8 +418,7 @@ class TestLocalizer:
         fields, present = self.make_dataset()
         cfg = LocalizerConfig(hidden=8, learning_rate=0.03, epochs=epochs, seed=1, model=model)
         net = train_localizer(fields, present, cfg)
-        prob_fn = global_softmax_prob if model == "global" else pixel_softmax_prob
-        probs = [prob_fn(*score_field(net, f)) for f in fields]
+        probs = [REFERENCE_PROB[model](*score_field(net, f)) for f in fields]
         correct = sum((p > 0.5) == is_pos for p, is_pos in zip(probs, present))
         assert correct / len(fields) >= 0.9
 
@@ -374,7 +439,7 @@ class TestLocalizer:
     @pytest.mark.parametrize("key,value", [
         ("restarts", 0), ("restarts", -5), ("epochs", -1), ("hidden", 0),
         ("learning_rate", 0.0), ("model", "x"), ("momentum", -5), ("momentum", 1.0),
-        ("weight_decay", -1e-4),
+        ("weight_decay", -1e-4), ("learning_rate", math.nan), ("weight_decay", math.nan),
     ])
     def test_config_rejects_bad_values(self, key, value):
         with pytest.raises(ValueError, match=key.replace("_", " ")):
@@ -388,7 +453,7 @@ def test_pipeline_requires_classifier_cfg():
 
 
 # --- the localizer's training loop before it was rewritten, kept verbatim
-# as the oracle for weaksup._localizer_run and image_loss_and_grad
+# as the oracle for weaksup._localizer_run and _argmax_loss
 
 
 def reference_image_loss_and_grad(s, sbar, present, model="global"):
@@ -461,15 +526,22 @@ def reference_localizer_run(flats, shapes, present, cfg, mean, std, seed):
     return model, total / len(flats)
 
 
-def run_both(fields, present, cfg, seed):
-    """(new, reference) results of one localizer run on the same inputs."""
+def reference_inputs(fields):
+    """(flats, shapes, mean, std) that reference_localizer_run takes."""
     d = fields[0].shape[0]
     flats = [np.asarray(f, dtype=np.float64).reshape(d, -1) for f in fields]
     shapes = [f.shape[1:] for f in fields]
     allv = np.concatenate(flats, axis=1)
     mean = allv.mean(axis=1)
     std = np.maximum(allv.std(axis=1), 1e-8)
-    new = weaksup._localizer_run(flats, present, cfg, mean, std, seed)
+    return flats, shapes, mean, std
+
+
+def run_both(fields, present, cfg, seed):
+    """(new, reference) results of one localizer run on the same inputs."""
+    flats, shapes, mean, std = reference_inputs(fields)
+    normed = [(f.T - mean) / std for f in flats]
+    new = weaksup._localizer_run(normed, present, cfg, mean, std, seed)
     ref = reference_localizer_run(flats, shapes, present, cfg, mean, std, seed)
     return new, ref
 
@@ -525,6 +597,26 @@ class TestLocalizerOracle:
         assert 0 in rows_per_step
         assert_same_run(new, ref)
 
+    @pytest.mark.parametrize("model", ["global", "pixel"])
+    def test_restarts_pick_the_lowest_loss_reference_run(self, model):
+        # every restart trains on the rows normalized once, by the statistics
+        # of the fields it is given (in the pipeline, one class's subset)
+        rng = np.random.default_rng(41)
+        fields = [rng.normal(0.0, rng.uniform(0.5, 3.0), size=(3, *rng.integers(2, 6, size=2)))
+                  for _ in range(5)]
+        present = [True, False, True, True, False]
+        cfg = LocalizerConfig(hidden=5, learning_rate=0.2, epochs=5, seed=6, model=model)
+        flats, shapes, mean, std = reference_inputs(fields)
+        runs = [reference_localizer_run(flats, shapes, present, cfg, mean, std,
+                                        cfg.seed + 1000 * r) for r in range(cfg.restarts)]
+        losses = [loss for _, loss in runs]
+        assert len(set(losses)) == cfg.restarts and np.argmin(losses) != 0  # a later run wins
+        want = runs[int(np.argmin(losses))][0]
+        got = train_localizer(fields, present, cfg)
+        for a, b in zip(got.weights + got.biases + [got.mean, got.std],
+                        want.weights + want.biases + [want.mean, want.std]):
+            assert a.tobytes() == b.tobytes()
+
 
 class TestImageLossOracle:
     @pytest.mark.parametrize("model", ["global", "pixel"])
@@ -537,7 +629,7 @@ class TestImageLossOracle:
         grids.append((np.full((2, 2), -800.0), np.zeros((2, 2))))       # p == 0.0
         grids.append((rng.normal(size=(4, 3)).T, rng.normal(size=(4, 3)).T))  # Fortran order
         for s, sbar in grids:
-            got = image_loss_and_grad(s, sbar, present, model)
+            got = grid_loss_and_grad(s, sbar, present, model)
             want = reference_image_loss_and_grad(s, sbar, present, model)
             for a, b in zip(got, want):
                 assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
@@ -546,10 +638,10 @@ class TestImageLossOracle:
         s = np.zeros((2, 3))
         sbar = np.zeros((2, 3))
         sbar[1, 2] = sbar[0, 1] = 1.0
-        _, ds, dsbar = image_loss_and_grad(s, sbar, True, "global")
+        _, ds, dsbar = grid_loss_and_grad(s, sbar, True, "global")
         assert np.flatnonzero(ds.ravel()).tolist() == [0]
         assert np.flatnonzero(dsbar.ravel()).tolist() == [1]
 
     def test_unknown_model_rejected(self):
         with pytest.raises(ValueError, match="unknown model"):
-            image_loss_and_grad(np.zeros((2, 2)), np.zeros((2, 2)), True, "mean")
+            grid_loss_and_grad(np.zeros((2, 2)), np.zeros((2, 2)), True, "mean")
