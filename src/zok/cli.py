@@ -10,7 +10,6 @@ a --seed, and the pipeline config a train.seed.
 """
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
@@ -20,7 +19,7 @@ import numpy as np
 
 from . import crf as crf_mod
 from . import learner, metrics, weaksup, zoomout
-from .core_io import (FormatError, read_pgm, read_ppm, read_tensor,
+from .core_io import (FormatError, _reader, read_pgm, read_ppm, read_tensor,
                       rgb_to_lab, write_pgm, write_tensor)
 from .slic import SlicParams, labxy_means, run_slic
 from .synth import SyntheticSpec, load_dataset, synth_generate
@@ -208,14 +207,13 @@ def _require(merged, keys, what):
         raise ValueError(f"missing required {what}: {missing}")
 
 
-def _load_json(path):
+@_reader(b"")
+def _load_json(data):
     """Parsed JSON file; bytes that are not UTF-8 JSON raise FormatError."""
-    with open(path, "rb") as fh:
-        data = fh.read()
     try:
         return json.loads(data.decode("utf-8"))
     except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
-        raise FormatError(f"{path}: not a UTF-8 JSON file: {exc}") from None
+        raise FormatError(f"not a UTF-8 JSON file: {exc}") from None
 
 
 def _merge_config(explicit, command):
@@ -272,7 +270,8 @@ def _write_spmap(spmap, path):
     write_tensor(spmap.astype(np.uint32), path)
 
 
-def _read_spmap(path):
+def _read_spmap(path, shape=None):
+    """The superpixel map at path as int32; shape, when given, is the image's."""
     sp = read_tensor(path)
     if sp.ndim != 2:
         raise ValueError("superpixel map must be a rank-2 tensor")
@@ -281,6 +280,8 @@ def _read_spmap(path):
     ids = np.unique(sp)
     if not np.array_equal(ids, np.arange(len(ids))):
         raise ValueError("superpixel ids must be contiguous 0..K-1")
+    if shape is not None and sp.shape != shape:
+        raise ValueError("superpixel map size != image size")
     return sp.astype(np.int32)
 
 
@@ -317,9 +318,7 @@ def _cmd_rect(args):
 
 def _cmd_features(args):
     img = read_ppm(args["image"])
-    spmap = _read_spmap(args["superpixels"])
-    if spmap.shape != img.shape[:2]:
-        raise ValueError("superpixel map size != image size")
+    spmap = _read_spmap(args["superpixels"], img.shape[:2])
     full = None
     if args.get("featmap"):
         full = zoomout.upsample_featuremap(_read_finite(args["featmap"], "featmap"),
@@ -399,9 +398,7 @@ def _cmd_crf(args):
         spmap = np.arange(h * w).reshape(h, w)  # every pixel is a node
         probs = unary.reshape(unary.shape[0], -1).T
     else:
-        spmap = _read_spmap(args["superpixels"])
-        if spmap.shape != (h, w):
-            raise ValueError("superpixel map size != image size")
+        spmap = _read_spmap(args["superpixels"], (h, w))
         if unary.ndim != 2 or unary.shape[0] != int(spmap.max()) + 1:
             raise ValueError("superpixel unary must be (K, C)")
         probs = unary
@@ -438,7 +435,7 @@ def _cmd_eval(args):
 def _cmd_eval_depth(args):
     pred = read_tensor(args["pred"]).astype(np.float64)
     gt = read_tensor(args["gt"]).astype(np.float64)
-    report = dataclasses.asdict(metrics.depth_metrics(pred, gt, args["rel_denominator"]))
+    report = metrics.depth_metrics(pred, gt, args["rel_denominator"])
     print(report_emit(report, args.get("out"), args["report"]))
 
 
@@ -484,13 +481,16 @@ def pipeline_run(config):
     The keys, their types and defaults are those of _PIPELINE; classes,
     test_dir and (unless oracle) train_dir are required.  crf null or {}
     skips the CRF stage, and report is the output path.  An unknown key,
-    a wrongly typed value or an out-of-range SLIC, train or CRF value, at
-    any level, raises ValueError before any image is loaded.  Returns the
-    report dict.
+    a wrongly typed value, classes below 1 or an out-of-range SLIC, train
+    or CRF value, at any level, raises ValueError before any image is
+    loaded; so does a directory without images once it is read.  Returns
+    the report dict.
     """
     cfg = _pipeline_section(config, "config")
     _require(cfg, {"classes", "test_dir"} | (set() if cfg["oracle"] else {"train_dir"}),
              "pipeline keys")
+    if cfg["classes"] < 1:
+        raise ValueError(f"classes must be >= 1, got {cfg['classes']}")
     params = SlicParams(**_pipeline_section(cfg["slic"], "slic"))
     train = _pipeline_section(cfg["train"], "train")
     train_cfg = learner.TrainConfig(**dict(train, hidden=tuple(train["hidden"])))

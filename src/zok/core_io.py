@@ -16,7 +16,9 @@ round-trip exactly.  Functions never mutate their inputs.
 """
 
 import functools
+import itertools
 import math
+import re
 import struct
 
 import numpy as np
@@ -26,70 +28,72 @@ class FormatError(Exception):
     """A file does not conform to its declared on-disk format."""
 
 
-def _names_path(read):
-    """Make the reader read(path) start each FormatError message with the path."""
-    @functools.wraps(read)
-    def reader(path):
-        try:
-            return read(path)
-        except FormatError as exc:
-            raise FormatError(f"{path}: {exc}") from None
-    return reader
+def _reader(magic):
+    """Make parse(data) a reader of one file, read(path).
+
+    The reader reads the whole file, checks that it starts with magic and
+    starts every FormatError message with the path.
+    """
+    def frame(parse):
+        @functools.wraps(parse)
+        def read(path):
+            with open(path, "rb") as fh:
+                data = fh.read()
+            try:
+                if not data.startswith(magic):
+                    raise FormatError(f"wrong magic: expected {magic!r}, "
+                                      f"got {data[:len(magic)]!r}")
+                return parse(data)
+            except FormatError as exc:
+                raise FormatError(f"{path}: {exc}") from None
+        return read
+    return frame
+
+
+def _payload(data, pos, shape, dtype):
+    """A fresh array of shape and dtype from data[pos:], which must hold it exactly."""
+    payload = memoryview(data)[pos:]
+    expected = math.prod(shape) * dtype.itemsize  # a Python int: never wraps
+    if len(payload) != expected:
+        raise FormatError(f"payload size mismatch: expected {expected} bytes, got {len(payload)}")
+    return np.frombuffer(payload, dtype=dtype).reshape(shape).copy()
 
 
 # ZOT1 dtype codes.
 _ZOT_DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<u4"), 2: np.dtype("<u2")}
-_ZOT_CODES = {np.dtype("float32"): 0, np.dtype("uint32"): 1, np.dtype("uint16"): 2}
+_ZOT_CODES = {dtype.newbyteorder("="): code for code, dtype in _ZOT_DTYPES.items()}
+
+# A Netpbm header token: a comment (# to end of line) or a run of
+# non-whitespace bytes, in which a # is an ordinary byte.
+_PNM_TOKEN = re.compile(rb"#[^\n]*|\S+")
 
 
-def _read_pnm_header(data, magic):
+def _pnm_header(data):
     """Parse a binary Netpbm header; return (width, height, maxval, offset).
 
-    Comments (# to end of line) and runs of whitespace are permitted
-    between tokens; exactly one whitespace byte separates the maxval from
-    the payload.
+    Comments and runs of whitespace are permitted between tokens; exactly
+    one byte, whitespace by convention, separates the maxval from the payload.
     """
-    if data[:2] != magic:
-        raise FormatError(f"wrong magic: expected {magic!r}, got {data[:2]!r}")
-    pos = 2
-    tokens = []
-    while len(tokens) < 3:
-        if pos >= len(data):
-            raise FormatError("truncated header")
-        c = data[pos : pos + 1]
-        if c == b"#":
-            while pos < len(data) and data[pos : pos + 1] != b"\n":
-                pos += 1
-        elif c.isspace():
-            pos += 1
-        else:
-            start = pos
-            while pos < len(data) and not data[pos : pos + 1].isspace():
-                pos += 1
-            tokens.append(data[start:pos])
-    pos += 1  # the single whitespace byte before the payload
+    fields = (m for m in _PNM_TOKEN.finditer(data, 2) if m[0][:1] != b"#")
+    tokens = list(itertools.islice(fields, 3))
+    if len(tokens) < 3:
+        raise FormatError("truncated header")
     try:
-        width, height, maxval = (int(t) for t in tokens)
+        width, height, maxval = (int(t[0]) for t in tokens)
     except ValueError as exc:
         raise FormatError(f"bad header token: {exc}") from exc
     if width < 1 or height < 1:
         raise FormatError(f"bad dimensions {width}x{height}")
-    return width, height, maxval, pos
+    return width, height, maxval, tokens[2].end() + 1
 
 
-@_names_path
-def read_ppm(path):
+@_reader(b"P6")
+def read_ppm(data):
     """Read a binary PPM (P6, maxval 255) into an (H, W, 3) uint8 array."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    width, height, maxval, pos = _read_pnm_header(data, b"P6")
+    width, height, maxval, pos = _pnm_header(data)
     if maxval != 255:
         raise FormatError(f"maxval must be 255, got {maxval}")
-    payload = data[pos:]
-    expected = width * height * 3
-    if len(payload) != expected:
-        raise FormatError(f"truncated payload: expected {expected} bytes, got {len(payload)}")
-    return np.frombuffer(payload, dtype=np.uint8).reshape(height, width, 3).copy()
+    return _payload(data, pos, (height, width, 3), np.dtype(np.uint8))
 
 
 def write_ppm(img, path):
@@ -103,25 +107,18 @@ def write_ppm(img, path):
         fh.write(img.tobytes())
 
 
-@_names_path
-def read_pgm(path):
+@_reader(b"P5")
+def read_pgm(data):
     """Read a binary PGM (P5) label map into an (H, W) uint16 array.
 
     Samples are 1 byte for maxval <= 255 and 2 bytes big-endian
     otherwise.  Values are preserved exactly.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
-    width, height, maxval, pos = _read_pnm_header(data, b"P5")
+    width, height, maxval, pos = _pnm_header(data)
     if not 1 <= maxval <= 65535:
         raise FormatError(f"maxval out of range: {maxval}")
     dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
-    payload = data[pos:]
-    expected = width * height * dtype.itemsize
-    if len(payload) != expected:
-        raise FormatError(f"truncated payload: expected {expected} bytes, got {len(payload)}")
-    arr = np.frombuffer(payload, dtype=dtype).reshape(height, width)
-    return arr.astype(np.uint16)
+    return _payload(data, pos, (height, width), dtype).astype(np.uint16)
 
 
 def write_pgm(labels, path):
@@ -142,13 +139,9 @@ def write_pgm(labels, path):
         fh.write(labels.astype(dtype).tobytes())
 
 
-@_names_path
-def read_tensor(path):
+@_reader(b"ZOT1")
+def read_tensor(data):
     """Read a ZOT1 tensor file into a numpy array (little-endian payload)."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:4] != b"ZOT1":
-        raise FormatError(f"wrong magic: {data[:4]!r}")
     if len(data) < 6:
         raise FormatError("truncated header")
     code, rank = data[4], data[5]
@@ -162,12 +155,7 @@ def read_tensor(path):
     dims = struct.unpack("<" + "I" * rank, data[6:header_end])
     if any(d < 1 for d in dims):
         raise FormatError(f"bad dims {dims}")
-    dtype = _ZOT_DTYPES[code]
-    expected = math.prod(dims) * dtype.itemsize
-    payload = data[header_end:]
-    if len(payload) != expected:
-        raise FormatError(f"payload size mismatch: expected {expected} bytes, got {len(payload)}")
-    return np.frombuffer(payload, dtype=dtype).reshape(dims).copy()
+    return _payload(data, header_end, dims, _ZOT_DTYPES[code])
 
 
 def write_tensor(arr, path):

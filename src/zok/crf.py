@@ -24,6 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .learner import _softmax
+
 BRUTE_FORCE_LIMIT = 2**20
 _PROB_FLOOR = 1e-12
 
@@ -183,34 +185,29 @@ def mean_field_refine(model, iters=10, damping=0.5, mode="parallel"):
     updates every node from the previous sweep; "sequential" updates
     nodes in index order using current values.  Both modes record the
     free energy of the initial Q and after every sweep; K Q is formed once
-    per sweep and serves that energy and the next parallel message.
+    per sweep and serves that energy and the next parallel message.  An
+    overflow or NaN in K or in a message raises ValueError.
     """
     check_mean_field(iters, damping, mode)
-    ksum = kernel_sum_matrix(model)
-    neg = -model.unary
-    neg = neg - neg.max(axis=1, keepdims=True)
-    q = np.exp(neg)
-    q /= q.sum(axis=1, keepdims=True)
-    kq = ksum @ q
-    energies = [free_energy(q, model, kq)]
-    for _ in range(iters):
-        if mode == "parallel":
-            msg = kq @ model.compat
-            logq = -model.unary - msg
-            logq -= logq.max(axis=1, keepdims=True)
-            qnew = np.exp(logq)
-            qnew /= qnew.sum(axis=1, keepdims=True)
-            q = (1.0 - damping) * qnew + damping * q
-        else:
-            for i in range(model.num_nodes):
-                msg = (ksum[i] @ q) @ model.compat
-                logq = -model.unary[i] - msg
-                logq -= logq.max()
-                qi = np.exp(logq)
-                qi /= qi.sum()
-                q[i] = (1.0 - damping) * qi + damping * q[i]
-        kq = ksum @ q
-        energies.append(free_energy(q, model, kq))
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            ksum = kernel_sum_matrix(model)
+            q = _softmax(-model.unary)
+            kq = ksum @ q
+            energies = [free_energy(q, model, kq)]
+            for _ in range(iters):
+                if mode == "parallel":
+                    qnew = _softmax(-model.unary - kq @ model.compat)
+                    q = (1.0 - damping) * qnew + damping * q
+                else:
+                    for i in range(model.num_nodes):
+                        qi = _softmax(-model.unary[i] - (ksum[i] @ q) @ model.compat)
+                        q[i] = (1.0 - damping) * qi + damping * q[i]
+                kq = ksum @ q
+                energies.append(free_energy(q, model, kq))
+    except FloatingPointError as exc:
+        raise ValueError(f"mean field left the float64 range ({exc}); lower the kernel "
+                         "weights or widen the kernels") from None
     return MeanFieldState(q, energies)
 
 
@@ -220,15 +217,27 @@ def map_labels(q):
 
 
 def check_image_crf(w_appearance, w_smooth, sigma_xy, sigma_lab, sigma_xy_smooth):
-    """Raise ValueError unless image_crf accepts these settings: kernel
-    weights finite and >= 0, kernel widths finite and > 0 (NaN fails both)."""
+    """Raise ValueError unless image_crf accepts these settings; return the
+    precisions 1/sigma^2 of sigma_xy, sigma_lab and sigma_xy_smooth.
+
+    Kernel weights must be finite and >= 0.  Each sigma must be > 0 with a
+    precision that is finite and > 0, so a sigma whose square underflows
+    to 0 or overflows fails, as NaN fails every check.
+    """
     for name, weight in (("w_appearance", w_appearance), ("w_smooth", w_smooth)):
         if not 0 <= weight < np.inf:
             raise ValueError(f"{name} must be finite and >= 0, got {weight}")
+    precisions = []
     for name, sigma in (("sigma_xy", sigma_xy), ("sigma_lab", sigma_lab),
                         ("sigma_xy_smooth", sigma_xy_smooth)):
-        if not 0 < sigma < np.inf:
-            raise ValueError(f"{name} must be finite and > 0, got {sigma}")
+        try:
+            precision = 1 / sigma**2
+        except (ZeroDivisionError, OverflowError):  # the square underflowed or overflowed
+            precision = np.inf
+        if not (sigma > 0 and 0 < precision < np.inf):
+            raise ValueError(f"{name} must be > 0 with 1/{name}^2 finite and > 0, got {sigma}")
+        precisions.append(precision)
+    return precisions
 
 
 def image_crf(lab, probs, positions, w_appearance=3.0, w_smooth=1.0,
@@ -238,15 +247,15 @@ def image_crf(lab, probs, positions, w_appearance=3.0, w_smooth=1.0,
     lab: (N, 3) mean Lab per node; positions: (N, 2) x,y per node, which
     is required; probs: (N, C) unary probabilities.  Two kernels:
     appearance over (x, y, l, a, b) and a smoothness kernel over position
-    only.  Kernel widths enter as diagonal precisions 1/sigma^2, so every
-    sigma must be finite and > 0; the weights must be finite and >= 0.
+    only.  Kernel widths enter as diagonal precisions 1/sigma^2, as
+    check_image_crf computes and bounds them; the weights must be finite
+    and >= 0.
     """
-    check_image_crf(w_appearance, w_smooth, sigma_xy, sigma_lab, sigma_xy_smooth)
+    p_xy, p_lab, p_smooth = check_image_crf(w_appearance, w_smooth, sigma_xy, sigma_lab,
+                                            sigma_xy_smooth)
     kernels = [
-        Kernel(w_appearance,
-               [1 / sigma_xy**2, 1 / sigma_xy**2,
-                1 / sigma_lab**2, 1 / sigma_lab**2, 1 / sigma_lab**2],
+        Kernel(w_appearance, [p_xy, p_xy, p_lab, p_lab, p_lab],
                np.concatenate([positions, lab], axis=1)),
-        Kernel(w_smooth, [1 / sigma_xy_smooth**2, 1 / sigma_xy_smooth**2], positions),
+        Kernel(w_smooth, [p_smooth, p_smooth], positions),
     ]
     return CrfModel(unary_from_probs(probs), kernels)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core_io import FormatError, _names_path
+from .core_io import FormatError, _reader
 
 _STD_FLOOR = 1e-8
 _PROB_FLOOR = 1e-12
@@ -107,9 +107,10 @@ def init_model(layer_sizes, seed, mean=None, std=None):
 
 
 def _softmax(logits):
-    z = logits - logits.max(axis=1, keepdims=True)
+    """Softmax along the last axis, of one row or of each row."""
+    z = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _forward_pass(model, x, dropout_masks=None):
@@ -187,7 +188,6 @@ def loss_gradient(model, x, labels, freqs, dropout_masks=None):
     forward pass supplies both the probabilities and the activations the
     backward pass reuses.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     labels = np.asarray(labels)
     acts, z = _forward_pass(model, x, dropout_masks)
     delta = _softmax(z)
@@ -247,10 +247,8 @@ def train(features, labels, cfg, num_classes=None, sample_weights=None):
                              f"got {sample_weights.shape}")
         if not ((sample_weights >= 0).all() and sample_weights.sum() > 0):
             raise ValueError("sample_weights must be >= 0 with a positive sum")
-    mean = features.mean(axis=0)
-    std = np.maximum(features.std(axis=0), _STD_FLOOR)
     sizes = [features.shape[1], *cfg.hidden, num_classes]
-    model = init_model(sizes, cfg.seed, mean, std)
+    model = init_model(sizes, cfg.seed, features.mean(axis=0), features.std(axis=0))
     if cfg.loss == "asymmetric":
         f = compute_class_frequencies(labels, sample_weights, num_classes)
         f[f == 0] = 1.0  # absent classes never occur in labels
@@ -306,17 +304,13 @@ def write_model(model, path):
         fh.write(model.std.astype("<f4").tobytes())
 
 
-@_names_path
-def read_model(path):
+@_reader(b"ZOM1")
+def read_model(data):
     """Read a ZOM1 model file.
 
     A truncated or inconsistent file, or one with a NaN or inf parameter,
     raises FormatError.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:4] != b"ZOM1":
-        raise FormatError(f"wrong magic: {data[:4]!r}")
     pos = 4
 
     def take(nbytes, what):

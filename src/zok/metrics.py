@@ -13,20 +13,7 @@ source material; pass rel_denominator="gt" for the conventional variant.
 Only pixels with positive depth in both maps are evaluated.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
-
-
-@dataclass
-class DepthScores:
-    rmse_lin: float
-    rmse_log: float
-    abs_rel: float
-    sqr_rel: float
-    delta_1: float
-    delta_2: float
-    delta_3: float
 
 
 def confusion(pred, gt, num_classes, ignore=255):
@@ -102,7 +89,7 @@ def oracle_labels(gt, spmap, ignore=255):
 
 
 def depth_metrics(pred, gt, rel_denominator="pred"):
-    """Five depth error measures over jointly valid (> 0) pixels."""
+    """Five depth error measures over jointly valid (> 0) pixels, as a dict of floats."""
     if rel_denominator not in ("pred", "gt"):
         raise ValueError(f"rel_denominator must be 'pred' or 'gt', got {rel_denominator!r}")
     pred = np.asarray(pred, dtype=np.float64)
@@ -116,12 +103,12 @@ def depth_metrics(pred, gt, rel_denominator="pred"):
     yhat = pred[valid]
     denom = yhat if rel_denominator == "pred" else y
     ratio = np.maximum(y / yhat, yhat / y)
-    return DepthScores(
-        rmse_lin=float(np.sqrt(((y - yhat) ** 2).mean())),
-        rmse_log=float(np.sqrt(((np.log(y) - np.log(yhat)) ** 2).mean())),
-        abs_rel=float((np.abs(y - yhat) / denom).mean()),
-        sqr_rel=float(((y - yhat) ** 2 / denom).mean()),
-        delta_1=float((ratio < 1.25).mean()),
-        delta_2=float((ratio < 1.25**2).mean()),
-        delta_3=float((ratio < 1.25**3).mean()),
-    )
+    return {
+        "rmse_lin": float(np.sqrt(((y - yhat) ** 2).mean())),
+        "rmse_log": float(np.sqrt(((np.log(y) - np.log(yhat)) ** 2).mean())),
+        "abs_rel": float((np.abs(y - yhat) / denom).mean()),
+        "sqr_rel": float(((y - yhat) ** 2 / denom).mean()),
+        "delta_1": float((ratio < 1.25).mean()),
+        "delta_2": float((ratio < 1.25**2).mean()),
+        "delta_3": float((ratio < 1.25**3).mean()),
+    }

@@ -22,7 +22,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .core_io import rgb_to_lab
-from .zoomout import region_means
+from .zoomout import boundary_pairs, region_means
 
 # Padded window cells one block of assign_pixels evaluates at most (unless
 # a single window is larger); bounds the block's temporaries, a few arrays
@@ -291,11 +291,7 @@ def _boundary_votes(comp, sources):
     pairs (p, q) are 4-adjacent with p in component src and q in dst != src.
     """
     n = int(comp.max()) + 1
-    a = np.concatenate([comp[:, :-1].ravel(), comp[:-1, :].ravel()]).astype(np.int64)
-    b = np.concatenate([comp[:, 1:].ravel(), comp[1:, :].ravel()]).astype(np.int64)
-    cross = a != b
-    src = np.concatenate([a[cross], b[cross]])
-    dst = np.concatenate([b[cross], a[cross]])
+    src, dst = boundary_pairs(comp)
     keep = sources[src]
     pairs, counts = np.unique(src[keep] * n + dst[keep], return_counts=True)
     src, dst = np.divmod(pairs, n)

@@ -127,7 +127,9 @@ def generate_dataset(spec, count, seed):
 
 
 def synth_generate(spec, count, seed, out_dir):
-    """Write img_NNNN.ppm / gt_NNNN.pgm pairs to out_dir."""
+    """Write count >= 1 img_NNNN.ppm / gt_NNNN.pgm pairs to out_dir."""
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
     os.makedirs(out_dir, exist_ok=True)
     paths = []
     for i, (img, gt) in enumerate(generate_dataset(spec, count, seed)):
@@ -140,8 +142,11 @@ def synth_generate(spec, count, seed, out_dir):
 
 
 def load_dataset(directory):
-    """Read back img_*.ppm / gt_*.pgm pairs written by synth_generate."""
+    """Read back img_*.ppm / gt_*.pgm pairs written by synth_generate; a
+    directory without an img_*.ppm raises ValueError."""
     names = sorted(f for f in os.listdir(directory) if f.startswith("img_") and f.endswith(".ppm"))
+    if not names:
+        raise ValueError(f"no img_*.ppm images in {directory}")
     pairs = []
     for name in names:
         gt_name = name.replace("img_", "gt_").replace(".ppm", ".pgm")

@@ -25,6 +25,17 @@ _COARSE_BINS = 8
 LOCAL_COLOR_DIM = 3 * (_FINE_BINS + _COARSE_BINS) * 2 + 3  # fixed + entropy + adaptive
 
 
+def boundary_pairs(labels):
+    """Labels (src, dst) of every ordered pair of 4-adjacent pixels whose
+    labels differ, as int64 arrays; each unordered pair appears both ways."""
+    labels = np.asarray(labels)
+    a = np.concatenate([labels[:, :-1].ravel(), labels[:-1, :].ravel()]).astype(np.int64)
+    b = np.concatenate([labels[:, 1:].ravel(), labels[1:, :].ravel()]).astype(np.int64)
+    cross = a != b
+    a, b = a[cross], b[cross]
+    return np.concatenate([a, b]), np.concatenate([b, a])
+
+
 def build_adjacency(spmap):
     """Adjacency lists of superpixels sharing a 4-connected boundary.
 
@@ -33,14 +44,8 @@ def build_adjacency(spmap):
     """
     spmap = np.asarray(spmap)
     k = int(spmap.max()) + 1
-    keys = []
-    for a, b in ((spmap[:, :-1], spmap[:, 1:]), (spmap[:-1, :], spmap[1:, :])):
-        a, b = a.ravel().astype(np.int64), b.ravel().astype(np.int64)
-        mask = a != b
-        a, b = a[mask], b[mask]
-        keys += [a * k + b, b * k + a]
-    # each edge in both directions, sorted by (row, neighbour)
-    keys = np.unique(np.concatenate(keys))
+    src, dst = boundary_pairs(spmap)
+    keys = np.unique(src * k + dst)  # sorted by (row, neighbour)
     bounds = np.searchsorted(keys, np.arange(1, k, dtype=np.int64) * k)
     return np.split(keys % k, bounds)
 

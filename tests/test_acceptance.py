@@ -361,5 +361,5 @@ def test_9_format_fidelity(tmp_path):
 
         gt = rng.uniform(1.0, 5.0, size=(8, 8))
         scores = metrics.depth_metrics(1.2 * gt, gt)
-        assert scores.delta_1 == 1.0
-        assert scores.rmse_log == pytest.approx(0.18232, abs=1e-4)
+        assert scores["delta_1"] == 1.0
+        assert scores["rmse_log"] == pytest.approx(0.18232, abs=1e-4)

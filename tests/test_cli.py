@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from zok import cli, crf, learner
+from zok import cli, crf, learner, zoomout
 from zok.core_io import read_tensor, rgb_to_lab, write_pgm, write_ppm, write_tensor
 from zok.slic import labxy_means
 from zok.synth import SyntheticSpec, synth_generate
@@ -393,7 +393,10 @@ class TestCrfCommand:
     @pytest.mark.parametrize("flag,value", [
         ("--w-appearance", "nan"), ("--w-appearance", "inf"), ("--w-appearance", -1),
         ("--w-smooth", "nan"), ("--sigma-xy", "inf"), ("--sigma-lab", "nan"),
-        ("--sigma-xy-smooth", "nan")])
+        ("--sigma-xy-smooth", "nan"),
+        # 1/sigma^2 is inf or 0 in float64
+        *[(flag, value) for flag in ("--sigma-xy", "--sigma-lab", "--sigma-xy-smooth")
+          for value in ("1e-300", "5e-324", "1e300", "1e308")]])
     def test_bad_kernel_setting_exit_1(self, tmp_path, capsys, quad_image, flag, value):
         img_path, _ = quad_image
         write_tensor(np.full((4, 32, 32), 0.25, dtype=np.float32), tmp_path / "u.zot")
@@ -404,6 +407,37 @@ class TestCrfCommand:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
         assert flag[2:].replace("-", "_") in err[0]
+        assert not out.exists()
+
+    WIDE = ["--sigma-xy", "1e10", "--sigma-lab", "1e10", "--sigma-xy-smooth", "1e10"]
+
+    @pytest.mark.parametrize("case,flags", [
+        ("superpixels", ["--w-appearance", "1e308", "--w-smooth", "1e308", *WIDE]),
+        ("pixels", ["--w-appearance", "1e308", "--w-smooth", "1e308", *WIDE]),
+        ("superpixels", ["--w-appearance", "1.7e308"]),
+        ("superpixels", ["--w-appearance", "1e308", "--w-smooth", "1e308", *WIDE,
+                         "--mode", "sequential"])])
+    def test_mean_field_overflow_exit_1(self, tmp_path, capsys, quad_image, case, flags):
+        # K or a message leaves the float64 range: no NaN output, no file
+        img_path, _ = quad_image
+        rng = np.random.default_rng(6)
+        if case == "pixels":
+            unary = rng.dirichlet(np.ones(3), size=32 * 32).T.reshape(3, 32, 32).copy()
+            more = []
+        else:
+            write_tensor(zoomout.rect_regions(32, 32, 16).astype(np.uint32), tmp_path / "sp.zot")
+            unary = rng.dirichlet(np.ones(3), size=16)
+            more = ["--superpixels", tmp_path / "sp.zot"]
+        write_tensor(unary.astype(np.float32), tmp_path / "u.zot")
+        out = tmp_path / "q.zot"
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run("crf", "--unary", tmp_path / "u.zot", "--image", img_path, *more,
+                       *flags, "--out", out) == 1
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "float64 range" in err[0]
         assert not out.exists()
 
     def test_superpixel_mode(self, tmp_path, quad_image):
@@ -551,6 +585,15 @@ class TestSynthCommand:
         assert run("synth", "--out", out, "--count", 2, "--size", 0) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_count_below_one_exit_1(self, tmp_path, capsys, count):
+        out = tmp_path / "data"
+        capsys.readouterr()
+        assert run("synth", "--out", out, "--size", 8, "--count", count) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "count" in err[0]
+        assert not out.exists()
+
     @pytest.mark.parametrize("noise", ["nan", -1, "inf"])
     def test_bad_noise_exit_1(self, tmp_path, capsys, noise):
         out = tmp_path / "data"
@@ -606,6 +649,26 @@ class TestPipelineCommand:
         assert run("pipeline", "--config", cfg_path) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and typo in err[0]
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("empty", ["train_dir", "test_dir"])
+    def test_directory_without_images_exit_1(self, tmp_path, capsys, empty):
+        synth_generate(SyntheticSpec(size=16, num_classes=4, kind="quadrants"), 1, 0,
+                       tmp_path / "data")
+        (tmp_path / "empty").mkdir()
+        cfg = {"train_dir": str(tmp_path / "data"), "test_dir": str(tmp_path / "data"),
+               "classes": 4, "slic": {"k": 4, "m": 10}, "train": {"epochs": 1},
+               "report": str(tmp_path / "report.json")}
+        cfg[empty] = str(tmp_path / "empty")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run("pipeline", "--config", cfg_path) == 1
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and str(tmp_path / "empty") in err[0]
         assert not (tmp_path / "report.json").exists()
 
     def test_missing_dir_exit_2(self, tmp_path):
@@ -670,6 +733,18 @@ class TestConfigValueTypes:
         "pipeline-crf-w-smooth-nan": ("pipeline", {"crf": {"w_smooth": math.nan}}, "w_smooth"),
         "pipeline-crf-w-smooth-nan-no-train-dir": (
             "pipeline", {"crf": {"w_smooth": math.nan}, "train_dir": "MISSING"}, "w_smooth"),
+        "pipeline-classes-zero-no-train-dir": (
+            "pipeline", {"classes": 0, "train_dir": "MISSING"}, "classes must be >= 1"),
+        "pipeline-classes-negative-no-train-dir": (
+            "pipeline", {"classes": -2, "train_dir": "MISSING"}, "classes must be >= 1"),
+        "pipeline-crf-sigma-tiny-no-train-dir": (
+            "pipeline", {"crf": {"sigma_xy": 1e-300}, "train_dir": "MISSING"}, "sigma_xy"),
+        "pipeline-crf-sigma-huge-no-train-dir": (
+            "pipeline", {"crf": {"sigma_lab": 1e308}, "train_dir": "MISSING"}, "sigma_lab"),
+        "pipeline-crf-overflow": (
+            "pipeline", {"crf": {"w_appearance": 1e308, "w_smooth": 1e308, "sigma_xy": 1e10,
+                                 "sigma_lab": 1e10, "sigma_xy_smooth": 1e10}},
+            "[crf] mean field left the float64 range"),
         "slic-config-key": ("slic", {"k": 4, "config": "other.json"}, "'config'"),
         "rect-input-and-size": ("rect", {"input": "absent.ppm", "width": 5, "height": 3,
                                          "count": 3}, "not both"),
@@ -956,13 +1031,24 @@ class TestMalformedInputFiles:
         assert len(err) == 1 and err[0].startswith("error:")
 
 
+def written_finite(out):
+    """Whether an output holds no NaN or inf: a model (read_model refuses
+    non-finite parameters), a tensor, or a synth directory of 8-bit files."""
+    if out.is_dir():
+        return True
+    if out.read_bytes()[:4] == b"ZOM1":
+        return learner.read_model(out) is not None
+    return bool(np.isfinite(read_tensor(out)).all())
+
+
 FLOAT_FLAGS = [(command, flags[0]) for command, spec in cli._SPECS.items()
                for flags, kwargs in spec if kwargs.get("type") is float]
 
 
 class TestNanFloatFlags:
     """Every float flag of every subcommand, given NaN beside otherwise valid
-    inputs, exits 1 with one error line, writes nothing and warns nothing."""
+    inputs, exits 1 with one error line, writes nothing and warns nothing;
+    given 1e-300 or 1e300 it does that or exits 0 with finite output."""
 
     def test_flags_found(self):
         assert ("train", "--lr") in FLOAT_FLAGS and ("synth", "--noise") in FLOAT_FLAGS
@@ -978,3 +1064,22 @@ class TestNanFloatFlags:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
         assert not paths["out"].exists()
+
+    @pytest.mark.parametrize("value", ["1e-300", "1e300"])
+    @pytest.mark.parametrize("command,flag", FLOAT_FLAGS)
+    def test_extreme_value_exit_0_or_1(self, tmp_path, capsys, command, flag, value):
+        # a value at either end of the float range either runs cleanly or is
+        # refused with one error line; never a traceback, warning or NaN
+        paths = dict(valid_input_files(tmp_path), out=tmp_path / "out")
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(*input_argv(command, paths), flag, value)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        err = capsys.readouterr().err.strip().splitlines()
+        if code == 0:
+            assert err == []
+            assert written_finite(paths["out"])
+        else:
+            assert code == 1 and len(err) == 1 and err[0].startswith("error:")
+            assert not paths["out"].exists()

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from zok.core_io import (FormatError, read_pgm, read_ppm, read_tensor,
                          rgb_to_lab, write_pgm, write_ppm, write_tensor)
-from zok.learner import init_model, read_model, write_model
+from zok.learner import MlpModel, init_model, read_model, write_model
 
 
 class TestPpm:
@@ -40,7 +40,7 @@ class TestPpm:
     def test_truncated_payload(self, tmp_path):
         path = tmp_path / "bad.ppm"
         path.write_bytes(b"P6\n2 2\n255\n\x00\x00\x00")
-        with pytest.raises(FormatError, match="truncated"):
+        with pytest.raises(FormatError, match="payload size mismatch"):
             read_ppm(path)
 
     def test_comments_and_whitespace(self, tmp_path):
@@ -214,6 +214,226 @@ class TestReaderRobustness:
                     reader(path)
                 except FormatError:
                     pass
+
+
+# The readers as they were before they shared one reader frame: each read
+# its own file and checked its own magic, and the Netpbm header was parsed
+# byte by byte.  They take the file's bytes; the path prefix of a message is
+# not compared.
+
+def reference_read_pnm_header(data, magic):
+    if data[:2] != magic:
+        raise FormatError(f"wrong magic: expected {magic!r}, got {data[:2]!r}")
+    pos = 2
+    tokens = []
+    while len(tokens) < 3:
+        if pos >= len(data):
+            raise FormatError("truncated header")
+        c = data[pos : pos + 1]
+        if c == b"#":
+            while pos < len(data) and data[pos : pos + 1] != b"\n":
+                pos += 1
+        elif c.isspace():
+            pos += 1
+        else:
+            start = pos
+            while pos < len(data) and not data[pos : pos + 1].isspace():
+                pos += 1
+            tokens.append(data[start:pos])
+    pos += 1  # the single whitespace byte before the payload
+    try:
+        width, height, maxval = (int(t) for t in tokens)
+    except ValueError as exc:
+        raise FormatError(f"bad header token: {exc}") from exc
+    if width < 1 or height < 1:
+        raise FormatError(f"bad dimensions {width}x{height}")
+    return width, height, maxval, pos
+
+
+def reference_read_ppm(data):
+    width, height, maxval, pos = reference_read_pnm_header(data, b"P6")
+    if maxval != 255:
+        raise FormatError(f"maxval must be 255, got {maxval}")
+    payload = data[pos:]
+    expected = width * height * 3
+    if len(payload) != expected:
+        raise FormatError(f"truncated payload: expected {expected} bytes, got {len(payload)}")
+    return np.frombuffer(payload, dtype=np.uint8).reshape(height, width, 3).copy()
+
+
+def reference_read_pgm(data):
+    width, height, maxval, pos = reference_read_pnm_header(data, b"P5")
+    if not 1 <= maxval <= 65535:
+        raise FormatError(f"maxval out of range: {maxval}")
+    dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
+    payload = data[pos:]
+    expected = width * height * dtype.itemsize
+    if len(payload) != expected:
+        raise FormatError(f"truncated payload: expected {expected} bytes, got {len(payload)}")
+    arr = np.frombuffer(payload, dtype=dtype).reshape(height, width)
+    return arr.astype(np.uint16)
+
+
+_REFERENCE_ZOT_DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<u4"), 2: np.dtype("<u2")}
+
+
+def reference_read_tensor(data):
+    if data[:4] != b"ZOT1":
+        raise FormatError(f"wrong magic: {data[:4]!r}")
+    if len(data) < 6:
+        raise FormatError("truncated header")
+    code, rank = data[4], data[5]
+    if code not in _REFERENCE_ZOT_DTYPES:
+        raise FormatError(f"unknown dtype code {code}")
+    if not 1 <= rank <= 4:
+        raise FormatError(f"rank must be 1..4, got {rank}")
+    header_end = 6 + 4 * rank
+    if len(data) < header_end:
+        raise FormatError("truncated dims")
+    dims = struct.unpack("<" + "I" * rank, data[6:header_end])
+    if any(d < 1 for d in dims):
+        raise FormatError(f"bad dims {dims}")
+    dtype = _REFERENCE_ZOT_DTYPES[code]
+    expected = math.prod(dims) * dtype.itemsize
+    payload = data[header_end:]
+    if len(payload) != expected:
+        raise FormatError(f"payload size mismatch: expected {expected} bytes, got {len(payload)}")
+    return np.frombuffer(payload, dtype=dtype).reshape(dims).copy()
+
+
+def reference_read_model(data):
+    if data[:4] != b"ZOM1":
+        raise FormatError(f"wrong magic: {data[:4]!r}")
+    pos = 4
+
+    def take(nbytes, what):
+        nonlocal pos
+        if pos + nbytes > len(data):
+            raise FormatError(f"truncated {what}: needs {nbytes} bytes at offset {pos}, "
+                              f"file has {len(data)}")
+        pos += nbytes
+        return data[pos - nbytes : pos]
+
+    def floats(count, what):
+        values = np.frombuffer(take(count * 4, what), dtype="<f4")
+        if not np.isfinite(values).all():
+            raise FormatError(f"non-finite {what}")
+        return values.astype(np.float64)
+
+    num_classes, nlayers = struct.unpack("<II", take(8, "header"))
+    if nlayers == 0:
+        raise FormatError("model has no layers")
+    weights, biases = [], []
+    for layer in range(nlayers):
+        in_dim, out_dim = struct.unpack("<II", take(8, f"layer {layer} header"))
+        if weights and in_dim != weights[-1].shape[0]:
+            raise FormatError(f"layer {layer} input size {in_dim} != previous output size "
+                              f"{weights[-1].shape[0]}")
+        weights.append(floats(in_dim * out_dim, f"layer {layer} weights").reshape(out_dim, in_dim))
+        biases.append(floats(out_dim, f"layer {layer} bias"))
+    d = weights[0].shape[1]
+    mean = floats(d, "mean")
+    std = floats(d, "std")
+    if pos != len(data):
+        raise FormatError("payload size mismatch")
+    if weights[-1].shape[0] != num_classes:
+        raise FormatError("declared class count disagrees with final layer")
+    return MlpModel(weights, biases, mean, std)
+
+
+_READERS = {"ppm": (read_ppm, reference_read_ppm), "pgm": (read_pgm, reference_read_pgm),
+            "tensor": (read_tensor, reference_read_tensor),
+            "model": (read_model, reference_read_model)}
+
+
+def _outcome(read, arg):
+    """(dtype, shape, bytes) of every array read returns, or None on FormatError."""
+    try:
+        result = read(arg)
+    except FormatError:
+        return None
+    parts = ([result] if isinstance(result, np.ndarray)
+             else [*result.weights, *result.biases, result.mean, result.std])
+    return [(p.dtype.str, p.shape, p.tobytes()) for p in parts]
+
+
+def assert_reads_as_reference(kind, data, path):
+    """The reader and its reference agree on data: equal arrays, or both refuse it."""
+    read, reference = _READERS[kind]
+    with open(path, "wb") as fh:
+        fh.write(data)
+    assert _outcome(read, path) == _outcome(reference, data), data
+
+
+# Every byte the header tokenizer must tell apart: the six ASCII whitespace
+# bytes, the comment mark and newline, and bytes that str.isspace() (but not
+# bytes.isspace()) calls whitespace.
+_HEADER_BYTES = b" \t\n\r\x0b\x0c#\x1c\x1d\x1e\x1f\x85\xa0+-_0123456789a"
+
+
+def _random_pnm(rng, magic):
+    """A Netpbm file with random separators, comments and damaged tokens."""
+    def junk(n):
+        return bytes(rng.choice(list(_HEADER_BYTES), size=n).tolist())
+
+    def space():
+        i = rng.integers(6)
+        return b" \t\n\r\x0b\x0c"[i : i + 1]
+
+    def sep():
+        parts = [space()]
+        for _ in range(rng.integers(0, 3)):
+            if rng.random() < 0.5:
+                parts.append(b"#" + junk(rng.integers(0, 6)).replace(b"\n", b"") + b"\n")
+            else:
+                parts.append(space())
+        return b"".join(parts) if rng.random() < 0.95 else junk(rng.integers(0, 4))
+
+    width, height = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+    maxval = int(rng.choice([255, 255, 255, 65535, 127]))
+    tokens = [b"%d" % v for v in (width, height, maxval)]
+    if rng.random() < 0.2:  # a # or a stray byte inside or after a token
+        i = rng.integers(3)
+        tokens[i] = tokens[i] + junk(rng.integers(1, 3))
+    samples = width * height * (3 if magic == b"P6" else 1) * (2 if maxval > 255 else 1)
+    payload = bytes(rng.integers(0, 256, size=samples + int(rng.choice([0, 0, 0, 0, 0, 0, -1, 1]))).tolist())
+    head = magic + b"".join(sep() + t for t in tokens)
+    return head + (space() if rng.random() < 0.9 else junk(1)) + payload
+
+
+class TestReadersMatchReference:
+    """One reader frame and the token regex read every file as the old
+    per-format readers and the byte-loop header parser did."""
+
+    @pytest.mark.parametrize("kind,magic", [("ppm", b"P6"), ("pgm", b"P5")])
+    def test_random_headers(self, tmp_path, kind, magic):
+        rng = np.random.default_rng(23)
+        read_ok = 0
+        for _ in range(1500):
+            data = _random_pnm(rng, magic)
+            assert_reads_as_reference(kind, data, tmp_path / "f")
+            read_ok += _outcome(_READERS[kind][1], data) is not None
+        assert 150 < read_ok < 1350  # both outcomes are well represented
+
+    @pytest.mark.parametrize("kind", list(_READERS))
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in cast:RuntimeWarning")
+    @settings(derandomize=True, max_examples=8, deadline=None)
+    @given(dims=st.lists(st.integers(1, 3), min_size=2, max_size=4),
+           seed=st.integers(0, 2**31))
+    def test_every_prefix_and_bit_flip(self, kind, dims, seed):
+        import tempfile
+
+        with tempfile.TemporaryDirectory() as tmp:
+            path = tmp + "/f"
+            _write_valid(kind, dims, seed, path)
+            with open(path, "rb") as fh:
+                data = fh.read()
+            for n in range(len(data) + 1):
+                assert_reads_as_reference(kind, data[:n], path)
+            for bit in range(8 * len(data)):
+                flipped = bytearray(data)
+                flipped[bit // 8] ^= 1 << (bit % 8)
+                assert_reads_as_reference(kind, bytes(flipped), path)
 
 
 def _scalar_lab_l(gray):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from zok.crf import (CrfModel, Kernel, free_energy,
+from zok.crf import (CrfModel, Kernel, check_image_crf, free_energy,
                      gibbs_distribution_bruteforce, gibbs_energy, image_crf,
                      kernel_sum_matrix, map_labels, mean_field_refine,
                      potts_compat, unary_from_probs)
@@ -420,11 +420,38 @@ class TestHelpers:
         assert state.q.shape == (6, 4)
 
     @pytest.mark.parametrize("sigma", ["sigma_xy", "sigma_lab", "sigma_xy_smooth"])
-    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+    # from 1e-300 on, 1/sigma^2 is inf or 0, or sigma^2 leaves the float range
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf, 1e-300, 5e-324, 1e-160,
+                                       1e300, 1e308, pytest.param(10**400, id="int-1e400")])
     def test_image_crf_rejects_non_positive_sigma(self, sigma, value):
         lab, probs, pos = np.zeros((3, 3)), np.full((3, 2), 0.5), np.zeros((3, 2))
         with pytest.raises(ValueError, match=sigma):
             image_crf(lab, probs, pos, **{sigma: value})
+
+    def test_accepted_precisions_are_the_plain_formula(self):
+        # every sigma accepted keeps the precision image_crf always used
+        rng = np.random.default_rng(31)
+        sigmas = np.concatenate([10.0 ** rng.uniform(-154.5, 154.5, 3000),
+                                 [1.4916681462400413e-154, 1.3407807929942596e154, 3, 10]])
+        for s in map(float, sigmas):
+            try:
+                want = 1 / s**2
+            except (ZeroDivisionError, OverflowError):
+                want = None
+            if want is None or not 0 < want < math.inf:
+                with pytest.raises(ValueError):
+                    check_image_crf(1.0, 1.0, s, 1.0, 1.0)
+            else:
+                assert check_image_crf(1.0, 1.0, s, s, s) == [want] * 3
+
+    @pytest.mark.parametrize("mode", ["parallel", "sequential"])
+    @pytest.mark.parametrize("weights", [(1e308, 1e308), (1.7e308, 0.0)])
+    def test_mean_field_overflow_raises_value_error(self, mode, weights):
+        rng = np.random.default_rng(9)
+        model = image_crf(rng.normal(size=(16, 3)), rng.dirichlet(np.ones(3), size=16),
+                          rng.random((16, 2)) * 32, *weights, 1e10, 1e10, 1e10)
+        with pytest.raises(ValueError, match="float64 range"):
+            mean_field_refine(model, iters=2, mode=mode)
 
     @pytest.mark.parametrize("weight", ["w_appearance", "w_smooth"])
     @pytest.mark.parametrize("value", [-1.0, math.nan, math.inf])

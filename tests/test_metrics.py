@@ -150,26 +150,26 @@ class TestDepthMetrics:
         rng = np.random.default_rng(3)
         gt = rng.uniform(0.5, 10.0, size=(5, 5))
         scores = depth_metrics(gt, gt)
-        assert scores.rmse_lin == 0.0 and scores.rmse_log == 0.0
-        assert scores.abs_rel == 0.0 and scores.sqr_rel == 0.0
-        assert scores.delta_1 == 1.0 and scores.delta_3 == 1.0
+        assert scores["rmse_lin"] == 0.0 and scores["rmse_log"] == 0.0
+        assert scores["abs_rel"] == 0.0 and scores["sqr_rel"] == 0.0
+        assert scores["delta_1"] == 1.0 and scores["delta_3"] == 1.0
 
     def test_scaled_prediction_hand_values(self):
         rng = np.random.default_rng(4)
         gt = rng.uniform(1.0, 5.0, size=(6, 6))
         pred = 1.2 * gt
         scores = depth_metrics(pred, gt)
-        assert scores.delta_1 == 1.0        # max ratio 1.2 < 1.25
-        assert scores.rmse_log == pytest.approx(math.log(1.2), abs=1e-12)
-        assert scores.rmse_log == pytest.approx(0.18232, abs=1e-4)
+        assert scores["delta_1"] == 1.0        # max ratio 1.2 < 1.25
+        assert scores["rmse_log"] == pytest.approx(math.log(1.2), abs=1e-12)
+        assert scores["rmse_log"] == pytest.approx(0.18232, abs=1e-4)
         # literal formula divides by the prediction: |y - 1.2y| / (1.2y)
-        assert scores.abs_rel == pytest.approx(1 / 6, abs=1e-9)
-        assert scores.sqr_rel == pytest.approx((0.04 / 1.2) * gt.mean(), rel=1e-9)
+        assert scores["abs_rel"] == pytest.approx(1 / 6, abs=1e-9)
+        assert scores["sqr_rel"] == pytest.approx((0.04 / 1.2) * gt.mean(), rel=1e-9)
 
     def test_gt_denominator_variant(self):
         gt = np.full((2, 2), 2.0)
         pred = np.full((2, 2), 2.4)
-        assert depth_metrics(pred, gt, rel_denominator="gt").abs_rel == \
+        assert depth_metrics(pred, gt, rel_denominator="gt")["abs_rel"] == \
             pytest.approx(0.2)
 
     def test_deltas_monotone(self):
@@ -177,13 +177,13 @@ class TestDepthMetrics:
         gt = rng.uniform(0.5, 8.0, size=(10, 10))
         pred = gt * rng.uniform(0.5, 2.0, size=(10, 10))
         s = depth_metrics(pred, gt)
-        assert s.delta_1 <= s.delta_2 <= s.delta_3
+        assert s["delta_1"] <= s["delta_2"] <= s["delta_3"]
 
     def test_invalid_pixels_masked(self):
         gt = np.array([[0.0, 2.0], [3.0, -1.0]])
         pred = np.array([[5.0, 2.0], [3.0, 4.0]])
         scores = depth_metrics(pred, gt)
-        assert scores.rmse_lin == 0.0  # only the two valid pixels count
+        assert scores["rmse_lin"] == 0.0  # only the two valid pixels count
 
     def test_unknown_denominator_rejected(self):
         with pytest.raises(ValueError, match="rel_denominator"):

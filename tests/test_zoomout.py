@@ -10,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 from zok.core_io import rgb_to_lab
 from zok.slic import SlicParams, run_slic
 from zok.synth import SyntheticSpec, generate_dataset
-from zok.zoomout import (LOCAL_COLOR_DIM, build_adjacency, build_features,
+from zok.zoomout import (LOCAL_COLOR_DIM, boundary_pairs, build_adjacency, build_features,
                          local_color_features, location_features_all,
                          mirror_max_fuse, neighbor_balls,
                          pool_over_superpixels, proximal_average,
@@ -43,6 +43,20 @@ class TestAdjacency:
             assert i not in nbrs
             for j in nbrs:
                 assert i in graph[j]
+
+    @pytest.mark.parametrize("shape", [(7, 9), (1, 6), (5, 1), (1, 1)])
+    def test_boundary_pairs_are_every_differing_neighbour_both_ways(self, shape):
+        labels = np.random.default_rng(2).integers(0, 4, size=shape).astype(np.uint32)
+        h, w = shape
+        want = []
+        for y in range(h):
+            for x in range(w):
+                for y2, x2 in ((y, x + 1), (y + 1, x)):
+                    if y2 < h and x2 < w and labels[y, x] != labels[y2, x2]:
+                        want += [(labels[y, x], labels[y2, x2]), (labels[y2, x2], labels[y, x])]
+        src, dst = boundary_pairs(labels)
+        assert src.dtype == dst.dtype == np.int64
+        assert sorted(zip(src.tolist(), dst.tolist())) == sorted(want)
 
 
 def reference_build_adjacency(spmap):
