@@ -185,7 +185,8 @@ def _merge_section(table, values, where):
     """Defaults from a {key: (type, default)} table, overlaid with values.
 
     Unknown keys and values of the wrong type raise ValueError; None is
-    accepted where the default is None.
+    accepted where the default is None, and an int given for a float key
+    becomes a float.
     """
     if not isinstance(values, dict):
         raise ValueError(f"{where} must be a JSON object")
@@ -197,6 +198,11 @@ def _merge_section(table, values, where):
         kind, default = table[key]
         if not (_is_a(value, kind) or (value is None and default is None)):
             raise ValueError(f"{where} key {key!r} must be {kind.__name__}, got {value!r}")
+        if kind is float and isinstance(value, int):
+            try:
+                value = float(value)
+            except OverflowError:
+                raise ValueError(f"{where} key {key!r} is beyond the float range") from None
         merged[key] = value
     return merged
 
@@ -350,6 +356,8 @@ def _cmd_train(args):
         weight_decay=args["weight_decay"], dropout=args["dropout"],
         seed=args["seed"], loss=args["loss"], hidden=_parse_hidden(args["hidden"]),
     )
+    if args.get("weights") and cfg.loss == "symmetric":
+        raise ValueError("--weights feeds the class frequencies of --loss asymmetric only")
     features = _read_finite(args["features"], "features").astype(np.float64)
     labels = read_tensor(args["labels"]).astype(np.int64)
     weights = (_read_finite(args["weights"], "weights").astype(np.float64)
@@ -371,16 +379,9 @@ def _cmd_sample(args):
     if scores.ndim != 3 or field.ndim != 3:
         raise ValueError("scores must be (C,H,W) and features (D,H,W)")
     z = weaksup.normalize_features([field])[0]
-    rows = []
-    all_fg = []
-    for c in range(scores.shape[0]):
-        pts = weaksup.sample_foreground(scores[c], z, args["k"], args["mode"])
-        all_fg.append(pts)
-        rows.extend((c, int(r), int(col), rank) for rank, (r, col) in enumerate(pts))
-    if args["bg"]:
-        bg = weaksup.diverse_sample_bg(z, np.concatenate(all_fg), args["k"])
-        rows.extend((scores.shape[0], int(r), int(col), rank)
-                    for rank, (r, col) in enumerate(bg))
+    points = weaksup.sample_points(scores, z, args["k"], args["mode"], args["bg"])
+    rows = [(c, int(r), int(col), rank) for c, pts in enumerate(points)
+            for rank, (r, col) in enumerate(pts)]
     write_tensor(np.array(rows, dtype=np.uint32).reshape(-1, 4), args["out"])
 
 
@@ -483,8 +484,8 @@ def pipeline_run(config):
     skips the CRF stage, and report is the output path.  An unknown key,
     a wrongly typed value, classes below 1 or an out-of-range SLIC, train
     or CRF value, at any level, raises ValueError before any image is
-    loaded; so does a directory without images once it is read.  Returns
-    the report dict.
+    loaded; so does a directory without images once it is read, and a
+    test_dir whose ground truth is all ignore.  Returns the report dict.
     """
     cfg = _pipeline_section(config, "config")
     _require(cfg, {"classes", "test_dir"} | (set() if cfg["oracle"] else {"train_dir"}),
@@ -507,6 +508,9 @@ def pipeline_run(config):
     t0 = time.perf_counter()
     train_pairs = [] if oracle else _stage("load", load_dataset, cfg["train_dir"])
     test_pairs = _stage("load", load_dataset, cfg["test_dir"])
+    if not any((gt != ignore).any() for _, gt in test_pairs):
+        raise ValueError(f"no scored pixel in {cfg['test_dir']}: all ground truth is "
+                         f"ignore ({ignore})")
     timings["load"] = time.perf_counter() - t0
 
     model = None

@@ -67,6 +67,8 @@ class TrainConfig:
             raise ValueError(f"hidden layer sizes must be >= 1, got {list(self.hidden)}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
+        if self.dropout > 0 and not self.hidden:
+            raise ValueError(f"dropout={self.dropout} needs a hidden layer, and hidden is empty")
         if self.loss not in ("asymmetric", "symmetric"):
             raise ValueError(f"unknown loss {self.loss!r}")
 
@@ -264,7 +266,7 @@ def train(features, labels, cfg, num_classes=None, sample_weights=None):
                 for start in range(0, n, cfg.batch_size):
                     idx = order[start : start + cfg.batch_size]
                     masks = None
-                    if cfg.dropout > 0 and len(cfg.hidden) > 0:
+                    if cfg.dropout > 0:
                         # Inverted dropout on hidden activations.
                         masks = [
                             (rng.random((len(idx), hsize)) >= cfg.dropout) / (1.0 - cfg.dropout)

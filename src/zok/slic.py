@@ -350,6 +350,10 @@ def run_slic(img, params):
     """
     lab = rgb_to_lab(img)
     s = grid_interval(lab.shape[0] * lab.shape[1], params.k)
+    # no pixel is farther from a center than the image diagonal
+    if not math.isfinite(params.m / s * math.hypot(*lab.shape[:2])):
+        raise ValueError(f"m={params.m} is too large: m/S times the image diagonal "
+                         "overflows float64")
     centers = perturb_centers(lab, init_centers(lab, s))
     residual = math.inf
     history = []

@@ -125,19 +125,23 @@ def _score_order(scores_flat):
     return np.argsort(-scores_flat, kind="stable")
 
 
-def _greedy_diverse(scores_flat, sim_to, k):
-    """Shared greedy loop: maximize score * (1 - current max similarity)."""
-    maxsim = np.zeros(scores_flat.size)
-    available = scores_flat > 0
+def _greedy(gain, available, maxsim, sim_to, k):
+    """Up to k picks, each the first available argmax of gain(maxsim)."""
     chosen = []
     for _ in range(k):
         if not available.any():
             break
-        obj = np.where(available, scores_flat * (1.0 - maxsim), -np.inf)
-        pick = int(np.argmax(obj))
+        pick = int(np.argmax(np.where(available, gain(maxsim), -np.inf)))
         chosen.append(pick)
         available[pick] = False
         np.maximum(maxsim, sim_to(pick), out=maxsim)
+    return chosen
+
+
+def _greedy_diverse(scores_flat, sim_to, k):
+    """Maximize score * (1 - max similarity to the picks) over positive scores."""
+    chosen = _greedy(lambda maxsim: scores_flat * (1.0 - maxsim), scores_flat > 0,
+                     np.zeros(scores_flat.size), sim_to, k)
     if len(chosen) < k:
         # the rest in score order, up to the first excluded (-inf) location
         order = _score_order(scores_flat)
@@ -176,17 +180,10 @@ def diverse_sample_bg(z, fg_points, k_bg):
     zf, available = _unit_rows(z)
     w = np.shape(z)[2]
     fg_idx = fg_points[:, 0] * w + fg_points[:, 1]
-    obj = np.abs(zf @ zf[fg_idx].T).max(axis=1)
+    maxsim = np.abs(zf @ zf[fg_idx].T).max(axis=1)
     available[fg_idx] = False
-    chosen = []
-    for _ in range(k_bg):
-        if not available.any():
-            break
-        cand = np.where(available, obj, np.inf)
-        pick = int(np.argmin(cand))
-        chosen.append(pick)
-        available[pick] = False
-        np.maximum(obj, np.abs(zf @ zf[pick]), out=obj)
+    # the argmax of -maxsim is the argmin of maxsim, ties included
+    chosen = _greedy(np.negative, available, maxsim, lambda pick: np.abs(zf @ zf[pick]), k_bg)
     return _flat_points(np.array(chosen, dtype=np.int64), w)
 
 
@@ -229,6 +226,19 @@ def sample_foreground(scores, z, k, mode="diverse"):
     if mode == "spatial":
         return spatial_diverse_sample(scores, k)
     raise ValueError(f"unknown sampling mode {mode!r}")
+
+
+def sample_points(score_grids, z, k, mode, bg):
+    """One image's (k, 2) row/col point sets: sample_foreground's for each score
+    grid, then, when bg, diverse_sample_bg's against all of them.  Every
+    grid must be the (H, W) of z, the image's (D, H, W) unit field."""
+    bad = [np.shape(s) for s in score_grids if np.shape(s) != np.shape(z)[1:]]
+    if bad:
+        raise ValueError(f"score grid {bad[0]} != feature grid {np.shape(z)[1:]}")
+    points = [sample_foreground(scores, z, k, mode) for scores in score_grids]
+    if bg:
+        points.append(diverse_sample_bg(z, np.concatenate(points), k))
+    return points
 
 
 @dataclass
@@ -358,21 +368,14 @@ def point_supervision_pipeline(fields, presence, num_classes, k, mode="diverse",
     # (H*W, D) rows of every field, for sampled points and predictions
     flats = [np.asarray(f, dtype=np.float64).reshape(f.shape[0], -1).T for f in fields]
     xs, ys = [], []
-    for i, flat in enumerate(flats):
-        fg_pts = []
-        width = fields[i].shape[2]
-        for c in sorted(presence[i]):
-            if c not in localizers:
-                continue
-            s, _ = score_field(localizers[c], fields[i])
-            pts = sample_foreground(s, z_fields[i], k, mode)
-            fg_pts.append(pts)
-            xs.append(flat[pts[:, 0] * width + pts[:, 1]])
+    for f, z, flat, present in zip(fields, z_fields, flats, presence):
+        classes = [c for c in sorted(present) if c in localizers]
+        if not classes:
+            continue
+        grids = [score_field(localizers[c], f)[0] for c in classes]
+        for c, pts in zip(classes + [0], sample_points(grids, z, k, mode, bg=True)):
+            xs.append(flat[pts[:, 0] * f.shape[2] + pts[:, 1]])
             ys.append(np.full(len(pts), c))
-        if fg_pts:
-            bg = diverse_sample_bg(z_fields[i], np.concatenate(fg_pts), k)
-            xs.append(flat[bg[:, 0] * width + bg[:, 1]])
-            ys.append(np.zeros(len(bg), dtype=np.int64))
 
     clf = learner.train(np.concatenate(xs), np.concatenate(ys).astype(np.int64),
                         classifier_cfg, num_classes=num_classes)

@@ -138,22 +138,24 @@ def pool_over_superpixels(fm, spmap):
     return region_means(spmap, fm)
 
 
-def _histograms(flat_ids, k, values, nbins, value_range=None):
-    """Normalized per-superpixel histograms of one channel.
+def _histograms(flat_ids, k, values, value_range=None):
+    """Normalized per-superpixel (32-bin, 8-bin) histograms of one channel.
 
-    The bins split value_range into nbins equal widths; without a range
-    their edges are the channel's per-image quantiles.  Values outside
-    the bins clamp to the end bins.
+    The bins split value_range into equal widths; without a range their
+    edges are the channel's per-image quantiles.  Values outside the bins
+    clamp to the end bins.  An 8-bin count sums four 32-bin counts, as
+    t*32 is exactly 4*(t*8) and the 8-bin quantile edges are the 32-bin [::4].
     """
     if value_range is None:
-        edges = np.quantile(values, np.linspace(0.0, 1.0, nbins + 1))
+        edges = np.quantile(values, np.linspace(0.0, 1.0, _FINE_BINS + 1))
         idx = np.searchsorted(edges, values, side="right") - 1
     else:
         lo, hi = value_range
-        idx = np.floor((values - lo) / (hi - lo) * nbins).astype(np.int64)
-    idx = np.clip(idx, 0, nbins - 1)
-    hist = np.bincount(flat_ids * nbins + idx, minlength=k * nbins).reshape(k, nbins)
-    return hist / hist.sum(axis=1, keepdims=True)
+        idx = np.floor((values - lo) / (hi - lo) * _FINE_BINS).astype(np.int64)
+    idx = np.clip(idx, 0, _FINE_BINS - 1)
+    fine = np.bincount(flat_ids * _FINE_BINS + idx, minlength=k * _FINE_BINS).reshape(k, -1)
+    coarse = fine.reshape(k, _COARSE_BINS, -1).sum(axis=2)
+    return tuple(hist / hist.sum(axis=1, keepdims=True) for hist in (fine, coarse))
 
 
 def local_color_features(lab, spmap):
@@ -173,14 +175,12 @@ def local_color_features(lab, spmap):
     adaptive = []
     for ch in range(3):
         values = lab[:, :, ch].ravel()
-        fine = _histograms(flat, k, values, _FINE_BINS, _CHANNEL_RANGES[ch])
-        fixed.append(fine)
-        fixed.append(_histograms(flat, k, values, _COARSE_BINS, _CHANNEL_RANGES[ch]))
+        fine, coarse = _histograms(flat, k, values, _CHANNEL_RANGES[ch])
+        fixed += [fine, coarse]
         with np.errstate(divide="ignore", invalid="ignore"):
             plogp = np.where(fine > 0, fine * np.log(fine), 0.0)
         entropies.append(-plogp.sum(axis=1))
-        adaptive.append(_histograms(flat, k, values, _FINE_BINS))
-        adaptive.append(_histograms(flat, k, values, _COARSE_BINS))
+        adaptive += _histograms(flat, k, values)
     out = np.concatenate(fixed + [np.stack(entropies, axis=1)] + adaptive, axis=1)
     assert out.shape[1] == LOCAL_COLOR_DIM
     return out

@@ -56,14 +56,16 @@ class TestSlicCommand:
 
 
 class TestNonFiniteSlicSettings:
-    """A NaN or infinite m and a NaN residual threshold exit 1 with one error
-    line that names the setting, for `slic` flags and a pipeline config
-    alike, and write nothing."""
+    """A NaN or infinite m, an m whose m/S times the image diagonal
+    overflows, and a NaN residual threshold exit 1 with one error line that
+    names the setting, for `slic` flags and a pipeline config alike, and
+    write nothing."""
 
     # case -> (extra slic flags, or None for the pipeline, text the error holds)
     CASES = {
         "slic-m-nan": (["--m", "nan"], "m must be finite"),
         "slic-m-inf": (["--m", "inf"], "m must be finite"),
+        "slic-m-overflows": (["--m", "1e308"], "m=1e+308 is too large"),
         "slic-residual-threshold-nan": (["--residual-threshold", "nan"],
                                         "residual_threshold"),
         "pipeline-m-nan": (None, "m must be finite"),
@@ -365,6 +367,19 @@ class TestSampleCommand:
         assert pts.shape == (3 * 3, 4)  # 2 classes + bg rows, (class,row,col,rank)
         assert set(pts[:, 0]) == {0, 1, 2}
         assert np.all(pts[:, 3] < 3)
+
+    @pytest.mark.parametrize("flags", [["--mode", "diverse"], ["--mode", "topk", "--bg"]])
+    def test_grid_mismatch_exit_1(self, tmp_path, capsys, flags):
+        write_tensor(np.ones((2, 8, 8), dtype=np.float32), tmp_path / "s.zot")
+        write_tensor(np.random.default_rng(3).normal(size=(3, 4, 4)).astype(np.float32),
+                     tmp_path / "z.zot")
+        out = tmp_path / "pts.zot"
+        capsys.readouterr()
+        assert run("sample", "--scores", tmp_path / "s.zot", "--features", tmp_path / "z.zot",
+                   *flags, "--out", out) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "grid" in err[0]
+        assert not out.exists()
 
 
 class TestCrfCommand:
@@ -671,6 +686,23 @@ class TestPipelineCommand:
         assert len(err) == 1 and err[0].startswith("error:") and str(tmp_path / "empty") in err[0]
         assert not (tmp_path / "report.json").exists()
 
+    def test_all_ignore_test_dir_exit_1(self, tmp_path, capsys):
+        synth_generate(SyntheticSpec(size=16, num_classes=4, kind="quadrants"), 1, 0,
+                       tmp_path / "test")
+        write_pgm(np.full((16, 16), 255), tmp_path / "test" / "gt_0000.pgm")
+        cfg = {"test_dir": str(tmp_path / "test"), "classes": 4, "oracle": True,
+               "slic": {"k": 4, "m": 10}, "report": str(tmp_path / "report.json")}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run("pipeline", "--config", cfg_path) == 1
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "no scored pixel" in err[0]
+        assert not (tmp_path / "report.json").exists()
+
     def test_missing_dir_exit_2(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"test_dir": str(tmp_path / "none"),
@@ -741,6 +773,11 @@ class TestConfigValueTypes:
             "pipeline", {"crf": {"sigma_xy": 1e-300}, "train_dir": "MISSING"}, "sigma_xy"),
         "pipeline-crf-sigma-huge-no-train-dir": (
             "pipeline", {"crf": {"sigma_lab": 1e308}, "train_dir": "MISSING"}, "sigma_lab"),
+        "pipeline-lr-int-beyond-float-no-train-dir": (
+            "pipeline", {"train": {"learning_rate": 10**400}, "train_dir": "MISSING"},
+            "key 'learning_rate' is beyond the float range"),
+        "pipeline-dropout-without-hidden-no-train-dir": (
+            "pipeline", {"train": {"dropout": 0.5}, "train_dir": "MISSING"}, "dropout"),
         "pipeline-crf-overflow": (
             "pipeline", {"crf": {"w_appearance": 1e308, "w_smooth": 1e308, "sigma_xy": 1e10,
                                  "sigma_lab": 1e10, "sigma_xy_smooth": 1e10}},
@@ -877,6 +914,10 @@ class TestBadTrainingInputs:
         "train-lr-nan": ("w", [1.0, 1.0, 1.0, 1.0], ["--lr", "nan"], "learning rate"),
         "train-weight-decay-nan": ("w", [1.0, 1.0, 1.0, 1.0], ["--weight-decay", "nan"],
                                    "weight_decay"),
+        "train-dropout-without-hidden": ("w", [1.0, 1.0, 1.0, 1.0], ["--dropout", 0.5],
+                                         "dropout"),
+        "train-weights-with-symmetric-loss": ("w", [1.0, 1.0, 1.0, 1.0],
+                                              ["--loss", "symmetric"], "--weights"),
         "pipeline-gt-label-above-classes": (None, None, None, "labels"),
     }
 
@@ -1047,8 +1088,9 @@ FLOAT_FLAGS = [(command, flags[0]) for command, spec in cli._SPECS.items()
 
 class TestNanFloatFlags:
     """Every float flag of every subcommand, given NaN beside otherwise valid
-    inputs, exits 1 with one error line, writes nothing and warns nothing;
-    given 1e-300 or 1e300 it does that or exits 0 with finite output."""
+    inputs, or a --config integer beyond the float range, exits 1 with one
+    error line, writes nothing and warns nothing; given 1e-300 or 1e300 it
+    does that or exits 0 with finite output."""
 
     def test_flags_found(self):
         assert ("train", "--lr") in FLOAT_FLAGS and ("synth", "--noise") in FLOAT_FLAGS
@@ -1063,6 +1105,19 @@ class TestNanFloatFlags:
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
+        assert not paths["out"].exists()
+
+    @pytest.mark.parametrize("command,flag", FLOAT_FLAGS)
+    def test_config_int_beyond_float_exit_1(self, tmp_path, capsys, command, flag):
+        # JSON has integers of any size; 10**400 is no float
+        paths = dict(valid_input_files(tmp_path), out=tmp_path / "out")
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({cli._dest([flag]): 10**400}))
+        capsys.readouterr()
+        assert run(*input_argv(command, paths, config=config)) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert f"key {cli._dest([flag])!r} is beyond the float range" in err[0]
         assert not paths["out"].exists()
 
     @pytest.mark.parametrize("value", ["1e-300", "1e300"])

@@ -115,6 +115,11 @@ class TestTrainConfigValidation:
         with pytest.raises(ValueError):
             TrainConfig(dropout=1.0)
 
+    def test_dropout_needs_a_hidden_layer(self):
+        with pytest.raises(ValueError, match="dropout=0.5 needs a hidden layer"):
+            TrainConfig(dropout=0.5)
+        TrainConfig(dropout=0.5, hidden=(4,))
+
     def test_bad_loss_name(self):
         with pytest.raises(ValueError):
             TrainConfig(loss="hinge")

@@ -299,6 +299,14 @@ class TestRunSlic:
         with pytest.raises(ValueError):
             run_slic(flat_image(2, 2, 0), SlicParams(k=5))
 
+    def test_m_whose_spatial_term_overflows_rejected(self):
+        # 64x64 at k=16: S = 16, and 1e308 / 16 times the 90-pixel diagonal
+        # is beyond float64; at k=4 1e300 is not
+        with pytest.raises(ValueError, match=r"m=1e\+308 is too large"):
+            run_slic(quadrant_image(), SlicParams(k=16, m=1e308))
+        res = run_slic(quadrant_image(), SlicParams(k=4, m=1e300))
+        assert np.isfinite(res.history).all()
+
 
 def components_of(spmap):
     """Flood-fill check: number of 4-connected components per id."""

@@ -7,8 +7,8 @@ from test_learner import reference_backprop
 from zok import learner, weaksup
 from zok.weaksup import (LocalizerConfig, _argmax_loss, _sigmoid, _softplus,
                          diverse_sample_bg, diverse_sample_fg, normalize_features,
-                         sample_foreground, score_field, spatial_diverse_sample,
-                         topk_sample, train_localizer)
+                         sample_foreground, sample_points, score_field,
+                         spatial_diverse_sample, topk_sample, train_localizer)
 
 
 # --- the paper's image-level probabilities, as weaksup computed them before
@@ -645,3 +645,115 @@ class TestImageLossOracle:
     def test_unknown_model_rejected(self):
         with pytest.raises(ValueError, match="unknown model"):
             grid_loss_and_grad(np.zeros((2, 2)), np.zeros((2, 2)), True, "mean")
+
+
+# --- the two greedy loops that weaksup._greedy replaced, kept verbatim as
+# the oracles for the foreground and background samplers
+
+
+def reference_greedy_diverse(scores_flat, sim_to, k):
+    """Shared greedy loop: maximize score * (1 - current max similarity)."""
+    maxsim = np.zeros(scores_flat.size)
+    available = scores_flat > 0
+    chosen = []
+    for _ in range(k):
+        if not available.any():
+            break
+        obj = np.where(available, scores_flat * (1.0 - maxsim), -np.inf)
+        pick = int(np.argmax(obj))
+        chosen.append(pick)
+        available[pick] = False
+        np.maximum(maxsim, sim_to(pick), out=maxsim)
+    if len(chosen) < k:
+        # the rest in score order, up to the first excluded (-inf) location
+        order = weaksup._score_order(scores_flat)
+        order = order[np.logical_and.accumulate(scores_flat[order] != -np.inf)]
+        chosen += order[~np.isin(order, chosen)][: k - len(chosen)].tolist()
+    return chosen
+
+
+def reference_diverse_sample_bg(z, fg_points, k_bg):
+    """Background picks most dissimilar to foreground and prior picks."""
+    fg_points = np.asarray(fg_points)
+    if fg_points.size == 0:
+        raise ValueError("foreground samples must be nonempty")
+    zf, available = weaksup._unit_rows(z)
+    w = np.shape(z)[2]
+    fg_idx = fg_points[:, 0] * w + fg_points[:, 1]
+    obj = np.abs(zf @ zf[fg_idx].T).max(axis=1)
+    available[fg_idx] = False
+    chosen = []
+    for _ in range(k_bg):
+        if not available.any():
+            break
+        cand = np.where(available, obj, np.inf)
+        pick = int(np.argmin(cand))
+        chosen.append(pick)
+        available[pick] = False
+        np.maximum(obj, np.abs(zf @ zf[pick]), out=obj)
+    return weaksup._flat_points(np.array(chosen, dtype=np.int64), w)
+
+
+def random_sampler_case(rng):
+    """(scores, unit field) on a small grid; integer draws make ties and zero rows."""
+    h, w, d = (int(v) for v in rng.integers(1, 7, size=3))
+    ties = rng.random() < 0.4
+    field = (rng.integers(-1, 2, size=(d, h, w)).astype(np.float64) if ties
+             else rng.normal(size=(d, h, w)))
+    scores = (rng.integers(-2, 3, size=(h, w)).astype(np.float64) if ties
+              else rng.normal(size=(h, w)))
+    return scores, normalize_features([field])[0]
+
+
+class TestGreedyOracle:
+    def test_foreground_loop_matches_reference(self):
+        rng = np.random.default_rng(31)
+        for _ in range(300):
+            scores, z = random_sampler_case(rng)
+            zf, valid = weaksup._unit_rows(z)
+            flat = scores.ravel().copy()
+            flat[~valid] = -np.inf
+            k = int(rng.integers(1, flat.size + 1))
+
+            def sim_to(pick):
+                return np.abs(zf @ zf[pick])
+            assert weaksup._greedy_diverse(flat, sim_to, k) == \
+                reference_greedy_diverse(flat, sim_to, k)
+
+    def test_background_matches_reference_bytes(self):
+        # k_bg up to the grid size runs the candidates out
+        rng = np.random.default_rng(32)
+        cases = 0
+        for _ in range(400):
+            scores, z = random_sampler_case(rng)
+            fg = diverse_sample_fg(scores, z, int(rng.integers(1, scores.size + 1)))
+            if not len(fg):  # every feature vector is zero
+                continue
+            k_bg = int(rng.integers(1, scores.size + 1))
+            got = diverse_sample_bg(z, fg, k_bg)
+            want = reference_diverse_sample_bg(z, fg, k_bg)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            cases += 1
+        assert cases > 300
+
+
+class TestSamplePoints:
+    @pytest.mark.parametrize("mode", ["diverse", "topk", "spatial"])
+    @pytest.mark.parametrize("bg", [False, True])
+    def test_foreground_per_grid_then_background(self, mode, bg):
+        rng = np.random.default_rng(33)
+        grids = rng.uniform(0.1, 1.0, size=(3, 5, 6))
+        z = normalize_features([rng.normal(size=(4, 5, 6))])[0]
+        want = [sample_foreground(g, z, 4, mode) for g in grids]
+        if bg:
+            want.append(diverse_sample_bg(z, np.concatenate(want), 4))
+        got = sample_points(grids, z, 4, mode, bg)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("mode", ["diverse", "topk", "spatial"])
+    def test_grid_mismatch_rejected(self, mode):
+        z = normalize_features([np.random.default_rng(34).normal(size=(3, 4, 4))])[0]
+        with pytest.raises(ValueError, match=r"score grid \(8, 8\) != feature grid \(4, 4\)"):
+            sample_points(np.ones((2, 8, 8)), z, 2, mode, bg=False)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from zok import zoomout
 from zok.core_io import rgb_to_lab
 from zok.slic import SlicParams, run_slic
 from zok.synth import SyntheticSpec, generate_dataset
@@ -583,3 +584,73 @@ class TestBuildFeatures:
         spmap = np.array([[0, 1], [0, 1]], dtype=np.int32)
         with pytest.raises(ValueError, match="feature map"):
             build_features(np.zeros((2, 2, 3), dtype=np.uint8), spmap, "local,scene")
+
+
+# --- the two binnings per channel that zoomout._histograms replaced, kept
+# verbatim as the oracle for local_color_features
+
+
+def reference_histograms(flat_ids, k, values, nbins, value_range=None):
+    """Normalized per-superpixel histograms of one channel."""
+    if value_range is None:
+        edges = np.quantile(values, np.linspace(0.0, 1.0, nbins + 1))
+        idx = np.searchsorted(edges, values, side="right") - 1
+    else:
+        lo, hi = value_range
+        idx = np.floor((values - lo) / (hi - lo) * nbins).astype(np.int64)
+    idx = np.clip(idx, 0, nbins - 1)
+    hist = np.bincount(flat_ids * nbins + idx, minlength=k * nbins).reshape(k, nbins)
+    return hist / hist.sum(axis=1, keepdims=True)
+
+
+def reference_local_color_features(lab, spmap):
+    """local_color_features with a 32-bin and an 8-bin pass per histogram."""
+    k = int(spmap.max()) + 1
+    flat = spmap.ravel()
+    fixed, entropies, adaptive = [], [], []
+    for ch in range(3):
+        values = lab[:, :, ch].ravel()
+        fine = reference_histograms(flat, k, values, 32, zoomout._CHANNEL_RANGES[ch])
+        fixed.append(fine)
+        fixed.append(reference_histograms(flat, k, values, 8, zoomout._CHANNEL_RANGES[ch]))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            plogp = np.where(fine > 0, fine * np.log(fine), 0.0)
+        entropies.append(-plogp.sum(axis=1))
+        adaptive.append(reference_histograms(flat, k, values, 32))
+        adaptive.append(reference_histograms(flat, k, values, 8))
+    return np.concatenate(fixed + [np.stack(entropies, axis=1)] + adaptive, axis=1)
+
+
+class TestLocalColorFeaturesOracle:
+    def assert_same(self, lab, spmap):
+        got = local_color_features(lab, spmap)
+        assert got.tobytes() == reference_local_color_features(lab, spmap).tobytes()
+
+    def test_slic_and_rect_maps_match_reference_bytes(self):
+        for img, res in slic_maps(count=2, size=64, k=64):
+            lab = rgb_to_lab(img)
+            for spmap in (res.spmap, rect_regions(64, 64, 100)):
+                self.assert_same(lab, spmap)
+                # a shifted and stretched copy puts values outside the fixed ranges
+                self.assert_same(lab * 2.5 - 60.0, spmap)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_maps_and_repeated_values_match_reference_bytes(self, seed):
+        # values drawn from a few levels give runs of equal quantile edges,
+        # and grids of fewer than 33 pixels put several edges between two values
+        rng = np.random.default_rng(seed)
+        for _ in range(40):
+            h, w = (int(v) for v in rng.integers(1, 12, size=2))
+            lab = rng.normal(size=(h, w, 3)) * 80.0
+            if rng.random() < 0.5:
+                lab = np.round(lab / 60.0) * 60.0
+            spmap = np.unique(rng.integers(0, 4, size=(h, w)), return_inverse=True)[1]
+            self.assert_same(lab, spmap.reshape(h, w))
+
+    def test_duplicate_quantile_edges(self):
+        # three levels over 64 pixels: most of the 33 quantile edges repeat
+        lab = np.repeat(np.array([10.0, 50.0, 90.0]), [40, 16, 8])[:, None].repeat(3, axis=1)
+        edges = np.quantile(lab[:, 0], np.linspace(0.0, 1.0, 33))
+        assert len(np.unique(edges)) < 10
+        spmap = np.arange(64).reshape(8, 8) // 16
+        self.assert_same(lab.reshape(8, 8, 3), spmap)
