@@ -425,9 +425,17 @@ def _seg_report(cm):
     }
 
 
+def _require_scored(gts, ignore, source):
+    """Raise ValueError unless some ground-truth pixel is not `ignore`, since
+    no score is defined over an all-ignore ground truth."""
+    if not any((gt != ignore).any() for gt in gts):
+        raise ValueError(f"no scored pixel in {source}: all ground truth is ignore ({ignore})")
+
+
 def _cmd_eval(args):
     pred = read_pgm(args["pred"]).astype(np.int64)
     gt = read_pgm(args["gt"]).astype(np.int64)
+    _require_scored([gt], args["ignore"], args["gt"])
     cm = metrics.confusion(pred, gt, args["classes"], args["ignore"])
     text = report_emit(_seg_report(cm), args.get("out"), args["report"])
     print(text)
@@ -508,9 +516,7 @@ def pipeline_run(config):
     t0 = time.perf_counter()
     train_pairs = [] if oracle else _stage("load", load_dataset, cfg["train_dir"])
     test_pairs = _stage("load", load_dataset, cfg["test_dir"])
-    if not any((gt != ignore).any() for _, gt in test_pairs):
-        raise ValueError(f"no scored pixel in {cfg['test_dir']}: all ground truth is "
-                         f"ignore ({ignore})")
+    _require_scored([gt for _, gt in test_pairs], ignore, cfg["test_dir"])
     timings["load"] = time.perf_counter() - t0
 
     model = None

@@ -17,7 +17,10 @@ never increases, since the exact per-node update minimizes a convex
 restriction).
 
 Everything is desk scale: no lattice acceleration, N up to a few
-thousand nodes.
+thousand nodes.  Building the dense kernel matrix K takes two (N, N)
+float64 buffers, K itself and one kernel's cross term; the rest of each
+kernel runs over blocks of rows of about _BLOCK_CELLS cells, and exp is
+evaluated only where it can be nonzero.
 """
 
 from dataclasses import dataclass, field
@@ -28,6 +31,13 @@ from .learner import _softmax
 
 BRUTE_FORCE_LIMIT = 2**20
 _PROB_FLOOR = 1e-12
+# Cells of K one row block of kernel_sum_matrix covers (whole rows, at
+# least one): its scratch buffer stays in cache whatever N is.
+_BLOCK_CELLS = 1 << 16
+# exp(x) is exactly 0.0 for every float64 x below about -745.13, so an
+# exponent below this is set to 0.0 without calling exp, which is slow on
+# arguments that underflow.
+_EXP_DEAD = -760.0
 
 
 @dataclass
@@ -86,24 +96,38 @@ class MeanFieldState:
 def kernel_sum_matrix(model):
     """(N, N) matrix K_ij = sum_m w_m k_m(f_i, f_j), zero diagonal.
 
-    Every kernel is evaluated in place in two (N, N) buffers allocated
-    once per call, in the operation order of max(|a|^2 + |b|^2 - (2a)^T b, 0),
-    then exp(-d2/2) * w, so no further (N, N) temporaries are made.
+    Each kernel takes one full (N, d) @ (d, N) matmul for the cross term
+    (2a)^T b into an (N, N) buffer; the rest, max(|a|^2 + |b|^2 - cross, 0)
+    then exp(-d2/2) * w added into K, runs elementwise over blocks of rows
+    of about _BLOCK_CELLS cells in one block-sized scratch buffer.  An
+    exponent below _EXP_DEAD is set to 0.0 without evaluating exp, which
+    is what exp gives there; the test is x < _EXP_DEAD, so NaN stays live
+    and exp keeps it NaN.  The bytes are those of the same chain run on
+    whole (N, N) arrays, and K plus the cross term are the only (N, N)
+    buffers.
     """
     n = model.num_nodes
     total = np.zeros((n, n))
-    buf, cross = np.empty((n, n)), np.empty((n, n))
+    cross = np.empty((n, n))
+    rows = max(1, _BLOCK_CELLS // max(n, 1))
+    block = np.empty((min(rows, n), n))
+    dead = np.empty(block.shape, dtype=bool)
     for kern in model.kernels:
         scaled = kern.features * np.sqrt(kern.precision)
         sq = (scaled**2).sum(axis=1)
         np.matmul(2.0 * scaled, scaled.T, out=cross)
-        np.add(sq[:, None], sq[None, :], out=buf)
-        buf -= cross
-        np.maximum(buf, 0.0, out=buf)
-        buf *= -0.5
-        np.exp(buf, out=buf)
-        buf *= kern.weight
-        total += buf
+        for r0 in range(0, n, rows):
+            r1 = min(r0 + rows, n)
+            x, x_dead = block[: r1 - r0], dead[: r1 - r0]
+            np.add(sq[r0:r1, None], sq[None, :], out=x)
+            x -= cross[r0:r1]
+            np.maximum(x, 0.0, out=x)
+            x *= -0.5
+            np.less(x, _EXP_DEAD, out=x_dead)
+            np.exp(x, out=x, where=~x_dead)
+            np.copyto(x, 0.0, where=x_dead)
+            x *= kern.weight
+            total[r0:r1] += x
     np.fill_diagonal(total, 0.0)
     return total
 

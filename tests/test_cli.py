@@ -527,6 +527,22 @@ class TestEvalCommands:
         assert report["mIoU"] == 1.0 and report["pixel_acc"] == 1.0
         assert report["per_class_iou"] == [1.0, 1.0, 1.0, 1.0]
 
+    def test_all_ignore_gt_exit_1(self, tmp_path, capsys):
+        write_pgm(np.zeros((4, 4), dtype=np.int64), tmp_path / "p.pgm")
+        write_pgm(np.full((4, 4), 255), tmp_path / "g.pgm")
+        out = tmp_path / "r.json"
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run("eval", "--pred", tmp_path / "p.pgm", "--gt", tmp_path / "g.pgm",
+                       "--classes", 3, "--out", out) == 1
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "no scored pixel" in err[0]
+        assert str(tmp_path / "g.pgm") in err[0]
+        assert captured.out == "" and not out.exists()
+
     def test_eval_depth(self, tmp_path, capsys):
         gt = np.full((4, 4), 2.0, dtype=np.float32)
         write_tensor(gt, tmp_path / "g.zot")

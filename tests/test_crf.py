@@ -1,13 +1,18 @@
 import itertools
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
+from zok import crf, synth, zoomout
+from zok.core_io import rgb_to_lab
 from zok.crf import (CrfModel, Kernel, check_image_crf, free_energy,
                      gibbs_distribution_bruteforce, gibbs_energy, image_crf,
                      kernel_sum_matrix, map_labels, mean_field_refine,
                      potts_compat, unary_from_probs)
+from zok.slic import labxy_means
 
 
 def reference_kernel_eval(f_i, f_j, precision):
@@ -255,6 +260,13 @@ def reference_kernel_sum_matrix(model):
     return total
 
 
+def assert_kernel_sum_matches_reference(model):
+    ksum = kernel_sum_matrix(model)
+    ref = reference_kernel_sum_matrix(model)
+    assert ksum.dtype == ref.dtype and ksum.shape == ref.shape
+    assert ksum.tobytes() == ref.tobytes()
+
+
 class TestKernelSumMatrixOracle:
     def test_matches_reference_bytes_on_random_instances(self):
         rng = np.random.default_rng(10)
@@ -267,17 +279,134 @@ class TestKernelSumMatrixOracle:
             feats[0][rng.random(n) < 0.2] = feats[0][0]   # coincident nodes: d2 = 0
             kernels = [Kernel(w, prec, f) for (w, prec), f in zip(params, feats)]
             model = CrfModel(np.zeros((n, 2)), kernels[: trial % 3])  # zero, one, two kernels
-            ksum = kernel_sum_matrix(model)
-            ref = reference_kernel_sum_matrix(model)
-            assert ksum.dtype == ref.dtype and ksum.shape == ref.shape
-            assert ksum.tobytes() == ref.tobytes()
+            assert_kernel_sum_matches_reference(model)
 
     def test_image_crf_instance_matches_reference_bytes(self):
         rng = np.random.default_rng(11)
         n = 600
         model = image_crf(rng.normal(size=(n, 3)) * 30,
                           rng.dirichlet(np.ones(4), size=n), rng.random((n, 2)) * 256)
-        assert kernel_sum_matrix(model).tobytes() == reference_kernel_sum_matrix(model).tobytes()
+        assert_kernel_sum_matches_reference(model)
+
+
+def at_exponent(x, base=38.0):
+    """A 2-D feature f whose pair with the origin has exactly -|f|^2 / 2 == x
+    as kernel_sum_matrix rounds it (unit precision, x below -base^2 / 2):
+    f = (base, t) with t stepped one float at a time either side of
+    sqrt(-2x - base^2)."""
+    lo = hi = math.sqrt(-2.0 * x - base**2)
+    for _ in range(64):
+        for t in (lo, hi):
+            f = np.array([base, t])
+            if -0.5 * (f**2).sum() == x:
+                return f
+        lo, hi = np.nextafter(lo, -math.inf), np.nextafter(hi, math.inf)
+    raise AssertionError(f"no feature reaches exponent {x!r}")
+
+
+class TestKernelSumMatrixBlocks:
+    """kernel_sum_matrix runs its elementwise chain over row blocks and skips
+    exp below crf._EXP_DEAD; neither may change a byte of K."""
+
+    # N = 300 at 1, 7 and 218 (the module's own block) rows a block: the
+    # last block holds 1, 6 and 82 rows
+    @pytest.mark.parametrize("block_cells", [1, 7 * 300 + 5, crf._BLOCK_CELLS])
+    def test_ragged_last_block_matches_reference(self, monkeypatch, block_cells):
+        monkeypatch.setattr(crf, "_BLOCK_CELLS", block_cells)
+        rng = np.random.default_rng(12)
+        n = 300
+        model = image_crf(rng.normal(size=(n, 3)) * 30, rng.dirichlet(np.ones(3), size=n),
+                          rng.random((n, 2)) * 64)
+        assert_kernel_sum_matches_reference(model)
+
+    def test_exponent_bands_match_reference(self, monkeypatch):
+        dead = crf._EXP_DEAD
+        normal = [0.0, -1e-300, -1.0, -300.0, -708.0]
+        subnormal = [-708.5, -720.0, -740.0, -745.13]          # exp is subnormal, not 0
+        underflow = [-745.2, -750.0, np.nextafter(dead, 0.0), dead]  # exp is 0, still live
+        below = [np.nextafter(dead, -math.inf), -800.0, -1e4, -1e300]  # set to 0 unevaluated
+        near = [np.nextafter(dead, 0.0), dead, np.nextafter(dead, -math.inf)]
+        targets = normal + subnormal + underflow + below
+        feats = [np.zeros(2)] + [at_exponent(x) if x in near
+                                 else np.array([math.sqrt(-2.0 * x), 0.0]) for x in targets]
+        feats = np.array(feats)
+        got = -0.5 * (feats[1:] ** 2).sum(axis=1)
+        assert [got[targets.index(x)] for x in near] == near
+        model = CrfModel(np.zeros((len(feats), 2)), [Kernel(1.0, [1.0, 1.0], feats)])
+        for block_cells in (1, crf._BLOCK_CELLS):       # one row a block, and one block
+            monkeypatch.setattr(crf, "_BLOCK_CELLS", block_cells)
+            assert_kernel_sum_matches_reference(model)
+        ref_row = reference_kernel_sum_matrix(model)[0, 1:]
+        tiny = np.finfo(np.float64).tiny
+        sub = ref_row[[targets.index(x) for x in subnormal]]
+        assert np.all((sub > 0) & (sub < tiny))
+        assert np.all(ref_row[[targets.index(x) for x in underflow + below]] == 0.0)
+        assert np.all(got[[targets.index(x) for x in below]] < dead)
+        assert not np.any(got[[targets.index(x) for x in underflow]] < dead)
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    @pytest.mark.parametrize("weights", [(), (0.0,), (2.5,), (0.0, 1.5), (3.0, 1.0)])
+    def test_weights_kernel_counts_and_tiny_n_match_reference(self, n, weights):
+        rng = np.random.default_rng(13)
+        kernels = [Kernel(w, rng.uniform(0.01, 2.0, size=2), rng.normal(size=(n, 2)) * 20)
+                   for w in weights]
+        assert_kernel_sum_matches_reference(CrfModel(np.zeros((n, 2)), kernels))
+
+    def test_region_zoom_instance_matches_reference(self):
+        # a 256^2 rect_regions map of 2,116 regions with the CLI's default
+        # CRF settings, as `zok crf --superpixels` builds it
+        spec = synth.SyntheticSpec(size=256, num_classes=5, kind="blobs", noise_sigma=8.0)
+        img, _ = next(iter(synth.generate_dataset(spec, 1, 3)))
+        rect = zoomout.rect_regions(256, 256, 2048)
+        node = labxy_means(rgb_to_lab(img), rect)
+        assert len(node) == 2116
+        probs = np.random.default_rng(14).dirichlet(np.ones(5), size=len(node))
+        assert_kernel_sum_matches_reference(image_crf(node[:, :3], probs, node[:, 3:]))
+
+    def test_nan_survives_as_in_reference(self):
+        # |f|^2 overflows for the two 1e200 nodes: inf - inf between them is
+        # NaN, which must not be taken for a dead (underflowing) entry
+        model = CrfModel(np.zeros((3, 2)), [Kernel(1.0, [1.0], [[0.0], [1e200], [1e200]])])
+        results = []
+        for fn in (kernel_sum_matrix, reference_kernel_sum_matrix):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                results.append((fn(model), sorted({str(w.message) for w in caught})))
+        (ksum, msgs), (ref, ref_msgs) = results
+        assert np.isnan(ref[1, 2]) and np.isnan(ref[2, 1])
+        assert np.array_equal(np.isnan(ksum), np.isnan(ref))
+        assert ksum.tobytes() == ref.tobytes()
+        assert msgs == ref_msgs
+
+    def test_overflow_in_a_later_block_raises(self, monkeypatch):
+        # one row a block; node 0's NaN features make row 0 NaN, which sets
+        # no floating-point flag, so the diagonal w1 + w2 first overflows
+        # in row 1, the second block
+        n = 6
+        monkeypatch.setattr(crf, "_BLOCK_CELLS", n)
+        rng = np.random.default_rng(15)
+        lab, pos = rng.normal(size=(n, 3)), rng.random((n, 2)) * 32
+        lab[0] = pos[0] = np.nan
+        model = image_crf(lab, rng.dirichlet(np.ones(3), size=n), pos, 1e308, 1e308)
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+            kernel_sum_matrix(model)
+        with pytest.raises(ValueError, match="float64 range"):
+            mean_field_refine(model, iters=2)
+
+    def test_peak_memory_is_two_n_by_n_buffers(self):
+        # K and one kernel's cross term; the elementwise chain runs in a
+        # block-sized buffer, not a third (N, N) one
+        rng = np.random.default_rng(16)
+        n = 1024
+        model = image_crf(rng.normal(size=(n, 3)) * 30, rng.dirichlet(np.ones(4), size=n),
+                          rng.random((n, 2)) * 256)
+        tracemalloc.start()
+        try:
+            kernel_sum_matrix(model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.25 * n * n * 8
 
 
 class TestMeanField:
