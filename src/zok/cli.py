@@ -3,10 +3,11 @@
 One executable with subcommands: slic, rect, features, pool, train,
 predict, sample, crf, eval, eval-depth, synth and pipeline.  A JSON file
 passed via --config supplies defaults that explicit flags override;
-unknown config keys are rejected.  Exit codes: 0 success, 1 validation
-error, 2 I/O error or malformed file (a --config that is not valid UTF-8
-JSON included).  Every subcommand is deterministic; train and synth take
-a --seed, and the pipeline config a train.seed.
+unknown config keys, and values the flag would refuse, are rejected.
+Exit codes: 0 success, 1 validation error, 2 I/O error or malformed file
+(a --config that is not valid UTF-8 JSON included).  Every subcommand is
+deterministic; train and synth take a --seed, and the pipeline config a
+train.seed.
 """
 
 import argparse
@@ -25,117 +26,63 @@ from .slic import SlicParams, labxy_means, run_slic
 from .synth import SyntheticSpec, load_dataset, synth_generate
 
 
-def _arg(*flags, **kwargs):
-    return flags, kwargs
+# The default of an option that a flag or --config must supply.
+_REQUIRED = object()
+_UPSAMPLE = ("nearest", "bilinear")
+_REPORT = ("json", "text")
+_LOSS = ("asymmetric", "symmetric")
 
-
+# Each subcommand's options: key -> (type, default[, help]).  The flag is
+# --key with "-" for "_"; a bool is a store_true flag and a tuple lists the
+# allowed strings.  Flags and --config keys are checked against one table.
 _SPECS = {
-    "slic": [
-        _arg("--input", required=True),
-        _arg("--k", type=int, required=True),
-        _arg("--m", type=float, default=15.0),
-        _arg("--max-iters", type=int, default=10),
-        _arg("--residual-threshold", type=float, default=1.0),
-        _arg("--no-connectivity", action="store_true"),
-        _arg("--out", required=True),
-    ],
-    "rect": [
-        _arg("--input", help="image whose size to partition"),
-        _arg("--width", type=int),
-        _arg("--height", type=int),
-        _arg("--count", type=int, required=True),
-        _arg("--out", required=True),
-    ],
-    "features": [
-        _arg("--image", required=True),
-        _arg("--superpixels", required=True),
-        _arg("--levels", default="local,proximal:2"),
-        _arg("--featmap", help="ZOT1 (C,H',W') map for pooled/subscene/scene levels"),
-        _arg("--upsample", default="nearest", choices=["nearest", "bilinear"]),
-        _arg("--mirror", action="store_true", help="max-fuse with mirror-image features"),
-        _arg("--out", required=True),
-    ],
-    "pool": [
-        _arg("--featmap", required=True),
-        _arg("--superpixels", required=True),
-        _arg("--upsample", default="nearest", choices=["nearest", "bilinear"]),
-        _arg("--out", required=True),
-    ],
-    "train": [
-        _arg("--features", required=True),
-        _arg("--labels", required=True),
-        _arg("--weights", help="optional per-sample weights (pixel counts)"),
-        _arg("--classes", type=int),
-        _arg("--hidden", default=""),
-        _arg("--loss", default="asymmetric", choices=["asymmetric", "symmetric"]),
-        _arg("--epochs", type=int, default=50),
-        _arg("--batch-size", type=int, default=64),
-        _arg("--lr", type=float, default=1e-4),
-        _arg("--momentum", type=float, default=0.9),
-        _arg("--weight-decay", type=float, default=1e-3),
-        _arg("--dropout", type=float, default=0.0),
-        _arg("--seed", type=int, default=0),
-        _arg("--out", required=True),
-    ],
-    "predict": [
-        _arg("--model", required=True),
-        _arg("--features", required=True),
-        _arg("--out", required=True),
-    ],
-    "sample": [
-        _arg("--scores", required=True, help="ZOT1 (C,H,W) score fields"),
-        _arg("--features", required=True, help="ZOT1 (D,H,W) feature field"),
-        _arg("--k", type=int, default=20),
-        _arg("--mode", default="diverse", choices=["diverse", "topk", "spatial"]),
-        _arg("--bg", action="store_true", help="append background points as class C"),
-        _arg("--out", required=True),
-    ],
-    "crf": [
-        _arg("--unary", required=True, help="probabilities: (C,H,W), or (K,C) with --superpixels"),
-        _arg("--image", required=True),
-        _arg("--superpixels"),
-        _arg("--iters", type=int, default=10),
-        _arg("--mode", default="parallel", choices=["parallel", "sequential"]),
-        _arg("--damping", type=float, default=0.5),
-        _arg("--w-appearance", type=float, default=3.0),
-        _arg("--w-smooth", type=float, default=1.0),
-        _arg("--sigma-xy", type=float, default=10.0),
-        _arg("--sigma-lab", type=float, default=10.0),
-        _arg("--sigma-xy-smooth", type=float, default=3.0),
-        _arg("--out", required=True),
-    ],
-    "eval": [
-        _arg("--pred", required=True),
-        _arg("--gt", required=True),
-        _arg("--classes", type=int, required=True),
-        _arg("--ignore", type=int, default=255),
-        _arg("--report", default="text", choices=["json", "text"]),
-        _arg("--out"),
-    ],
-    "eval-depth": [
-        _arg("--pred", required=True),
-        _arg("--gt", required=True),
-        _arg("--rel-denominator", default="pred", choices=["pred", "gt"]),
-        _arg("--report", default="text", choices=["json", "text"]),
-        _arg("--out"),
-    ],
-    "synth": [
-        _arg("--out", required=True),
-        _arg("--count", type=int, default=1),
-        _arg("--size", type=int, default=64),
-        _arg("--classes", type=int, default=4),
-        _arg("--kind", default="blobs", choices=["quadrants", "blobs", "stripes"]),
-        _arg("--noise", type=float, default=0.0),
-        _arg("--seed", type=int, default=0),
-    ],
-    "pipeline": [
-        _arg("--report-out", help="override the report path from the config"),
-    ],
+    "slic": {"input": (str, _REQUIRED), "k": (int, _REQUIRED), "m": (float, 15.0),
+             "max_iters": (int, 10), "residual_threshold": (float, 1.0),
+             "no_connectivity": (bool, False), "out": (str, _REQUIRED)},
+    "rect": {"input": (str, None, "image whose size to partition"), "width": (int, None),
+             "height": (int, None), "count": (int, _REQUIRED), "out": (str, _REQUIRED)},
+    "features": {"image": (str, _REQUIRED), "superpixels": (str, _REQUIRED),
+                 "levels": (str, "local,proximal:2"),
+                 "featmap": (str, None, "ZOT1 (C,H',W') map for pooled/subscene/scene levels"),
+                 "upsample": (_UPSAMPLE, "nearest"),
+                 "mirror": (bool, False, "max-fuse with mirror-image features"),
+                 "out": (str, _REQUIRED)},
+    "pool": {"featmap": (str, _REQUIRED), "superpixels": (str, _REQUIRED),
+             "upsample": (_UPSAMPLE, "nearest"), "out": (str, _REQUIRED)},
+    "train": {"features": (str, _REQUIRED), "labels": (str, _REQUIRED),
+              "weights": (str, None, "optional per-sample weights (pixel counts)"),
+              "classes": (int, None), "hidden": (str, ""), "loss": (_LOSS, "asymmetric"),
+              "epochs": (int, 50), "batch_size": (int, 64), "lr": (float, 1e-4),
+              "momentum": (float, 0.9), "weight_decay": (float, 1e-3),
+              "dropout": (float, 0.0), "seed": (int, 0), "out": (str, _REQUIRED)},
+    "predict": {"model": (str, _REQUIRED), "features": (str, _REQUIRED),
+                "out": (str, _REQUIRED)},
+    "sample": {"scores": (str, _REQUIRED, "ZOT1 (C,H,W) score fields"),
+               "features": (str, _REQUIRED, "ZOT1 (D,H,W) feature field"),
+               "k": (int, 20), "mode": (("diverse", "topk", "spatial"), "diverse"),
+               "bg": (bool, False, "append background points as class C"),
+               "out": (str, _REQUIRED)},
+    "crf": {"unary": (str, _REQUIRED, "probabilities: (C,H,W), or (K,C) with --superpixels"),
+            "image": (str, _REQUIRED), "superpixels": (str, None), "iters": (int, 10),
+            "mode": (("parallel", "sequential"), "parallel"), "damping": (float, 0.5),
+            "w_appearance": (float, 3.0), "w_smooth": (float, 1.0),
+            "sigma_xy": (float, 10.0), "sigma_lab": (float, 10.0),
+            "sigma_xy_smooth": (float, 3.0), "out": (str, _REQUIRED)},
+    "eval": {"pred": (str, _REQUIRED), "gt": (str, _REQUIRED), "classes": (int, _REQUIRED),
+             "ignore": (int, 255), "report": (_REPORT, "text"), "out": (str, None)},
+    "eval-depth": {"pred": (str, _REQUIRED), "gt": (str, _REQUIRED),
+                   "rel_denominator": (("pred", "gt"), "pred"),
+                   "report": (_REPORT, "text"), "out": (str, None)},
+    "synth": {"out": (str, _REQUIRED), "count": (int, 1), "size": (int, 64),
+              "classes": (int, 4), "kind": (("quadrants", "blobs", "stripes"), "blobs"),
+              "noise": (float, 0.0), "seed": (int, 0)},
+    "pipeline": {"report_out": (str, None, "override the report path from the config")},
 }
 
 
 def build_parser():
-    """Parser that checks flag names and types but sets no defaults.
+    """Parser with one flag per _SPECS key that checks names, types and
+    allowed values but sets no defaults.
 
     Required options and defaults are left to _merge_config, so that a
     --config file may supply them.
@@ -144,36 +91,23 @@ def build_parser():
     subs = parser.add_subparsers(dest="command", required=True)
     for name, spec in _SPECS.items():
         sub = subs.add_parser(name)
-        for flags, kwargs in spec:
-            kwargs = dict(kwargs, default=argparse.SUPPRESS)
-            kwargs.pop("required", None)
-            sub.add_argument(*flags, **kwargs)
+        for key, (kind, _, *text) in spec.items():
+            kwargs = ({"action": "store_true"} if kind is bool else
+                      {"choices": kind} if isinstance(kind, tuple) else {"type": kind})
+            sub.add_argument("--" + key.replace("_", "-"), default=argparse.SUPPRESS,
+                             help=text[0] if text else None, **kwargs)
         sub.add_argument("--config", default=argparse.SUPPRESS,
                          help="JSON file with defaults for this subcommand")
     return parser
 
 
-def _dest(flags):
-    return flags[0].lstrip("-").replace("-", "_")
-
-
-def _command_table(command):
-    """({dest: (type, default)}, required dests) declared for one subcommand."""
-    table, required = {}, set()
-    for flags, kwargs in _SPECS[command]:
-        if kwargs.get("action") == "store_true":
-            table[_dest(flags)] = (bool, False)
-        else:
-            table[_dest(flags)] = (kwargs.get("type", str), kwargs.get("default"))
-        if kwargs.get("required"):
-            required.add(_dest(flags))
-    return table, required
-
-
 def _is_a(value, kind):
-    """JSON type check: an int passes as a float, a bool never as a number."""
+    """JSON type check: an int passes as a float, a bool never as a number,
+    and a tuple kind passes only the strings it lists."""
     if isinstance(value, bool):
         return kind is bool
+    if isinstance(kind, tuple):
+        return value in kind
     if kind is float:
         return isinstance(value, (int, float))
     if kind is list:
@@ -182,22 +116,24 @@ def _is_a(value, kind):
 
 
 def _merge_section(table, values, where):
-    """Defaults from a {key: (type, default)} table, overlaid with values.
+    """Defaults from a {key: (type, default[, help])} table, overlaid with
+    values.
 
     Unknown keys and values of the wrong type raise ValueError; None is
-    accepted where the default is None, and an int given for a float key
-    becomes a float.
+    accepted where the default is None or _REQUIRED, and an int given for
+    a float key becomes a float.
     """
     if not isinstance(values, dict):
         raise ValueError(f"{where} must be a JSON object")
     unknown = sorted(set(values) - set(table))
     if unknown:
         raise ValueError(f"unknown {where} keys: {unknown}")
-    merged = {key: default for key, (_, default) in table.items()}
+    merged = {key: spec[1] for key, spec in table.items()}
     for key, value in values.items():
-        kind, default = table[key]
-        if not (_is_a(value, kind) or (value is None and default is None)):
-            raise ValueError(f"{where} key {key!r} must be {kind.__name__}, got {value!r}")
+        kind, default = table[key][:2]
+        if not (_is_a(value, kind) or (value is None and default in (None, _REQUIRED))):
+            expected = f"one of {list(kind)}" if isinstance(kind, tuple) else kind.__name__
+            raise ValueError(f"{where} key {key!r} must be {expected}, got {value!r}")
         if kind is float and isinstance(value, int):
             try:
                 value = float(value)
@@ -208,7 +144,7 @@ def _merge_section(table, values, where):
 
 
 def _require(merged, keys, what):
-    missing = [k for k in sorted(keys) if merged.get(k) is None]
+    missing = [k for k in sorted(keys) if merged.get(k) in (None, _REQUIRED)]
     if missing:
         raise ValueError(f"missing required {what}: {missing}")
 
@@ -224,10 +160,10 @@ def _load_json(data):
 
 def _merge_config(explicit, command):
     """defaults <- config file <- explicit flags; validates keys and types."""
-    table, required = _command_table(command)
+    table = _SPECS[command]
     cfg = _load_json(explicit["config"]) if explicit.get("config") else {}
     merged = dict(_merge_section(table, cfg, "config"), **explicit)
-    _require(merged, required, "options")
+    _require(merged, [k for k, spec in table.items() if spec[1] is _REQUIRED], "options")
     return merged
 
 
@@ -291,11 +227,14 @@ def _read_spmap(path, shape=None):
     return sp.astype(np.int32)
 
 
-def _read_finite(path, name):
-    """read_tensor, rejecting NaN and inf; the dtype is kept as read."""
+def _read_finite(path, name, ndim=None):
+    """read_tensor, rejecting NaN and inf and, when ndim is given, another
+    rank; the dtype is kept as read."""
     x = read_tensor(path)
     if not np.isfinite(x).all():
         raise ValueError(f"{name} must be finite (found NaN or inf)")
+    if ndim is not None and x.ndim != ndim:
+        raise ValueError(f"--{name} must be a rank-{ndim} tensor, got shape {x.shape}")
     return x
 
 
@@ -327,7 +266,7 @@ def _cmd_features(args):
     spmap = _read_spmap(args["superpixels"], img.shape[:2])
     full = None
     if args.get("featmap"):
-        full = zoomout.upsample_featuremap(_read_finite(args["featmap"], "featmap"),
+        full = zoomout.upsample_featuremap(_read_finite(args["featmap"], "featmap", 3),
                                            *spmap.shape, mode=args["upsample"])
     feats = zoomout.build_features(img, spmap, args["levels"], full)
     if args["mirror"]:
@@ -338,7 +277,7 @@ def _cmd_features(args):
 
 
 def _cmd_pool(args):
-    featmap = _read_finite(args["featmap"], "featmap")
+    featmap = _read_finite(args["featmap"], "featmap", 3)
     spmap = _read_spmap(args["superpixels"])
     full = zoomout.upsample_featuremap(featmap, *spmap.shape, mode=args["upsample"])
     pooled = zoomout.pool_over_superpixels(full, spmap)
@@ -463,7 +402,8 @@ def _stage(name, fn, *fn_args, **fn_kwargs):
 
 
 # Pipeline config: key -> (type, default) for the top level and for each
-# nested section.  The defaults differ from the subcommands' flags.
+# nested section, in the form of _SPECS.  The defaults differ from the
+# subcommands' flags.
 _PIPELINE = {
     "config": {"train_dir": (str, None), "test_dir": (str, None), "classes": (int, None),
                "ignore": (int, 255), "slic": (dict, {}), "proximal_radius": (int, 2),
@@ -473,7 +413,7 @@ _PIPELINE = {
     "train": {"hidden": (list, [64]), "epochs": (int, 40), "batch_size": (int, 128),
               "learning_rate": (float, 0.02), "momentum": (float, 0.9),
               "weight_decay": (float, 1e-4), "dropout": (float, 0.0), "seed": (int, 0),
-              "loss": (str, "asymmetric")},
+              "loss": (_LOSS, "asymmetric")},
     "crf": {"iters": (int, 5), "damping": (float, 0.5), "w_appearance": (float, 3.0),
             "w_smooth": (float, 1.0), "sigma_xy": (float, 20.0), "sigma_lab": (float, 10.0),
             "sigma_xy_smooth": (float, 5.0)},

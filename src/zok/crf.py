@@ -49,12 +49,14 @@ class Kernel:
     def __post_init__(self):
         self.precision = np.asarray(self.precision, dtype=np.float64)
         self.features = np.asarray(self.features, dtype=np.float64)
-        if not self.weight >= 0:  # NaN fails
-            raise ValueError("kernel weight must be >= 0")
+        if not 0 <= self.weight < np.inf:  # NaN fails
+            raise ValueError(f"kernel weight must be finite and >= 0, got {self.weight}")
         if not np.all(self.precision > 0):
             raise ValueError("precision entries must be > 0")
         if self.features.ndim != 2 or self.features.shape[1:] != self.precision.shape:
             raise ValueError("feature/precision dimension mismatch")
+        if not np.isfinite(self.features).all():
+            raise ValueError("kernel features must be finite (found NaN or inf)")
 
 
 def potts_compat(num_labels):

@@ -72,6 +72,8 @@ class SyntheticSpec:
             raise ValueError("need at least 2 classes")
         if self.kind not in ("quadrants", "blobs", "stripes"):
             raise ValueError(f"unknown kind {self.kind!r}")
+        if self.kind == "blobs" and self.size < 3:  # radii size//8..size//3 would be 0
+            raise ValueError(f"blobs need size >= 3, got {self.size}")
         if not 0 <= self.noise_sigma < np.inf:  # NaN fails
             raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
 

@@ -153,6 +153,23 @@ class TestFeaturesAndPool:
         assert len(err) == 1 and err[0].startswith("error:")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["features", "pool"])
+    def test_rank_2_featmap_exit_1(self, tmp_path, capsys, quad_image, command):
+        img_path, _ = quad_image
+        sp_out = tmp_path / "sp.zot"
+        run("slic", "--input", img_path, "--k", 4, "--out", sp_out)
+        write_tensor(np.ones((8, 8), dtype=np.float32), tmp_path / "fm.zot")
+        out = tmp_path / "o.zot"
+        argv = {"features": ["--image", img_path, "--levels", "local,pooled"],
+                "pool": []}[command]
+        capsys.readouterr()
+        assert run(command, *argv, "--superpixels", sp_out, "--featmap", tmp_path / "fm.zot",
+                   "--out", out) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert "--featmap" in err[0] and "(8, 8)" in err[0]
+        assert not out.exists()
+
     def test_pool_command(self, tmp_path, quad_image):
         img_path, _ = quad_image
         sp_out = tmp_path / "sp.zot"
@@ -614,6 +631,18 @@ class TestSynthCommand:
     def test_size_below_one_rejected(self, tmp_path):
         out = tmp_path / "data"
         assert run("synth", "--out", out, "--count", 2, "--size", 0) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("size", [1, 2])
+    def test_blobs_below_size_3_exit_1(self, tmp_path, capsys, size):
+        out = tmp_path / "data"
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run("synth", "--out", out, "--size", size) == 1
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "size >= 3" in err[0]
         assert not out.exists()
 
     @pytest.mark.parametrize("count", [0, -1])
@@ -1098,8 +1127,8 @@ def written_finite(out):
     return bool(np.isfinite(read_tensor(out)).all())
 
 
-FLOAT_FLAGS = [(command, flags[0]) for command, spec in cli._SPECS.items()
-               for flags, kwargs in spec if kwargs.get("type") is float]
+FLOAT_FLAGS = [(command, "--" + key.replace("_", "-")) for command, spec in cli._SPECS.items()
+               for key, (kind, *_) in spec.items() if kind is float]
 
 
 class TestNanFloatFlags:
@@ -1110,6 +1139,7 @@ class TestNanFloatFlags:
 
     def test_flags_found(self):
         assert ("train", "--lr") in FLOAT_FLAGS and ("synth", "--noise") in FLOAT_FLAGS
+        assert len(FLOAT_FLAGS) == 13
 
     @pytest.mark.parametrize("command,flag", FLOAT_FLAGS)
     def test_nan_exit_1(self, tmp_path, capsys, command, flag):
@@ -1128,12 +1158,13 @@ class TestNanFloatFlags:
         # JSON has integers of any size; 10**400 is no float
         paths = dict(valid_input_files(tmp_path), out=tmp_path / "out")
         config = tmp_path / "c.json"
-        config.write_text(json.dumps({cli._dest([flag]): 10**400}))
+        key = flag[2:].replace("-", "_")
+        config.write_text(json.dumps({key: 10**400}))
         capsys.readouterr()
         assert run(*input_argv(command, paths, config=config)) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
-        assert f"key {cli._dest([flag])!r} is beyond the float range" in err[0]
+        assert f"key {key!r} is beyond the float range" in err[0]
         assert not paths["out"].exists()
 
     @pytest.mark.parametrize("value", ["1e-300", "1e300"])
@@ -1154,3 +1185,37 @@ class TestNanFloatFlags:
         else:
             assert code == 1 and len(err) == 1 and err[0].startswith("error:")
             assert not paths["out"].exists()
+
+
+# (subcommand, config key) of every option that lists its allowed values
+CHOICE_KEYS = [(command, key) for command, spec in cli._SPECS.items()
+               for key, (kind, *_) in spec.items() if isinstance(kind, tuple)]
+
+
+class TestConfigChoices:
+    """A --config value outside an option's allowed list is refused as the
+    flag refuses it: exit 1 with one error line naming the key, and nothing
+    written, even where no stage would read the value."""
+
+    def test_keys_found(self):
+        assert sorted(CHOICE_KEYS) == [
+            ("crf", "mode"), ("eval", "report"), ("eval-depth", "rel_denominator"),
+            ("eval-depth", "report"), ("features", "upsample"), ("pool", "upsample"),
+            ("sample", "mode"), ("synth", "kind"), ("train", "loss")]
+
+    @pytest.mark.parametrize("command,key", CHOICE_KEYS)
+    def test_out_of_list_value_exit_1(self, tmp_path, capsys, command, key):
+        paths = dict(valid_input_files(tmp_path), out=tmp_path / "out")
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({key: "cubic"}))
+        if command == "features":
+            # without --featmap, no stage reads upsample
+            argv = [command, "--image", paths["img"], "--superpixels", paths["sp"],
+                    "--config", config, "--out", paths["out"]]
+        else:
+            argv = input_argv(command, paths, config=config)
+        capsys.readouterr()
+        assert run(*argv) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and f"key {key!r}" in err[0]
+        assert not paths["out"].exists()

@@ -50,10 +50,25 @@ class TestKernelEval:
         assert all(a > b for a, b in zip(vals, vals[1:]))
         assert all(0 < v <= 1 for v in vals)
 
-    @pytest.mark.parametrize("weight,precision", [(math.nan, [1.0]), (1.0, [math.nan])])
+    @pytest.mark.parametrize("weight,precision",
+                             [(math.nan, [1.0]), (math.inf, [1.0]), (1.0, [math.nan])])
     def test_nan_weight_or_precision_rejected(self, weight, precision):
         with pytest.raises(ValueError, match="weight|precision"):
             Kernel(weight, precision, [[0.0], [1.0]])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_features_rejected(self, bad):
+        with pytest.raises(ValueError, match="features must be finite"):
+            Kernel(1.0, [1.0], [[0.0], [bad], [1.0]])
+
+    def test_image_crf_nan_lab_row_rejected(self):
+        # one NaN Lab row once gave an all-NaN Q and NaN free energies
+        rng = np.random.default_rng(3)
+        lab = rng.uniform(0.0, 50.0, (4, 3))
+        lab[2] = math.nan
+        probs = rng.dirichlet(np.ones(3), size=4)
+        with pytest.raises(ValueError, match="features must be finite"):
+            image_crf(lab, probs, rng.uniform(0.0, 8.0, (4, 2)))
 
     def test_dim_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
@@ -381,13 +396,15 @@ class TestKernelSumMatrixBlocks:
     def test_overflow_in_a_later_block_raises(self, monkeypatch):
         # one row a block; node 0's NaN features make row 0 NaN, which sets
         # no floating-point flag, so the diagonal w1 + w2 first overflows
-        # in row 1, the second block
+        # in row 1, the second block.  Kernel refuses NaN features, so they
+        # are written in after the model is built.
         n = 6
         monkeypatch.setattr(crf, "_BLOCK_CELLS", n)
         rng = np.random.default_rng(15)
         lab, pos = rng.normal(size=(n, 3)), rng.random((n, 2)) * 32
-        lab[0] = pos[0] = np.nan
         model = image_crf(lab, rng.dirichlet(np.ones(3), size=n), pos, 1e308, 1e308)
+        for kern in model.kernels:
+            kern.features[0] = np.nan
         with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
             kernel_sum_matrix(model)
         with pytest.raises(ValueError, match="float64 range"):

@@ -60,11 +60,21 @@ class TestGeneration:
         img, gt = pairs[0]
         assert img.shape == (16, 16, 3) and gt.shape == (16, 16)
 
+    @pytest.mark.parametrize("size", [3, 4, 5, 6, 7, 8])
+    def test_small_blobs_generate_cleanly(self, size):
+        # every radius is drawn from [size // 8, size // 3], which is 0 below 3
+        spec = SyntheticSpec(size=size, num_classes=3, kind="blobs")
+        for img, gt in generate_dataset(spec, 5, seed=size):
+            assert img.shape == (size, size, 3) and gt.shape == (size, size)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             SyntheticSpec(num_classes=1)
         with pytest.raises(ValueError):
             SyntheticSpec(kind="donuts")
+        with pytest.raises(ValueError, match="size >= 3"):
+            SyntheticSpec(size=2, kind="blobs")
+        SyntheticSpec(size=2, kind="quadrants")  # other kinds still accept it
         for noise in (-1.0, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="noise_sigma"):
                 SyntheticSpec(noise_sigma=noise)
