@@ -170,34 +170,32 @@ def _merge_config(explicit, command):
 def report_emit(scores, path=None, fmt="json"):
     """Render a scores dict as JSON or an aligned text table.
 
-    Floats are printed with 4 decimals; NaN becomes null.  Returns the
+    Both formats render the same cleaned values: floats rounded to 4
+    decimals, NaN as null, numpy scalars as Python numbers.  Returns the
     rendered string and writes it to `path` when given.
     """
+    def clean(obj):
+        if isinstance(obj, dict):
+            return {k: clean(v) for k, v in obj.items()}
+        if isinstance(obj, (list, tuple, np.ndarray)):
+            return [clean(v) for v in obj]
+        if isinstance(obj, (np.floating, float)):
+            return None if math.isnan(obj) else round(float(obj), 4)
+        if isinstance(obj, np.integer):
+            return int(obj)
+        return obj
+
+    scores = clean(scores)
     if fmt == "json":
-        def clean(obj):
-            if isinstance(obj, dict):
-                return {k: clean(v) for k, v in obj.items()}
-            if isinstance(obj, (list, tuple, np.ndarray)):
-                return [clean(v) for v in obj]
-            if isinstance(obj, (np.floating, float)):
-                return None if math.isnan(obj) else round(float(obj), 4)
-            if isinstance(obj, np.integer):
-                return int(obj)
-            return obj
-        text = json.dumps(clean(scores), indent=2)
+        text = json.dumps(scores, indent=2)
     elif fmt == "text":
-        lines = []
+        def cell(v):
+            return "null" if v is None else f"{v:.4f}"
         width = max((len(str(k)) for k in scores), default=0)
+        lines = []
         for key, value in scores.items():
-            if isinstance(value, (list, tuple, np.ndarray)):
-                body = " ".join(
-                    "null" if v is None or (isinstance(v, float) and math.isnan(v))
-                    else f"{v:.4f}" for v in value
-                )
-            elif isinstance(value, (float, np.floating)):
-                body = "null" if math.isnan(value) else f"{value:.4f}"
-            else:
-                body = str(value)
+            body = (" ".join(map(cell, value)) if isinstance(value, list) else
+                    cell(value) if value is None or isinstance(value, float) else str(value))
             lines.append(f"{key:<{width}}  {body}")
         text = "\n".join(lines) + "\n"
     else:
@@ -264,15 +262,23 @@ def _cmd_rect(args):
 def _cmd_features(args):
     img = read_ppm(args["image"])
     spmap = _read_spmap(args["superpixels"], img.shape[:2])
+    names = {name for name, _ in zoomout._parse_levels(args["levels"])}
+    if args.get("featmap") and not names & {"pooled", "subscene", "scene"}:
+        raise ValueError(f"--featmap is read only by the pooled, subscene and scene levels, "
+                         f"and --levels {args['levels']!r} has none")
+    if args["upsample"] != "nearest" and not args.get("featmap"):
+        raise ValueError(f"--upsample {args['upsample']} applies only to a --featmap")
     full = None
     if args.get("featmap"):
         full = zoomout.upsample_featuremap(_read_finite(args["featmap"], "featmap", 3),
                                            *spmap.shape, mode=args["upsample"])
     feats = zoomout.build_features(img, spmap, args["levels"], full)
     if args["mirror"]:
-        # the mirrored image reads the same, unmirrored feature map
+        # the mirrored image reads the same, unmirrored feature map; named,
+        # mirrored outlives the first pass's array, which rebinding feats
+        # frees; inlined, it is freed first, which raised region-zoom's peak RSS
         mirrored = zoomout.build_features(img[:, ::-1], spmap[:, ::-1], args["levels"], full)
-        feats = zoomout.mirror_max_fuse(feats, mirrored)
+        feats = np.maximum(feats, mirrored)
     write_tensor(feats.astype(np.float32), args["out"])
 
 
@@ -284,21 +290,22 @@ def _cmd_pool(args):
     write_tensor(pooled.astype(np.float32), args["out"])
 
 
-def _parse_hidden(text):
-    return tuple(int(t) for t in text.split(",") if t.strip())
-
-
 def _cmd_train(args):
     cfg = learner.TrainConfig(
         epochs=args["epochs"], batch_size=args["batch_size"],
         learning_rate=args["lr"], momentum=args["momentum"],
         weight_decay=args["weight_decay"], dropout=args["dropout"],
-        seed=args["seed"], loss=args["loss"], hidden=_parse_hidden(args["hidden"]),
+        seed=args["seed"], loss=args["loss"],
+        hidden=tuple(int(t) for t in args["hidden"].split(",") if t.strip()),
     )
     if args.get("weights") and cfg.loss == "symmetric":
         raise ValueError("--weights feeds the class frequencies of --loss asymmetric only")
     features = _read_finite(args["features"], "features").astype(np.float64)
-    labels = read_tensor(args["labels"]).astype(np.int64)
+    labels = _read_finite(args["labels"], "labels")
+    bad = labels[(labels % 1 != 0) | (np.abs(labels) >= 2.0**63)]  # int64 holds no more
+    if bad.size:
+        raise ValueError(f"--labels must be whole class numbers, got {bad[0]}")
+    labels = labels.astype(np.int64)
     weights = (_read_finite(args["weights"], "weights").astype(np.float64)
                if args.get("weights") else None)
     model = learner.train(features, labels, cfg, num_classes=args.get("classes"),
@@ -319,6 +326,11 @@ def _cmd_sample(args):
         raise ValueError("scores must be (C,H,W) and features (D,H,W)")
     z = weaksup.normalize_features([field])[0]
     points = weaksup.sample_points(scores, z, args["k"], args["mode"], args["bg"])
+    for c, pts in enumerate(points):
+        if len(pts) < args["k"]:
+            what = "background" if args["bg"] and c == len(points) - 1 else f"class {c}"
+            raise ValueError(f"{what} has only {len(pts)} distinct points with nonzero "
+                             f"features, fewer than --k {args['k']}")
     rows = [(c, int(r), int(col), rank) for c, pts in enumerate(points)
             for rank, (r, col) in enumerate(pts)]
     write_tensor(np.array(rows, dtype=np.uint32).reshape(-1, 4), args["out"])
@@ -524,20 +536,8 @@ def _cmd_pipeline(args):
     print(report_emit(pipeline_run(config), None, "json"))
 
 
-_HANDLERS = {
-    "slic": _cmd_slic,
-    "rect": _cmd_rect,
-    "features": _cmd_features,
-    "pool": _cmd_pool,
-    "train": _cmd_train,
-    "predict": _cmd_predict,
-    "sample": _cmd_sample,
-    "crf": _cmd_crf,
-    "eval": _cmd_eval,
-    "eval-depth": _cmd_eval_depth,
-    "synth": _cmd_synth,
-    "pipeline": _cmd_pipeline,
-}
+# each command's handler is _cmd_<command>, "-" becoming "_"
+_HANDLERS = {name: globals()["_cmd_" + name.replace("-", "_")] for name in _SPECS}
 
 
 def main(argv=None):
@@ -554,7 +554,7 @@ def main(argv=None):
         args = explicit if command == "pipeline" else _merge_config(explicit, command)
         _HANDLERS[command](args)
         return 0
-    except (FormatError, FileNotFoundError, IsADirectoryError, PermissionError, OSError) as exc:
+    except (FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, KeyError) as exc:

@@ -27,10 +27,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .learner import _softmax
+from .learner import _PROB_FLOOR, _softmax
 
 BRUTE_FORCE_LIMIT = 2**20
-_PROB_FLOOR = 1e-12
 # Cells of K one row block of kernel_sum_matrix covers (whole rows, at
 # least one): its scratch buffer stays in cache whatever N is.
 _BLOCK_CELLS = 1 << 16

@@ -161,11 +161,6 @@ def asymmetric_loss(probs, labels, freqs):
     return float(-(np.log(p) / f[labels]).mean())
 
 
-def _per_sample_weights(labels, freqs, n):
-    f = np.asarray(freqs, dtype=np.float64)
-    return 1.0 / (f[labels] * n)
-
-
 def _backward(model, acts, output_delta, dropout_masks=None):
     """Gradients of all weights/biases given dLoss/dLogits rows, from the
     activations _forward_pass returned."""
@@ -194,7 +189,7 @@ def loss_gradient(model, x, labels, freqs, dropout_masks=None):
     acts, z = _forward_pass(model, x, dropout_masks)
     delta = _softmax(z)
     delta[np.arange(len(labels)), labels] -= 1.0
-    delta *= _per_sample_weights(labels, freqs, len(labels))[:, None]
+    delta *= (1.0 / (np.asarray(freqs, dtype=np.float64)[labels] * len(labels)))[:, None]
     return _backward(model, acts, delta, dropout_masks)
 
 

@@ -151,7 +151,7 @@ def _greedy_diverse(scores_flat, sim_to, k):
 
 
 def diverse_sample_fg(scores, z, k):
-    """Greedy feature-diverse foreground sampling; returns (k, 2) row/col.
+    """Greedy feature-diverse foreground sampling; at most k row/col points.
 
     The first pick is the plain score argmax; subsequent picks maximize
     the similarity-penalized score.  Zero-norm feature vectors are never
@@ -172,7 +172,7 @@ def diverse_sample_bg(z, fg_points, k_bg):
 
     fg_points: (M, 2) row/col array of all foreground samples from the
     image.  Each pick minimizes max(|z . z_fg|, |z . z_prior_bg|); ties go
-    to the smallest row-major index.  Returns (k_bg, 2) row/col.
+    to the smallest row-major index.  Returns at most k_bg row/col points.
     """
     fg_points = np.asarray(fg_points)
     if fg_points.size == 0:
@@ -214,7 +214,7 @@ def spatial_diverse_sample(scores, k):
 
 
 def sample_foreground(scores, z, k, mode="diverse"):
-    """(k, 2) row/col foreground points of an (H, W) score grid.
+    """At most k row/col foreground points of an (H, W) score grid.
 
     mode is "diverse" (diverse_sample_fg over the unit feature field z),
     "topk" or "spatial"; the last two do not read z.
@@ -229,9 +229,9 @@ def sample_foreground(scores, z, k, mode="diverse"):
 
 
 def sample_points(score_grids, z, k, mode, bg):
-    """One image's (k, 2) row/col point sets: sample_foreground's for each score
-    grid, then, when bg, diverse_sample_bg's against all of them.  Every
-    grid must be the (H, W) of z, the image's (D, H, W) unit field."""
+    """One image's row/col point sets of at most k points each: sample_foreground's
+    for each score grid, then, when bg, diverse_sample_bg's against all of them.
+    Every grid must be the (H, W) of z, the image's (D, H, W) unit field."""
     bad = [np.shape(s) for s in score_grids if np.shape(s) != np.shape(z)[1:]]
     if bad:
         raise ValueError(f"score grid {bad[0]} != feature grid {np.shape(z)[1:]}")

@@ -104,9 +104,8 @@ def upsample_featuremap(fm, height, width, mode="nearest"):
         x1 = np.minimum(x0 + 1, ws - 1)
         wy = (fy - y0)[None, :, None]
         wx = (fx - x0)[None, None, :]
-        top = fm[:, y0[:, None], x0[None, :]] * (1 - wx) + fm[:, y0[:, None], x1[None, :]] * wx
-        bot = fm[:, y1[:, None], x0[None, :]] * (1 - wx) + fm[:, y1[:, None], x1[None, :]] * wx
-        return top * (1 - wy) + bot * wy
+        cols = fm[:, :, x0] * (1 - wx) + fm[:, :, x1] * wx  # along x, then along y
+        return cols[:, y0] * (1 - wy) + cols[:, y1] * wy
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -314,14 +313,6 @@ def build_features(img, spmap, levels="local,proximal:2", featmap=None):
                 sub[s] = featmap[:, y0 : y1 + 1, x0 : x1 + 1].mean(axis=(1, 2))
             blocks.append(sub)
     return np.concatenate(blocks, axis=1)
-
-
-def mirror_max_fuse(f_orig, f_mirror):
-    """Element-wise max of a feature matrix and its mirror-image counterpart."""
-    a, b = np.asarray(f_orig), np.asarray(f_mirror)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
-    return np.maximum(a, b)
 
 
 def rect_regions(width, height, count):

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from zok import cli, crf, learner, zoomout
-from zok.core_io import read_tensor, rgb_to_lab, write_pgm, write_ppm, write_tensor
+from zok.core_io import (read_ppm, read_tensor, rgb_to_lab, write_pgm, write_ppm,
+                         write_tensor)
 from zok.slic import labxy_means
 from zok.synth import SyntheticSpec, synth_generate
 
@@ -122,8 +123,16 @@ class TestFeaturesAndPool:
         sp_out = tmp_path / "sp.zot"
         run("slic", "--input", img_path, "--k", 4, "--out", sp_out)
         out = tmp_path / "fm.zot"
+        levels = "local,proximal:2"
         assert run("features", "--image", img_path, "--superpixels", sp_out,
-                   "--mirror", "--out", out) == 0
+                   "--levels", levels, "--mirror", "--out", out) == 0
+        # the element-wise max of the features of the image and of its mirror
+        img, sp = read_ppm(img_path), read_tensor(sp_out).astype(np.int32)
+        expected = np.maximum(zoomout.build_features(img, sp, levels),
+                              zoomout.build_features(img[:, ::-1], sp[:, ::-1], levels))
+        written = read_tensor(out)
+        assert written.dtype == np.float32 and written.shape == expected.shape
+        assert written.tobytes() == expected.astype(np.float32).tobytes()
 
     def test_featmap_levels(self, tmp_path, quad_image):
         img_path, _ = quad_image
@@ -151,6 +160,25 @@ class TestFeaturesAndPool:
                    "--featmap", tmp_path / "fm.zot", "--levels", levels, "--out", out) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", ["featmap-unread", "upsample-without-featmap"])
+    def test_flag_that_does_nothing_exit_1(self, tmp_path, capsys, quad_image, case):
+        # the --featmap given is no file: it is refused before it is read
+        img_path, _ = quad_image
+        sp_out = tmp_path / "sp.zot"
+        run("slic", "--input", img_path, "--k", 4, "--out", sp_out)
+        flag, argv = {
+            "featmap-unread": ("--featmap", ["--levels", "local,proximal:2",
+                                             "--featmap", tmp_path / "none.zot"]),
+            "upsample-without-featmap": ("--upsample", ["--upsample", "bilinear"]),
+        }[case]
+        out = tmp_path / "f.zot"
+        capsys.readouterr()
+        assert run("features", "--image", img_path, "--superpixels", sp_out, *argv,
+                   "--out", out) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and flag in err[0]
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["features", "pool"])
@@ -198,6 +226,17 @@ class TestTrainPredict:
                    "--out", pred_path) == 0
         pred = read_tensor(pred_path)
         assert (pred == y).mean() >= 0.99
+
+    def test_whole_float32_labels_match_uint32(self, tmp_path):
+        rng = np.random.default_rng(6)
+        write_tensor(rng.normal(size=(30, 3)).astype(np.float32), tmp_path / "x.zot")
+        y = rng.integers(0, 3, size=30)
+        for dtype in (np.uint32, np.float32):
+            write_tensor(y.astype(dtype), tmp_path / "y.zot")
+            assert run("train", "--features", tmp_path / "x.zot", "--labels", tmp_path / "y.zot",
+                       "--hidden", "4", "--epochs", 3, "--seed", 5,
+                       "--out", tmp_path / f"{np.dtype(dtype).name}.zom") == 0
+        assert (tmp_path / "float32.zom").read_bytes() == (tmp_path / "uint32.zom").read_bytes()
 
     def test_deterministic_across_runs(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -335,7 +374,7 @@ class TestNonFiniteInputs:
                                                    "--superpixels", "sp")),
         "features-featmap": ("fm", -np.inf, "featmap", ("features", "--image", "img",
                                                         "--superpixels", "sp", "--featmap", "fm",
-                                                        "--levels", "local")),
+                                                        "--levels", "local,pooled")),
         "sample-scores": ("scores", np.nan, "scores", ("sample", "--scores", "scores",
                                                        "--features", "field")),
         "sample-features": ("field", np.inf, "features", ("sample", "--scores", "scores",
@@ -396,6 +435,28 @@ class TestSampleCommand:
                    *flags, "--out", out) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "grid" in err[0]
+        assert not out.exists()
+
+    # a (1, 2, 2) field whose top row standardizes to two unit vectors and
+    # whose bottom row, at the field's mean, to zero: two usable locations
+    TWO_USABLE = np.array([[[0.0, 2.0], [1.0, 1.0]]], dtype=np.float32)
+
+    @pytest.mark.parametrize("case", ["k-above-usable", "no-background-left", "constant-field"])
+    def test_short_point_set_exit_1(self, tmp_path, capsys, case):
+        field, flags, text = {
+            "k-above-usable": (self.TWO_USABLE, ["--k", 3], "class 0 has only 2"),
+            "no-background-left": (self.TWO_USABLE, ["--k", 2, "--bg"], "background has only 0"),
+            "constant-field": (np.full((3, 2, 2), 5.0, dtype=np.float32), ["--k", 1],
+                               "class 0 has only 0"),
+        }[case]
+        write_tensor(np.ones((1, 2, 2), dtype=np.float32), tmp_path / "s.zot")
+        write_tensor(field, tmp_path / "z.zot")
+        out = tmp_path / "pts.zot"
+        capsys.readouterr()
+        assert run("sample", "--scores", tmp_path / "s.zot", "--features", tmp_path / "z.zot",
+                   *flags, "--out", out) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and text in err[0]
         assert not out.exists()
 
 
@@ -592,6 +653,33 @@ class TestEvalCommands:
     def test_report_emit_text_table(self):
         text = cli.report_emit({"mIoU": 0.123456, "n": 3}, None, "text")
         assert "0.1235" in text and "n" in text
+
+    # one report of every kind of value, and its renderings as the
+    # four-decimal JSON and text renderers wrote them before they shared
+    # one cleaning pass
+    GOLDEN_SCORES = {
+        "mIoU": float("nan"), "f32": np.float32(0.1), "i64": np.int64(7), "n": 3,
+        "per_class": [0.123456, None, float("nan"), np.float32(0.25), np.int64(2), 1],
+        "crf": {"mIoU": 0.5, "n": 2},
+    }
+    GOLDEN_JSON = ('{\n  "mIoU": null,\n  "f32": 0.1,\n  "i64": 7,\n  "n": 3,\n'
+                   '  "per_class": [\n    0.1235,\n    null,\n    null,\n    0.25,\n'
+                   '    2,\n    1\n  ],\n  "crf": {\n    "mIoU": 0.5,\n    "n": 2\n  }\n}')
+    GOLDEN_TEXT = ("mIoU       null\nf32        0.1000\ni64        7\nn          3\n"
+                   "per_class  0.1235 null null 0.2500 2.0000 1.0000\n"
+                   "crf        {'mIoU': 0.5, 'n': 2}\n")
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_report_emit_golden(self, tmp_path, fmt):
+        golden = {"json": self.GOLDEN_JSON, "text": self.GOLDEN_TEXT}[fmt]
+        assert cli.report_emit(self.GOLDEN_SCORES, tmp_path / "r", fmt) == golden
+        assert (tmp_path / "r").read_text() == golden
+
+    def test_report_emit_text_renders_cleaned_values(self):
+        # None reads null as in JSON, and a nested dict shows rounded Python numbers
+        scores = {"none": None, "crf": {"a": np.float64(0.123456), "b": float("nan")}}
+        text = cli.report_emit(scores, None, "text")
+        assert text == "none  null\ncrf   {'a': 0.1235, 'b': None}\n"
 
 
 class TestConfigMerge:
@@ -933,10 +1021,11 @@ class TestSeedFlag:
 
 
 class TestBadTrainingInputs:
-    """Labels out of the class range or of the wrong length, sample weights
-    that are all zero or negative, settings that cannot train and training
-    that diverges exit 1 with one error line for `train` and `pipeline`
-    alike, never a traceback, a RuntimeWarning or a model file."""
+    """Labels out of the class range, of the wrong length or not whole
+    numbers, sample weights that are all zero or negative, settings that
+    cannot train and training that diverges exit 1 with one error line for
+    `train` and `pipeline` alike, never a traceback, a RuntimeWarning or a
+    model file."""
 
     # case -> (array replaced, its new values, extra train flags, text the error holds);
     # the rows that test a flag rewrite w with its valid all-ones values
@@ -944,6 +1033,10 @@ class TestBadTrainingInputs:
         "train-label-above-classes": ("y", [0, 1, 0, 3], ["--classes", 3], "labels"),
         "train-labels-short": ("y", [0, 1, 0], [], "labels"),
         "train-labels-long": ("y", [0, 1, 0, 1, 0], [], "labels"),
+        "train-labels-fractions": ("y", np.float32([0.5, 1.7, 0.2, 1.9]), [], "--labels"),
+        "train-label-minus-half": ("y", np.float32([-0.5, 1, 0, 1]), [], "--labels"),
+        "train-label-nan": ("y", np.float32([np.nan, 1, 0, 1]), [], "labels must be finite"),
+        "train-label-beyond-int64": ("y", np.float32([1e30, 1, 0, 1]), [], "--labels"),
         "train-weights-all-zero": ("w", [0.0, 0.0, 0.0, 0.0], [], "weights"),
         "train-weights-negative": ("w", [1.0, -1.0, 1.0, 1.0], [], "weights"),
         "train-lr-diverges": ("w", [1.0, 1.0, 1.0, 1.0], ["--lr", 1e30, "--epochs", 5],
@@ -982,7 +1075,9 @@ class TestBadTrainingInputs:
             arrays = {"x": np.zeros((4, 2), dtype=np.float32),
                       "y": np.array([0, 1, 0, 1], dtype=np.uint32),
                       "w": np.ones(4, dtype=np.float32)}
-            arrays[name] = np.array(values, dtype=arrays[name].dtype)
+            if isinstance(values, list):
+                values = np.array(values, dtype=arrays[name].dtype)
+            arrays[name] = values
             for key, arr in arrays.items():
                 write_tensor(arr, tmp_path / f"{key}.zot")
             argv = ["train", "--features", tmp_path / "x.zot", "--labels", tmp_path / "y.zot",

@@ -210,7 +210,8 @@ def reference_loss_gradient(model, x, labels, freqs, dropout_masks=None):
     probs = learner._softmax(learner._forward_pass(model, x, dropout_masks)[1])
     delta = probs.copy()
     delta[np.arange(len(labels)), labels] -= 1.0
-    delta *= learner._per_sample_weights(labels, freqs, len(labels))[:, None]
+    f = np.asarray(freqs, dtype=np.float64)
+    delta *= (1.0 / (f[labels] * len(labels)))[:, None]
     return reference_backprop(model, x, delta, dropout_masks)
 
 

@@ -13,7 +13,7 @@ from zok.slic import SlicParams, run_slic
 from zok.synth import SyntheticSpec, generate_dataset
 from zok.zoomout import (LOCAL_COLOR_DIM, boundary_pairs, build_adjacency, build_features,
                          local_color_features, location_features_all,
-                         mirror_max_fuse, neighbor_balls,
+                         neighbor_balls,
                          pool_over_superpixels, proximal_average,
                          rect_regions, region_means, scene_pool, subscene_bboxes,
                          superpixel_bboxes, upsample_featuremap)
@@ -198,6 +198,23 @@ class TestNeighborBallsOracle:
             neighbor_balls([np.array([1]), np.array([2])], 1)
 
 
+def reference_upsample_bilinear(fm, height, width):
+    """Bilinear upsampling in its four-gather form: the top and bottom rows
+    of each output's source cell are each blended along x, then along y."""
+    _, hs, ws = fm.shape
+    fy = np.clip((np.arange(height) + 0.5) * hs / height - 0.5, 0, hs - 1)
+    fx = np.clip((np.arange(width) + 0.5) * ws / width - 0.5, 0, ws - 1)
+    y0 = np.floor(fy).astype(np.int64)
+    x0 = np.floor(fx).astype(np.int64)
+    y1 = np.minimum(y0 + 1, hs - 1)
+    x1 = np.minimum(x0 + 1, ws - 1)
+    wy = (fy - y0)[None, :, None]
+    wx = (fx - x0)[None, None, :]
+    top = fm[:, y0[:, None], x0[None, :]] * (1 - wx) + fm[:, y0[:, None], x1[None, :]] * wx
+    bot = fm[:, y1[:, None], x0[None, :]] * (1 - wx) + fm[:, y1[:, None], x1[None, :]] * wx
+    return top * (1 - wy) + bot * wy
+
+
 class TestUpsample:
     def test_nearest_block_replication(self):
         fm = np.arange(4, dtype=np.float64).reshape(1, 2, 2)
@@ -219,6 +236,19 @@ class TestUpsample:
         fm = np.array([[[0.0, 1.0]]])  # 1x2
         out = upsample_featuremap(fm, 1, 4, "bilinear")
         assert np.allclose(out[0, 0], [0.0, 0.25, 0.75, 1.0])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bilinear_matches_four_gather_reference_bytes(self, dtype):
+        # up- and downsampling, 1-pixel sources included, values over 10^+-30
+        rng = np.random.default_rng(17)
+        for _ in range(150):
+            c, hs, ws = rng.integers(1, 4), rng.integers(1, 9), rng.integers(1, 9)
+            height, width = rng.integers(1, 17, size=2)
+            fm = (rng.normal(size=(c, hs, ws))
+                  * 10.0 ** rng.uniform(-30, 30, size=(c, hs, ws))).astype(dtype)
+            out = upsample_featuremap(fm, height, width, "bilinear")
+            ref = reference_upsample_bilinear(fm, height, width)
+            assert out.dtype == ref.dtype and out.tobytes() == ref.tobytes()
 
 
 class TestPooling:
@@ -393,27 +423,6 @@ class TestSubsceneBbox:
         assert sub.dtype == np.int64 and sub.shape == (len(graph), 4)
         for s in range(len(graph)):
             assert tuple(sub[s]) == reference_subscene_bbox(spmap, graph, s, radius)
-
-
-class TestMirrorMaxFuse:
-    def test_idempotent(self):
-        f = np.random.default_rng(9).random((4, 6))
-        assert np.array_equal(mirror_max_fuse(f, f), f)
-
-    def test_elementwise_max(self):
-        assert np.array_equal(mirror_max_fuse(np.array([[1.0, 5.0]]),
-                                              np.array([[3.0, 2.0]])), [[3.0, 5.0]])
-
-    def test_commutative_and_dominates(self):
-        rng = np.random.default_rng(10)
-        a, b = rng.random((3, 4)), rng.random((3, 4))
-        ab = mirror_max_fuse(a, b)
-        assert np.array_equal(ab, mirror_max_fuse(b, a))
-        assert np.all(ab >= a) and np.all(ab >= b)
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            mirror_max_fuse(np.zeros((2, 2)), np.zeros((2, 3)))
 
 
 class TestRectRegions:
