@@ -32,6 +32,8 @@ class MlpModel:
     biases: list             # per layer (out,) float64
     mean: np.ndarray         # (D,) feature normalization
     std: np.ndarray          # (D,) feature normalization, floored > 0
+    # train()'s loss per epoch, over the probabilities its minibatch passes
+    # computed, each before its step and with its dropout masks
     epoch_losses: list = field(default_factory=list)
 
     @property
@@ -185,9 +187,17 @@ def loss_gradient(model, x, labels, freqs, dropout_masks=None):
     forward pass supplies both the probabilities and the activations the
     backward pass reuses.
     """
+    return _loss_gradient(model, x, labels, freqs, dropout_masks)
+
+
+def _loss_gradient(model, x, labels, freqs, dropout_masks=None, probs_out=None):
+    """loss_gradient, also copying the batch's probabilities p_hat into
+    probs_out (an (N, C) array) when one is given."""
     labels = np.asarray(labels)
     acts, z = _forward_pass(model, x, dropout_masks)
     delta = _softmax(z)
+    if probs_out is not None:
+        probs_out[...] = delta
     delta[np.arange(len(labels)), labels] -= 1.0
     delta *= (1.0 / (np.asarray(freqs, dtype=np.float64)[labels] * len(labels)))[:, None]
     return _backward(model, acts, delta, dropout_masks)
@@ -220,10 +230,12 @@ def train(features, labels, cfg, num_classes=None, sample_weights=None):
     """Train an MLP classifier; deterministic for a fixed seed.
 
     features: (N, D); labels: (N,) ints in 0..num_classes-1.
-    sample_weights, (N,) >= 0 with a positive sum, feed the class
+    sample_weights, (N,) >= 0 with a finite positive sum, feed the class
     frequency computation (pixel basis).  Normalization statistics come
-    from the training features.  Records the full-dataset loss after each
-    epoch in model.epoch_losses; an overflow or NaN in SGD raises ValueError.
+    from the training features.  model.epoch_losses[e] is the weighted loss
+    of every sample as epoch e's minibatch pass scored it: before that
+    batch's step, with its dropout masks.  An overflow or NaN in SGD, or in
+    the trained model's logits on the training features, raises ValueError.
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
@@ -242,8 +254,11 @@ def train(features, labels, cfg, num_classes=None, sample_weights=None):
         if sample_weights.shape != (n,):
             raise ValueError(f"sample_weights must be ({n},) to match the features, "
                              f"got {sample_weights.shape}")
-        if not ((sample_weights >= 0).all() and sample_weights.sum() > 0):
-            raise ValueError("sample_weights must be >= 0 with a positive sum")
+        with np.errstate(over="ignore"):  # an overflowing sum is refused below
+            total = sample_weights.sum()
+        # written so that NaN fails
+        if not ((sample_weights >= 0).all() and 0 < total < np.inf):
+            raise ValueError("sample_weights must be >= 0 with a finite positive sum")
     sizes = [features.shape[1], *cfg.hidden, num_classes]
     model = init_model(sizes, cfg.seed, features.mean(axis=0), features.std(axis=0))
     if cfg.loss == "asymmetric":
@@ -254,6 +269,7 @@ def train(features, labels, cfg, num_classes=None, sample_weights=None):
         f = np.ones(num_classes)
     rng = np.random.default_rng(cfg.seed)
     velocity = zero_velocity(model)
+    probs = np.empty((n, num_classes))  # row i: p_hat of sample order[i]
     try:
         with np.errstate(over="raise", invalid="raise"):
             for _ in range(cfg.epochs):
@@ -267,10 +283,14 @@ def train(features, labels, cfg, num_classes=None, sample_weights=None):
                             (rng.random((len(idx), hsize)) >= cfg.dropout) / (1.0 - cfg.dropout)
                             for hsize in cfg.hidden
                         ]
-                    grads = loss_gradient(model, features[idx], labels[idx], f, masks)
+                    grads = _loss_gradient(model, features[idx], labels[idx], f, masks,
+                                           probs[start : start + cfg.batch_size])
                     sgd_step(model, grads, cfg, velocity)
-                probs = forward(model, features)
-                model.epoch_losses.append(asymmetric_loss(probs, labels, f))
+                model.epoch_losses.append(asymmetric_loss(probs, labels[order], f))
+            if cfg.epochs:
+                # The last step can leave finite weights whose training-set
+                # logits overflow; no minibatch pass sees them, this one does.
+                forward(model, features)
     except FloatingPointError as exc:
         raise ValueError(f"training diverged ({exc}); lower the learning rate") from None
     return model

@@ -235,25 +235,17 @@ def compact_ids(spmap):
     return np.unique(spmap, return_inverse=True)[1].reshape(spmap.shape).astype(np.int32)
 
 
-def _label_components(spmap):
-    """4-connected components of equal-id regions, labeled in raster order.
+def _connected_groups(n, u, v):
+    """Connected groups of n nodes under the undirected edges (u[i], v[i]).
 
-    Returns (component map, sizes, id of each component's superpixel).
-    Component labels follow the row-major order of each component's first
-    pixel, so smaller labels mean earlier first pixels.
+    Returns (group label of each node, smallest node of each group).
+    Labels follow the order of each group's smallest node.
 
-    Every pixel starts as its own root; each round hooks the larger root of
-    every same-id 4-neighbor edge onto the smaller one, then pointer jumping
-    flattens the trees.  At the fixed point each pixel points at the first
-    (smallest flat index) pixel of its component.
+    Every node starts as its own root; each round hooks the larger root of
+    every edge onto the smaller one, then pointer jumping flattens the
+    trees.  At the fixed point each node points at its group's smallest.
     """
-    h, w = spmap.shape
-    index = np.arange(spmap.size)
-    grid = index.reshape(h, w)
-    same_x = spmap[:, :-1] == spmap[:, 1:]
-    same_y = spmap[:-1, :] == spmap[1:, :]
-    u = np.concatenate([grid[:, :-1][same_x], grid[:-1, :][same_y]])
-    v = np.concatenate([grid[:, 1:][same_x], grid[1:, :][same_y]])
+    index = np.arange(n)
     parent = index.copy()
     while True:
         pu, pv = parent[u], parent[v]
@@ -268,9 +260,25 @@ def _label_components(spmap):
                 break
             parent = jumped
     roots = np.nonzero(parent == index)[0]
-    rank = np.empty(spmap.size, dtype=np.int32)
+    rank = np.empty(n, dtype=np.int32)
     rank[roots] = np.arange(len(roots), dtype=np.int32)
-    comp = rank[parent]
+    return rank[parent], roots
+
+
+def _label_components(spmap):
+    """4-connected components of equal-id regions, labeled in raster order.
+
+    Returns (component map, sizes, id of each component's superpixel).
+    Component labels follow the row-major order of each component's first
+    pixel, so smaller labels mean earlier first pixels.
+    """
+    h, w = spmap.shape
+    grid = np.arange(spmap.size).reshape(h, w)
+    same_x = spmap[:, :-1] == spmap[:, 1:]
+    same_y = spmap[:-1, :] == spmap[1:, :]
+    u = np.concatenate([grid[:, :-1][same_x], grid[:-1, :][same_y]])
+    v = np.concatenate([grid[:, 1:][same_x], grid[1:, :][same_y]])
+    comp, roots = _connected_groups(spmap.size, u, v)
     return comp.reshape(h, w), np.bincount(comp), spmap.ravel()[roots].astype(np.int64)
 
 
@@ -284,20 +292,6 @@ def _kept_components(sizes, ids):
     return kept
 
 
-def _boundary_votes(comp, sources):
-    """Count 4-neighbor pixel pairs from each source component to the others.
-
-    Returns (src, dst, count) sorted by (src, dst): `count` ordered pixel
-    pairs (p, q) are 4-adjacent with p in component src and q in dst != src.
-    """
-    n = int(comp.max()) + 1
-    src, dst = boundary_pairs(comp)
-    keep = sources[src]
-    pairs, counts = np.unique(src[keep] * n + dst[keep], return_counts=True)
-    src, dst = np.divmod(pairs, n)
-    return src, dst, counts
-
-
 def enforce_connectivity(spmap):
     """Make every superpixel 4-connected.
 
@@ -309,34 +303,56 @@ def enforce_connectivity(spmap):
     the same pass; passes repeat until no small stray is left.
     Disconnected leftovers at least that large become new superpixels.
     Ids come out contiguous; an already-connected map is returned unchanged.
+
+    The pixels are labeled once.  Each pass works on the graph of those
+    base components: a component of the current map is a connected group
+    of base components sharing an id, its size is their summed size, its
+    raster rank that of its smallest member, and its boundary votes are
+    their pixel pairs with the rest of the map.
     """
     spmap = np.asarray(spmap, dtype=np.int32)
     k = int(spmap.max()) + 1
     threshold = spmap.size / k / 4.0
-    cur = spmap
+    base, base_sizes, cur = _label_components(spmap)
+    n = len(base_sizes)
+    # ordered 4-adjacent pixel pairs between base components, counted once
+    src, dst = boundary_pairs(base)
+    pairs, pair_counts = np.unique(src * n + dst, return_counts=True)
+    a, b = np.divmod(pairs, n)
+    ea, eb = a[a < b], b[a < b]  # each adjacency once
 
     while True:
-        comp, sizes, ids = _label_components(cur)
+        same = cur[ea] == cur[eb]
+        group, roots = _connected_groups(n, ea[same], eb[same])
+        sizes = np.bincount(group, weights=base_sizes).astype(np.int64)
+        ids = cur[roots]
         kept = _kept_components(sizes, ids)
         small = ~kept & (sizes < threshold)
         if not small.any():
             break
+        # pixel pairs from each small component to each other component,
+        # sorted by (src, dst)
+        ga, gb = group[a].astype(np.int64), group[b]
+        keep = small[ga] & (ga != gb)
+        m = len(roots)
+        keys, inverse = np.unique(ga[keep] * m + gb[keep], return_inverse=True)
+        counts = np.bincount(inverse, weights=pair_counts[keep])
+        src, dst = np.divmod(keys, m)
         strays = np.nonzero(small)[0]
-        src, dst, counts = _boundary_votes(comp, small)
         starts = np.searchsorted(src, strays)
         ends = np.searchsorted(src, strays, side="right")
         cur_id = ids.copy()
         for c, lo, hi in zip(strays.tolist(), starts.tolist(), ends.tolist()):
             cur_id[c] = np.bincount(cur_id[dst[lo:hi]], weights=counts[lo:hi]).argmax()
-        # Merges changed the partition; relabel and rescan.
-        cur = cur_id[comp].astype(np.int32)
+        # Merges changed the partition; regroup and rescan.
+        cur = cur_id[group]
 
     # Fresh ids for the remaining (large) disconnected leftovers; the last
-    # pass labeled the final map, so its components are reused.
+    # pass grouped the final map, so its components are reused.
     final_id = ids.copy()
     orphans = ~kept
     final_id[orphans] = k + np.arange(np.count_nonzero(orphans))
-    return compact_ids(final_id[comp].astype(np.int32))
+    return compact_ids(final_id)[group][base]
 
 
 def run_slic(img, params):

@@ -230,14 +230,16 @@ def sample_foreground(scores, z, k, mode="diverse"):
 
 def sample_points(score_grids, z, k, mode, bg):
     """One image's row/col point sets of at most k points each: sample_foreground's
-    for each score grid, then, when bg, diverse_sample_bg's against all of them.
-    Every grid must be the (H, W) of z, the image's (D, H, W) unit field."""
+    for each score grid, then, when bg, diverse_sample_bg's against all of them
+    (an empty set when they are all empty).  Every grid must be the (H, W)
+    of z, the image's (D, H, W) unit field."""
     bad = [np.shape(s) for s in score_grids if np.shape(s) != np.shape(z)[1:]]
     if bad:
         raise ValueError(f"score grid {bad[0]} != feature grid {np.shape(z)[1:]}")
     points = [sample_foreground(scores, z, k, mode) for scores in score_grids]
     if bg:
-        points.append(diverse_sample_bg(z, np.concatenate(points), k))
+        fg = np.concatenate(points)
+        points.append(diverse_sample_bg(z, fg, k) if len(fg) else fg)
     return points
 
 

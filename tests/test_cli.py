@@ -441,13 +441,16 @@ class TestSampleCommand:
     # whose bottom row, at the field's mean, to zero: two usable locations
     TWO_USABLE = np.array([[[0.0, 2.0], [1.0, 1.0]]], dtype=np.float32)
 
-    @pytest.mark.parametrize("case", ["k-above-usable", "no-background-left", "constant-field"])
+    @pytest.mark.parametrize("case", ["k-above-usable", "no-background-left", "constant-field",
+                                      "constant-field-bg"])
     def test_short_point_set_exit_1(self, tmp_path, capsys, case):
         field, flags, text = {
             "k-above-usable": (self.TWO_USABLE, ["--k", 3], "class 0 has only 2"),
             "no-background-left": (self.TWO_USABLE, ["--k", 2, "--bg"], "background has only 0"),
             "constant-field": (np.full((3, 2, 2), 5.0, dtype=np.float32), ["--k", 1],
                                "class 0 has only 0"),
+            "constant-field-bg": (np.full((3, 2, 2), 5.0, dtype=np.float32), ["--k", 1, "--bg"],
+                                  "class 0 has only 0"),
         }[case]
         write_tensor(np.ones((1, 2, 2), dtype=np.float32), tmp_path / "s.zot")
         write_tensor(field, tmp_path / "z.zot")

@@ -325,6 +325,9 @@ class TestTrain:
         "weights-all-zero": ([0, 1, 0, 1], None, [0.0] * 4, "sample_weights"),
         "weights-negative": ([0, 1, 0, 1], None, [1.0, -1.0, 1.0, 1.0], "sample_weights"),
         "weights-nan": ([0, 1, 0, 1], None, [1.0, np.nan, 1.0, 1.0], "sample_weights"),
+        "weights-inf": ([0, 1, 0, 1], None, [np.inf, np.inf, 1.0, 1.0], "sample_weights"),
+        "weights-sum-overflows": ([0, 1, 0, 1], None, [1e308, 1e308, 1.0, 1.0],
+                                  "sample_weights"),
     }
 
     @pytest.mark.parametrize("case", list(BAD_INPUTS))
@@ -334,6 +337,82 @@ class TestTrain:
             train(np.zeros((4, 2)), np.array(labels), TrainConfig(epochs=1),
                   num_classes=num_classes,
                   sample_weights=None if weights is None else np.array(weights))
+
+
+    @pytest.mark.parametrize("lr", [1e300, 1e200])
+    def test_last_step_overflowing_logits_diverges(self, lr):
+        # One full-batch step leaves finite weights (about lr in size) whose
+        # hidden-layer logits overflow; only the pass after the last epoch
+        # sees them.
+        x, y = two_blobs(20, seed=0)
+        cfg = TrainConfig(epochs=1, batch_size=20, learning_rate=lr, momentum=0.0,
+                          hidden=(4,))
+        with pytest.raises(ValueError, match="diverged"):
+            train(x, y, cfg)
+
+
+def reference_train(features, labels, cfg, num_classes=None, sample_weights=None):
+    """learner.train before its epoch losses came from the minibatch passes,
+    kept as its oracle: the same SGD loop with a full-data forward after
+    every epoch.  Returns (model, batch_losses): model.epoch_losses holds
+    those full-data losses, and batch_losses[e] the loss over the
+    probabilities that epoch e's minibatch passes computed before each step.
+    """
+    features = np.asarray(features, dtype=np.float64)
+    n = len(features)
+    if num_classes is None:
+        num_classes = int(labels.max()) + 1
+    sizes = [features.shape[1], *cfg.hidden, num_classes]
+    model = init_model(sizes, cfg.seed, features.mean(axis=0), features.std(axis=0))
+    if cfg.loss == "asymmetric":
+        f = compute_class_frequencies(labels, sample_weights, num_classes)
+        f[f == 0] = 1.0
+    else:
+        f = np.ones(num_classes)
+    rng = np.random.default_rng(cfg.seed)
+    velocity = zero_velocity(model)
+    batch_losses = []
+    for _ in range(cfg.epochs):
+        order = rng.permutation(n)
+        batch_probs = []
+        for start in range(0, n, cfg.batch_size):
+            idx = order[start : start + cfg.batch_size]
+            masks = None
+            if cfg.dropout > 0:
+                masks = [
+                    (rng.random((len(idx), hsize)) >= cfg.dropout) / (1.0 - cfg.dropout)
+                    for hsize in cfg.hidden
+                ]
+            z = learner._forward_pass(model, features[idx], masks)[1]
+            batch_probs.append(learner._softmax(z))
+            grads = loss_gradient(model, features[idx], labels[idx], f, masks)
+            sgd_step(model, grads, cfg, velocity)
+        batch_losses.append(asymmetric_loss(np.concatenate(batch_probs), labels[order], f))
+        probs = forward(model, features)
+        model.epoch_losses.append(asymmetric_loss(probs, labels, f))
+    return model, batch_losses
+
+
+class TestTrainOracle:
+    @pytest.mark.parametrize("hidden,dropout", [((), 0.0), ((8,), 0.0), ((8,), 0.3),
+                                                ((8, 4), 0.0), ((8, 4), 0.3)])
+    @pytest.mark.parametrize("loss", ["asymmetric", "symmetric"])
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("batch_size", [6, 7])
+    @pytest.mark.parametrize("epochs", [0, 3])
+    def test_matches_reference(self, hidden, dropout, loss, weighted, batch_size, epochs):
+        rng = np.random.default_rng(len(hidden) + 10 * batch_size)
+        x = rng.normal(0.0, 2.0, size=(24, 5))
+        y = rng.integers(0, 3, size=24)
+        w = rng.random(24) * 50 if weighted else None
+        cfg = TrainConfig(epochs=epochs, batch_size=batch_size, learning_rate=0.05,
+                          dropout=dropout, loss=loss, hidden=hidden, seed=4)
+        got = train(x, y, cfg, num_classes=4, sample_weights=w)
+        want, batch_losses = reference_train(x, y, cfg, num_classes=4, sample_weights=w)
+        for a, b in zip(got.weights + got.biases, want.weights + want.biases):
+            assert a.tobytes() == b.tobytes()
+        assert got.epoch_losses == batch_losses
+        assert len(got.epoch_losses) == epochs
 
 
 class TestPredictLabels:

@@ -484,6 +484,39 @@ class TestConnectivityOracle:
         for img, _ in generate_dataset(spec, 3, seed=1):
             assert_matches_reference(run_slic(img, params).spmap)
 
+    @pytest.mark.parametrize("k", [16, 128, 512])
+    @pytest.mark.parametrize("noise", [0.0, 8.0, 30.0])
+    def test_slic_maps_across_k_and_noise_match_reference(self, k, noise):
+        spec = SyntheticSpec(size=128, num_classes=5, kind="blobs", noise_sigma=noise)
+        params = SlicParams(k=k, m=15, enforce_connectivity=False)
+        (img, _), = generate_dataset(spec, 1, seed=k + int(noise))
+        assert_matches_reference(run_slic(img, params).spmap)
+
+    @pytest.mark.parametrize("num_ids", [2, 20, 300])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_large_random_maps_match_reference(self, num_ids, seed):
+        rng = np.random.default_rng(seed)
+        assert_matches_reference(rng.integers(0, num_ids, size=(48, 64)).astype(np.int32))
+
+    # maps whose absorptions leave new small strays, pass after pass
+    MULTI_PASS = {
+        3: [[2, 3, 0, 2, 1, 1],
+            [0, 2, 0, 0, 1, 3],
+            [2, 0, 1, 0, 2, 2]],
+        4: [[2, 3, 2], [1, 2, 1], [2, 1, 1], [0, 2, 3], [2, 1, 2], [2, 3, 1],
+            [3, 0, 0], [1, 1, 1], [2, 0, 2], [2, 1, 2], [0, 2, 1]],
+    }
+
+    @pytest.mark.parametrize("passes", list(MULTI_PASS))
+    def test_multi_pass_maps_match_reference(self, monkeypatch, passes):
+        calls = []
+        kept_components = slic._kept_components
+        monkeypatch.setattr(slic, "_kept_components",
+                            lambda *args: calls.append(1) or kept_components(*args))
+        spmap = np.array(self.MULTI_PASS[passes], dtype=np.int32)
+        assert_matches_reference(spmap)
+        assert len(calls) == passes + 1  # the last pass finds no small stray
+
     def test_later_vote_sees_earlier_absorption(self):
         # A (id 1, x=6) and B (id 0, x=7) are single-pixel strays between the
         # kept blocks of id 0 (left) and id 1 (right).  A goes first: both its
