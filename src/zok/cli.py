@@ -45,7 +45,10 @@ _SPECS = {
                  "levels": (str, "local,proximal:2"),
                  "featmap": (str, None, "ZOT1 (C,H',W') map for pooled/subscene/scene levels"),
                  "upsample": (_UPSAMPLE, "nearest"),
-                 "mirror": (bool, False, "max-fuse with mirror-image features"),
+                 "mirror": (bool, False, "max-fuse with the features of the left-right "
+                            "mirrored image and map; the mirror's pooled and "
+                            "subscene levels read the unmirrored --featmap "
+                            "(a known fault)"),
                  "out": (str, _REQUIRED)},
     "pool": {"featmap": (str, _REQUIRED), "superpixels": (str, _REQUIRED),
              "upsample": (_UPSAMPLE, "nearest"), "out": (str, _REQUIRED)},
@@ -272,13 +275,7 @@ def _cmd_features(args):
     if args.get("featmap"):
         full = zoomout.upsample_featuremap(_read_finite(args["featmap"], "featmap", 3),
                                            *spmap.shape, mode=args["upsample"])
-    feats = zoomout.build_features(img, spmap, args["levels"], full)
-    if args["mirror"]:
-        # the mirrored image reads the same, unmirrored feature map; named,
-        # mirrored outlives the first pass's array, which rebinding feats
-        # frees; inlined, it is freed first, which raised region-zoom's peak RSS
-        mirrored = zoomout.build_features(img[:, ::-1], spmap[:, ::-1], args["levels"], full)
-        feats = np.maximum(feats, mirrored)
+    feats = zoomout.build_features(img, spmap, args["levels"], full, mirror=args["mirror"])
     write_tensor(feats.astype(np.float32), args["out"])
 
 

@@ -13,6 +13,8 @@ Per-superpixel accumulation always runs in pixel row-major order, so
 results are bit-stable.
 """
 
+import functools
+
 import numpy as np
 
 from .core_io import rgb_to_lab
@@ -280,39 +282,87 @@ def _parse_levels(text):
     return levels
 
 
-def build_features(img, spmap, levels="local,proximal:2", featmap=None):
+def _box_means(featmap, boxes):
+    """(len(boxes), C) means of a (C, H, W) map over inclusive boxes (x0, y0, x1, y1).
+
+    Each box is summed in the map's dtype (float64 for an integer map),
+    then every sum is divided once by its cell count and rounded back to
+    that dtype: for float32, float64 and integer maps, the bytes of
+    featmap[:, y0:y1 + 1, x0:x1 + 1].mean(axis=(1, 2)).  A float64 quotient
+    rounded to float32 is the float32 quotient, since 53 >= 2 * 24 + 2.
+    An empty box gets NaN; a sum that overflows raises FloatingPointError.
+    """
+    dtype = featmap.dtype if featmap.dtype.kind == "f" else np.dtype(np.float64)
+    sums = np.empty((len(boxes), featmap.shape[0]), dtype=dtype)
+    with np.errstate(over="raise"):
+        for s, (x0, y0, x1, y1) in enumerate(boxes.tolist()):
+            np.add.reduce(featmap[:, y0 : y1 + 1, x0 : x1 + 1], axis=(1, 2), dtype=dtype,
+                          out=sums[s])
+    counts = (boxes[:, 2] - boxes[:, 0] + 1).clip(0) * (boxes[:, 3] - boxes[:, 1] + 1).clip(0)
+    with np.errstate(invalid="ignore"):
+        return (sums / counts[:, None]).astype(dtype)
+
+
+def _fuse_location(block):
+    """A local or proximal block with the mirror's location columns, carried
+    after its own, max-fused into them; a block without them is returned as is."""
+    c, d = LOCAL_COLOR_DIM, LOCAL_COLOR_DIM + 4
+    if block.shape[1] == d:
+        return block
+    return np.concatenate([block[:, :c], np.maximum(block[:, c:d], block[:, d:])], axis=1)
+
+
+def build_features(img, spmap, levels="local,proximal:2", featmap=None, mirror=False):
     """(K, D) zoom-out features of every superpixel of an (H, W, 3) uint8 image.
 
     levels is a _parse_levels spec; its levels are concatenated in order.
     local is the color descriptor plus location, proximal its mean over
     hop balls.  pooled, subscene (the mean over each ball's bounding box)
     and scene read featmap, a (C, H, W) map at image resolution.
+
+    mirror max-fuses the features with those of the left-right mirrored
+    image and map, byte for byte as np.maximum of the two calls would.  A
+    mirrored superpixel keeps its colours and its neighbours, so the colour
+    histograms, the adjacency, the hop balls and the scene mean are computed
+    once; the location columns, the pooled means and the subscene boxes are
+    computed again for the mirror.  The mirror's pooled and subscene levels
+    still read featmap unmirrored, so they pool the map on the other side of
+    the image: a known fault, left for ROADMAP item 1 step A.
     """
     levels = _parse_levels(levels)
+    spmap = np.asarray(spmap)
+    maps = (spmap, spmap[:, ::-1]) if mirror else (spmap,)
     graph = build_adjacency(spmap)
+    # the mirror's location columns ride after the original's, through proximal too
     local = np.concatenate(
-        [local_color_features(rgb_to_lab(img), spmap), location_features_all(spmap)], axis=1)
+        [local_color_features(rgb_to_lab(img), spmap), *map(location_features_all, maps)], axis=1)
     k = len(local)
     blocks = []
     for name, radius in levels:
         if name == "local":
-            blocks.append(local)
+            blocks.append(_fuse_location(local))
         elif name == "proximal":
-            blocks.append(proximal_average(local, graph, radius))
+            blocks.append(_fuse_location(proximal_average(local, graph, radius)))
         elif featmap is None:
             raise ValueError(f"level {name!r} requires a feature map")
         elif name == "pooled":
-            blocks.append(pool_over_superpixels(featmap, spmap))
+            pooled = [pool_over_superpixels(featmap, m) for m in maps]
+            blocks.append(functools.reduce(np.maximum, pooled))
         elif name == "scene":
             blocks.append(np.tile(scene_pool(featmap), (k, 1)))
         else:
-            sub = np.empty((k, featmap.shape[0]))
-            boxes = subscene_bboxes(spmap, graph, radius)
-            for s in range(k):
-                x0, y0, x1, y1 = boxes[s]
-                sub[s] = featmap[:, y0 : y1 + 1, x0 : x1 + 1].mean(axis=(1, 2))
-            blocks.append(sub)
-    return np.concatenate(blocks, axis=1)
+            boxes = [subscene_bboxes(spmap, graph, radius)]
+            if mirror:  # the mirrored map's boxes, in closed form
+                x0, y0, x1, y1 = boxes[0].T
+                w = spmap.shape[1]
+                boxes.append(np.stack([w - 1 - x1, y0, w - 1 - x0, y1], axis=1))
+            try:
+                sub = [_box_means(featmap, b) for b in boxes]
+            except FloatingPointError:
+                raise ValueError(f"level 'subscene:{radius}' overflows summing the feature "
+                                 f"map over a box in {featmap.dtype}") from None
+            blocks.append(functools.reduce(np.maximum, sub))
+    return np.concatenate(blocks, axis=1, dtype=np.float64)
 
 
 def rect_regions(width, height, count):

@@ -134,6 +134,45 @@ class TestFeaturesAndPool:
         assert written.dtype == np.float32 and written.shape == expected.shape
         assert written.tobytes() == expected.astype(np.float32).tobytes()
 
+    @pytest.mark.parametrize("upsample", ["nearest", "bilinear"])
+    def test_mirror_fusion_featmap_levels(self, tmp_path, quad_image, upsample):
+        img_path, _ = quad_image
+        sp_out = tmp_path / "sp.zot"
+        run("slic", "--input", img_path, "--k", 4, "--out", sp_out)
+        rng = np.random.default_rng(5)
+        # values over many binary exponents, so a sum in another order rounds apart
+        fm = (rng.normal(size=(3, 8, 8)) * 2.0 ** rng.integers(-20, 20, size=(3, 8, 8)))
+        write_tensor(fm.astype(np.float32), tmp_path / "fm.zot")
+        out = tmp_path / "f.zot"
+        levels = "pooled,subscene:1,scene"
+        assert run("features", "--image", img_path, "--superpixels", sp_out, "--levels", levels,
+                   "--featmap", tmp_path / "fm.zot", "--upsample", upsample, "--mirror",
+                   "--out", out) == 0
+        # both passes read the unmirrored feature map
+        img, sp = read_ppm(img_path), read_tensor(sp_out).astype(np.int32)
+        full = zoomout.upsample_featuremap(read_tensor(tmp_path / "fm.zot"), *sp.shape,
+                                           mode=upsample)
+        expected = np.maximum(zoomout.build_features(img, sp, levels, full),
+                              zoomout.build_features(img[:, ::-1], sp[:, ::-1], levels, full))
+        assert read_tensor(out).tobytes() == expected.astype(np.float32).tobytes()
+
+    @pytest.mark.parametrize("mirror", [[], ["--mirror"]])
+    def test_subscene_overflow_exit_1(self, tmp_path, capsys, quad_image, mirror):
+        # finite float32 values whose box sums overflow float32; pooled and
+        # scene sum in float64 and stay finite
+        img_path, _ = quad_image
+        sp_out = tmp_path / "sp.zot"
+        run("slic", "--input", img_path, "--k", 4, "--out", sp_out)
+        write_tensor(np.full((2, 4, 4), 3e38, dtype=np.float32), tmp_path / "big.zot")
+        out = tmp_path / "f.zot"
+        capsys.readouterr()
+        assert run("features", "--image", img_path, "--superpixels", sp_out, *mirror,
+                   "--levels", "pooled,subscene:1,scene", "--featmap", tmp_path / "big.zot",
+                   "--out", out) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "subscene:1" in err[0]
+        assert not out.exists()
+
     def test_featmap_levels(self, tmp_path, quad_image):
         img_path, _ = quad_image
         sp_out = tmp_path / "sp.zot"

@@ -595,6 +595,147 @@ class TestBuildFeatures:
             build_features(np.zeros((2, 2, 3), dtype=np.uint8), spmap, "local,scene")
 
 
+# --- the two-pass mirror fusion that build_features(..., mirror=True)
+# replaced, and the per-box .mean loop that zoomout._box_means replaced,
+# kept as their oracles
+
+
+def reference_mirror_features(img, spmap, levels, featmap=None):
+    """Max of the features of the image and of its left-right mirror; both
+    passes read the same, unmirrored feature map."""
+    return np.maximum(build_features(img, spmap, levels, featmap),
+                      build_features(img[:, ::-1], spmap[:, ::-1], levels, featmap))
+
+
+def reference_box_means(featmap, boxes):
+    """One .mean per inclusive (x0, y0, x1, y1) box."""
+    return np.stack([featmap[:, y0 : y1 + 1, x0 : x1 + 1].mean(axis=(1, 2))
+                     for x0, y0, x1, y1 in boxes])
+
+
+def wide_map(rng, shape, dtype=np.float32):
+    """Signed values over about 2**-30..2**30 (so sums in another order round
+    apart), or any uint16 for an integer dtype."""
+    if np.dtype(dtype).kind == "u":
+        return rng.integers(0, 2**16, size=shape).astype(dtype)
+    return (rng.normal(size=shape) * 2.0 ** rng.integers(-30, 30, size=shape)).astype(dtype)
+
+
+def flip_boxes(boxes, width):
+    """The boxes (x0, y0, x1, y1) of a left-right mirrored map, in closed form."""
+    x0, y0, x1, y1 = boxes.T
+    return np.stack([width - 1 - x1, y0, width - 1 - x0, y1], axis=1)
+
+
+ALL_LEVELS = ["local,proximal:2,pooled,subscene:3,scene",
+              "scene,subscene:1,proximal:1,pooled,local", "proximal:3,subscene:2"]
+
+
+class TestMirrorFusionOracle:
+    def assert_same(self, img, spmap, featmap, levels=ALL_LEVELS):
+        for spec in levels:
+            got = build_features(img, spmap, spec, featmap, mirror=True)
+            ref = reference_mirror_features(img, spmap, spec, featmap)
+            assert got.dtype == ref.dtype == np.float64
+            assert got.tobytes() == ref.tobytes(), spec
+
+    @pytest.mark.parametrize("mode", ["nearest", "bilinear"])
+    def test_slic_and_rect_maps_match_two_pass_bytes(self, mode):
+        rng = np.random.default_rng(11)
+        for img, res in slic_maps(count=2, size=48, k=32):
+            fm = upsample_featuremap(wide_map(rng, (3, 12, 12)), 48, 48, mode)
+            for spmap in (res.spmap, rect_regions(48, 48, 60), rect_regions(48, 48, 60)[:, ::-1]):
+                self.assert_same(img, spmap, fm)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.uint16])
+    def test_featmap_dtypes_match_two_pass_bytes(self, dtype):
+        rng = np.random.default_rng(12)
+        img, res = slic_maps(count=1, size=40, k=24)[0]
+        fm = upsample_featuremap(wide_map(rng, (2, 9, 7), dtype), 40, 40)
+        self.assert_same(img, res.spmap, fm)
+
+    @pytest.mark.parametrize("height, width", [(1, 1), (1, 17), (17, 1), (2, 31), (29, 3)])
+    def test_one_row_and_one_column_maps_match_two_pass_bytes(self, height, width):
+        rng = np.random.default_rng(height * 100 + width)
+        img = rng.integers(0, 256, size=(height, width, 3), dtype=np.uint8)
+        fm = wide_map(rng, (2, height, width))
+        for count in (1, 5, height * width):
+            self.assert_same(img, rect_regions(width, height, count), fm)
+
+    @settings(derandomize=True, max_examples=120, deadline=None)
+    @given(oracle_maps(), st.integers(0, 2**32 - 1), st.sampled_from(["nearest", "bilinear"]),
+           st.integers(1, 3), st.integers(1, 4))
+    def test_random_maps_match_two_pass_bytes(self, spmap, seed, mode, r_prox, r_sub):
+        # ids renumbered to 0..K-1 in order of id, as the CLI requires
+        spmap = np.unique(spmap, return_inverse=True)[1].reshape(spmap.shape).astype(np.int32)
+        h, w = spmap.shape
+        rng = np.random.default_rng(seed)
+        img = rng.integers(0, 256, size=(h, w, 3), dtype=np.uint8)
+        small = wide_map(rng, (2, *(int(v) for v in rng.integers(1, 6, size=2))))
+        fm = upsample_featuremap(small, h, w, mode)
+        levels = f"local,proximal:{r_prox},pooled,subscene:{r_sub},scene"
+        self.assert_same(img, spmap, fm, [levels])
+
+
+class TestBoxMeansOracle:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.uint16])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_random_boxes_match_mean_loop_bytes(self, dtype, seed):
+        rng = np.random.default_rng(seed)
+        h, w = 97, 101
+        fm = wide_map(rng, (3, h, w), dtype)
+        xs = np.sort(rng.integers(0, w, size=(300, 2)), axis=1)
+        ys = np.sort(rng.integers(0, h, size=(300, 2)), axis=1)
+        small = np.array([[0, 0, 0, 0], [w - 1, h - 1, w - 1, h - 1], [5, 7, 5, 7], [3, 2, 4, 2]])
+        # the full image, and boxes past numpy's 8,192-element reduction buffer
+        large = np.array([[0, 0, w - 1, h - 1], [2, 1, w - 3, h - 1], [0, 10, 99, 96]])
+        boxes = np.concatenate(
+            [np.stack([xs[:, 0], ys[:, 0], xs[:, 1], ys[:, 1]], axis=1), small, large])
+        assert ((large[:, 2] - large[:, 0] + 1) * (large[:, 3] - large[:, 1] + 1) > 8192).all()
+        got = zoomout._box_means(fm, boxes)
+        ref = reference_box_means(fm, boxes)
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+
+    def test_strided_map_matches_mean_loop_bytes(self):
+        # the bilinear and nearest upsamplers return fresh arrays; a view reads the same
+        rng = np.random.default_rng(3)
+        fm = wide_map(rng, (4, 60, 70))[::2, :, ::-1]
+        boxes = np.array([[0, 0, 69, 59], [10, 5, 40, 50], [69, 59, 69, 59]])
+        got = zoomout._box_means(fm, boxes)
+        assert got.tobytes() == reference_box_means(fm, boxes).tobytes()
+
+    def test_overflow_raises(self):
+        fm = np.full((2, 4, 4), 3e38, dtype=np.float32)
+        assert zoomout._box_means(fm, np.array([[1, 1, 1, 1]])).tolist() == [[fm[0, 0, 0]] * 2]
+        with pytest.raises(FloatingPointError):
+            zoomout._box_means(fm, np.array([[0, 0, 1, 0]]))
+
+    def test_empty_box_is_nan_without_warning(self):
+        # the box superpixel_bboxes gives an id with no pixels
+        fm = np.ones((2, 3, 4), dtype=np.float32)
+        assert np.isnan(zoomout._box_means(fm, np.array([[4, 3, -1, -1]]))).all()
+
+
+class TestMirrorInvariants:
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(id_maps(), st.integers(1, 4))
+    def test_adjacency_and_subscene_boxes(self, spmap, radius):
+        graph = build_adjacency(spmap)
+        mirrored = build_adjacency(spmap[:, ::-1])
+        assert len(mirrored) == len(graph)
+        for a, b in zip(graph, mirrored):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert np.array_equal(subscene_bboxes(spmap[:, ::-1], graph, radius),
+                              flip_boxes(subscene_bboxes(spmap, graph, radius), spmap.shape[1]))
+
+    def test_color_features_ignore_mirroring(self):
+        for img, res in slic_maps(count=2):
+            for spmap in (res.spmap, rect_regions(48, 48, 60)):
+                plain = local_color_features(rgb_to_lab(img), spmap)
+                mirrored = local_color_features(rgb_to_lab(img[:, ::-1]), spmap[:, ::-1])
+                assert plain.tobytes() == mirrored.tobytes()
+
+
 # --- the two binnings per channel that zoomout._histograms replaced, kept
 # verbatim as the oracle for local_color_features
 
