@@ -390,8 +390,8 @@ def _cmd_eval(args):
 
 
 def _cmd_eval_depth(args):
-    pred = read_tensor(args["pred"]).astype(np.float64)
-    gt = read_tensor(args["gt"]).astype(np.float64)
+    pred = _read_finite(args["pred"], "pred").astype(np.float64)
+    gt = _read_finite(args["gt"], "gt").astype(np.float64)
     report = metrics.depth_metrics(pred, gt, args["rel_denominator"])
     print(report_emit(report, args.get("out"), args["report"]))
 
@@ -402,12 +402,16 @@ def _cmd_synth(args):
     synth_generate(spec, args["count"], args["seed"], args["out"])
 
 
-def _stage(name, fn, *fn_args, **fn_kwargs):
+def _stage(timings, name, fn, *fn_args, **fn_kwargs):
+    """Call fn, adding its wall time to timings[name] and "[name] " to its error."""
+    start = time.perf_counter()
     try:
         return fn(*fn_args, **fn_kwargs)
     except Exception as exc:
         exc.args = (f"[{name}] {exc}",) + exc.args[1:]
         raise
+    finally:
+        timings[name] = timings.get(name, 0.0) + time.perf_counter() - start
 
 
 # Pipeline config: key -> (type, default) for the top level and for each
@@ -438,14 +442,19 @@ def pipeline_run(config):
 
     The keys, their types and defaults are those of _PIPELINE; classes,
     test_dir and (unless oracle) train_dir are required.  crf null or {}
-    skips the CRF stage, and report is the output path.  An unknown key,
-    a wrongly typed value, classes below 1 or an out-of-range SLIC, train
-    or CRF value, at any level, raises ValueError before any image is
-    loaded; so does a directory without images once it is read, and a
-    test_dir whose ground truth is all ignore.  Returns the report dict.
+    skips the CRF stage, and report is the output path.  An unknown key, a
+    wrongly typed value, classes below 1, an out-of-range SLIC, train or
+    CRF value at any level, or a key an oracle run never reads, raises
+    ValueError before any image is loaded; so does a directory without
+    images once it is read, and a test_dir whose ground truth is all
+    ignore.  Returns the report dict; its timings are seconds per stage.
     """
     cfg = _pipeline_section(config, "config")
-    _require(cfg, {"classes", "test_dir"} | (set() if cfg["oracle"] else {"train_dir"}),
+    oracle = cfg["oracle"]
+    unread = sorted({"train_dir", "train", "crf", "proximal_radius"} & set(config))
+    if oracle and unread:
+        raise ValueError(f"an oracle pipeline reads none of the keys {unread}")
+    _require(cfg, {"classes", "test_dir"} | (set() if oracle else {"train_dir"}),
              "pipeline keys")
     if cfg["classes"] < 1:
         raise ValueError(f"classes must be >= 1, got {cfg['classes']}")
@@ -458,62 +467,53 @@ def pipeline_run(config):
         iters, damping = crf_cfg.pop("iters"), crf_cfg.pop("damping")
         crf_mod.check_mean_field(iters, damping)
         crf_mod.check_image_crf(**crf_cfg)
-    num_classes, ignore, oracle = cfg["classes"], cfg["ignore"], cfg["oracle"]
+    num_classes, ignore = cfg["classes"], cfg["ignore"]
     levels = f"local,proximal:{cfg['proximal_radius']}"
     zoomout._parse_levels(levels)  # rejects a radius below 1 before any image loads
     timings = {}
-    t0 = time.perf_counter()
-    train_pairs = [] if oracle else _stage("load", load_dataset, cfg["train_dir"])
-    test_pairs = _stage("load", load_dataset, cfg["test_dir"])
+    train_pairs = [] if oracle else _stage(timings, "load", load_dataset, cfg["train_dir"])
+    test_pairs = _stage(timings, "load", load_dataset, cfg["test_dir"])
     _require_scored([gt for _, gt in test_pairs], ignore, cfg["test_dir"])
-    timings["load"] = time.perf_counter() - t0
 
-    model = None
     if not oracle:
-        t0 = time.perf_counter()
         xs, ys, ws = [], [], []
         for img, gt in train_pairs:
-            res = _stage("slic", run_slic, img, params)
-            feats = _stage("features", zoomout.build_features, img, res.spmap, levels)
+            res = _stage(timings, "slic", run_slic, img, params)
+            feats = _stage(timings, "features", zoomout.build_features, img, res.spmap, levels)
             sp_labels = metrics.majority_labels(gt, res.spmap, ignore)
             counts = np.bincount(res.spmap.ravel(), minlength=len(sp_labels))
             keep = sp_labels != ignore
             xs.append(feats[keep])
             ys.append(sp_labels[keep])
             ws.append(counts[keep])
-        timings["train_features"] = time.perf_counter() - t0
-        t0 = time.perf_counter()
         model = _stage(
-            "train", learner.train,
+            timings, "train", learner.train,
             np.concatenate(xs), np.concatenate(ys).astype(np.int64), train_cfg,
             num_classes=num_classes, sample_weights=np.concatenate(ws),
         )
-        timings["train"] = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
     cm = np.zeros((num_classes, num_classes), dtype=np.int64)
     cm_crf = np.zeros_like(cm)
     for img, gt in test_pairs:
-        res = _stage("slic", run_slic, img, params)
+        res = _stage(timings, "slic", run_slic, img, params)
         if oracle:
             pred = metrics.oracle_labels(gt, res.spmap, ignore)
             cm += metrics.confusion(np.where(pred == ignore, 0, pred), gt, num_classes, ignore)
             continue
-        feats = _stage("features", zoomout.build_features, img, res.spmap, levels)
-        probs = learner.forward(model, feats)
+        feats = _stage(timings, "features", zoomout.build_features, img, res.spmap, levels)
+        probs = _stage(timings, "predict", learner.forward, model, feats)
         sp_pred = np.argmax(probs, axis=1)
         cm += metrics.confusion(sp_pred[res.spmap], gt, num_classes, ignore)
         if crf_cfg:
             # SLIC's centers are the mean Lab and (x, y) of each superpixel
-            cmodel = _stage("crf", crf_mod.image_crf, res.centers[:, :3], probs,
+            cmodel = _stage(timings, "crf", crf_mod.image_crf, res.centers[:, :3], probs,
                             res.centers[:, 3:], **crf_cfg)
-            q = _stage("crf", crf_mod.mean_field_refine, cmodel, iters, damping).q
+            q = _stage(timings, "crf", crf_mod.mean_field_refine, cmodel, iters, damping).q
             cm_crf += metrics.confusion(
                 crf_mod.map_labels(q)[res.spmap], gt, num_classes, ignore)
-    timings["test"] = time.perf_counter() - t0
 
     report = _seg_report(cm)
-    if crf_cfg and not oracle:
+    if crf_cfg:
         report["crf"] = _seg_report(cm_crf)
     report["timings"] = {k: round(v, 4) for k, v in timings.items()}
     if cfg["report"]:

@@ -180,19 +180,14 @@ def _backward(model, acts, output_delta, dropout_masks=None):
     return grads_w, grads_b
 
 
-def loss_gradient(model, x, labels, freqs, dropout_masks=None):
+def loss_gradient(model, x, labels, freqs, dropout_masks=None, probs_out=None):
     """Analytic gradient of asymmetric_loss(forward(model, x), labels, f).
 
     Output-layer error is (1/(N * f_y)) * (p_hat - onehot(y)).  One
     forward pass supplies both the probabilities and the activations the
-    backward pass reuses.
+    backward pass reuses; p_hat is also copied into probs_out (an (N, C)
+    array) when one is given.
     """
-    return _loss_gradient(model, x, labels, freqs, dropout_masks)
-
-
-def _loss_gradient(model, x, labels, freqs, dropout_masks=None, probs_out=None):
-    """loss_gradient, also copying the batch's probabilities p_hat into
-    probs_out (an (N, C) array) when one is given."""
     labels = np.asarray(labels)
     acts, z = _forward_pass(model, x, dropout_masks)
     delta = _softmax(z)
@@ -283,8 +278,8 @@ def train(features, labels, cfg, num_classes=None, sample_weights=None):
                             (rng.random((len(idx), hsize)) >= cfg.dropout) / (1.0 - cfg.dropout)
                             for hsize in cfg.hidden
                         ]
-                    grads = _loss_gradient(model, features[idx], labels[idx], f, masks,
-                                           probs[start : start + cfg.batch_size])
+                    grads = loss_gradient(model, features[idx], labels[idx], f, masks,
+                                          probs[start : start + cfg.batch_size])
                     sgd_step(model, grads, cfg, velocity)
                 model.epoch_losses.append(asymmetric_loss(probs, labels[order], f))
             if cfg.epochs:

@@ -146,6 +146,7 @@ def _histograms(flat_ids, k, values, value_range=None):
     edges are the channel's per-image quantiles.  Values outside the bins
     clamp to the end bins.  An 8-bin count sums four 32-bin counts, as
     t*32 is exactly 4*(t*8) and the 8-bin quantile edges are the 32-bin [::4].
+    A superpixel with no pixels gets NaN rows, as in region_means.
     """
     if value_range is None:
         edges = np.quantile(values, np.linspace(0.0, 1.0, _FINE_BINS + 1))
@@ -156,7 +157,8 @@ def _histograms(flat_ids, k, values, value_range=None):
     idx = np.clip(idx, 0, _FINE_BINS - 1)
     fine = np.bincount(flat_ids * _FINE_BINS + idx, minlength=k * _FINE_BINS).reshape(k, -1)
     coarse = fine.reshape(k, _COARSE_BINS, -1).sum(axis=2)
-    return tuple(hist / hist.sum(axis=1, keepdims=True) for hist in (fine, coarse))
+    with np.errstate(invalid="ignore"):
+        return tuple(hist / hist.sum(axis=1, keepdims=True) for hist in (fine, coarse))
 
 
 def local_color_features(lab, spmap):

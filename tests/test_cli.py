@@ -418,6 +418,10 @@ class TestNonFiniteInputs:
                                                        "--features", "field")),
         "sample-features": ("field", np.inf, "features", ("sample", "--scores", "scores",
                                                           "--features", "field")),
+        "eval-depth-pred": ("depth", np.inf, "pred", ("eval-depth", "--pred", "depth",
+                                                      "--gt", "depth_gt")),
+        "eval-depth-gt": ("depth_gt", np.nan, "gt", ("eval-depth", "--pred", "depth",
+                                                     "--gt", "depth_gt")),
     }
 
     @pytest.mark.parametrize("bad", list(CASES))
@@ -430,6 +434,8 @@ class TestNonFiniteInputs:
             "fm": np.ones((2, 8, 8), dtype=np.float32),
             "scores": np.ones((2, 6, 6), dtype=np.float32),
             "field": np.arange(4 * 36, dtype=np.float32).reshape(4, 6, 6),
+            "depth": np.full((4, 4), 2.0, dtype=np.float32),
+            "depth_gt": np.full((4, 4), 3.0, dtype=np.float32),
         }
         arrays[tensor].flat[1] = value
         paths = {"img": quad_image[0], "model": tmp_path / "m.zom", "y": tmp_path / "y.zot",
@@ -883,6 +889,38 @@ class TestPipelineCommand:
         cfg_path.write_text(json.dumps({"test_dir": str(tmp_path / "none"),
                                         "classes": 4, "oracle": True}))
         assert run("pipeline", "--config", cfg_path) == 2
+
+    @pytest.mark.parametrize("key,value", [("train_dir", "train"), ("train", {}),
+                                           ("crf", None), ("proximal_radius", 2)])
+    def test_oracle_refuses_keys_it_does_not_read(self, tmp_path, capsys, key, value):
+        # test_dir does not exist: the refusal comes before any image loads
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"test_dir": str(tmp_path / "none"), "classes": 4,
+                                        "oracle": True, key: value,
+                                        "report": str(tmp_path / "report.json")}))
+        capsys.readouterr()
+        assert run("pipeline", "--config", cfg_path) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and repr(key) in err[0]
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("oracle", [False, True])
+    def test_timings_per_stage_stay_off_disk(self, tmp_path, oracle):
+        synth_generate(SyntheticSpec(size=24, num_classes=4, kind="quadrants"), 2, 0,
+                       tmp_path / "data")
+        cfg = {"test_dir": str(tmp_path / "data"), "classes": 4, "oracle": oracle,
+               "slic": {"k": 4, "m": 10}, "report": str(tmp_path / "report.json")}
+        if not oracle:
+            cfg.update(train_dir=str(tmp_path / "data"), train={"epochs": 1},
+                       crf={"iters": 1})
+        report = cli.pipeline_run(cfg)
+        stages = ["load", "slic"] if oracle else ["load", "slic", "features", "train",
+                                                 "predict", "crf"]
+        assert sorted(report["timings"]) == sorted(stages)
+        assert all(t >= 0 for t in report["timings"].values())
+        written = json.loads((tmp_path / "report.json").read_text())
+        assert written == {k: v for k, v in json.loads(cli.report_emit(report)).items()
+                           if k != "timings"}
 
 
 class TestConfigValueTypes:

@@ -415,6 +415,21 @@ class TestTrainOracle:
         assert len(got.epoch_losses) == epochs
 
 
+class TestTrainCallsLossGradient:
+    def test_through_the_module_attribute(self, monkeypatch):
+        # a tracer that wraps learner.loss_gradient sees every minibatch step
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(len(args[1]))
+            return loss_gradient(*args, **kwargs)
+
+        monkeypatch.setattr(learner, "loss_gradient", counted)
+        x, y = two_blobs(20, seed=0)
+        train(x, y, TrainConfig(epochs=3, batch_size=8, learning_rate=0.05))
+        assert calls == [8, 8, 4] * 3
+
+
 class TestPredictLabels:
     def test_uniform_probs_class_zero(self):
         model = linear_model(np.zeros((3, 2)), np.zeros(3))

@@ -595,6 +595,33 @@ class TestBuildFeatures:
             build_features(np.zeros((2, 2, 3), dtype=np.uint8), spmap, "local,scene")
 
 
+class TestIdGap:
+    """An id below the maximum that labels no pixel gets NaN histogram and
+    location columns without a RuntimeWarning (the suite turns one into an
+    error), and every other id keeps the row it has in the compacted map."""
+
+    @pytest.mark.parametrize("mirror", [False, True])
+    @pytest.mark.parametrize("level", ["local", "proximal:2", "pooled", "subscene:1", "scene"])
+    def test_other_rows_match_compacted_map(self, level, mirror):
+        rng = np.random.default_rng(11)
+        for _ in range(8):
+            h, w = rng.integers(3, 20, size=2)
+            compact = np.unique(rng.integers(0, 9, size=(h, w)), return_inverse=True)[1]
+            compact = compact.reshape(h, w)
+            gap = int(rng.integers(0, compact.max() + 1))
+            gapped = compact + (compact >= gap)
+            img = rng.integers(0, 256, size=(h, w, 3), dtype=np.uint8)
+            fm = wide_map(rng, (2, h, w))
+            got = build_features(img, gapped, level, fm, mirror=mirror)
+            want = build_features(img, compact, level, fm, mirror=mirror)
+            assert np.delete(got, gap, axis=0).tobytes() == want.tobytes()
+            if level in ("local", "proximal:2"):
+                # fixed and adaptive histograms, then the location; the
+                # entropies in between read an empty histogram as 0
+                nan_cols = np.r_[0:120, 123:LOCAL_COLOR_DIM + 4]
+                assert np.isnan(got[gap, nan_cols]).all()
+
+
 # --- the two-pass mirror fusion that build_features(..., mirror=True)
 # replaced, and the per-box .mean loop that zoomout._box_means replaced,
 # kept as their oracles
