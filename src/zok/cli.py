@@ -373,6 +373,14 @@ def _seg_report(cm):
     }
 
 
+def _check_ignore(ignore, classes):
+    """Refuse an ignore label that is also a class id: scoring would drop
+    that class silently."""
+    if 0 <= ignore < classes:
+        raise ValueError(f"ignore {ignore} is one of the class ids 0..{classes - 1}; "
+                         "pick a label outside them")
+
+
 def _require_scored(gts, ignore, source):
     """Raise ValueError unless some ground-truth pixel is not `ignore`, since
     no score is defined over an all-ignore ground truth."""
@@ -381,6 +389,7 @@ def _require_scored(gts, ignore, source):
 
 
 def _cmd_eval(args):
+    _check_ignore(args["ignore"], args["classes"])
     pred = read_pgm(args["pred"]).astype(np.int64)
     gt = read_pgm(args["gt"]).astype(np.int64)
     _require_scored([gt], args["ignore"], args["gt"])
@@ -443,11 +452,12 @@ def pipeline_run(config):
     The keys, their types and defaults are those of _PIPELINE; classes,
     test_dir and (unless oracle) train_dir are required.  crf null or {}
     skips the CRF stage, and report is the output path.  An unknown key, a
-    wrongly typed value, classes below 1, an out-of-range SLIC, train or
-    CRF value at any level, or a key an oracle run never reads, raises
-    ValueError before any image is loaded; so does a directory without
-    images once it is read, and a test_dir whose ground truth is all
-    ignore.  Returns the report dict; its timings are seconds per stage.
+    wrongly typed value, classes below 1, an ignore label among the class
+    ids, an out-of-range SLIC, train or CRF value at any level, or a key an
+    oracle run never reads, raises ValueError before any image is loaded;
+    so does a directory without images once it is read, and a test_dir
+    whose ground truth is all ignore.  Returns the report dict; its timings
+    are seconds per stage.
     """
     cfg = _pipeline_section(config, "config")
     oracle = cfg["oracle"]
@@ -458,6 +468,7 @@ def pipeline_run(config):
              "pipeline keys")
     if cfg["classes"] < 1:
         raise ValueError(f"classes must be >= 1, got {cfg['classes']}")
+    _check_ignore(cfg["ignore"], cfg["classes"])
     params = SlicParams(**_pipeline_section(cfg["slic"], "slic"))
     train = _pipeline_section(cfg["train"], "train")
     train_cfg = learner.TrainConfig(**dict(train, hidden=tuple(train["hidden"])))
@@ -556,6 +567,9 @@ def main(argv=None):
         return 2
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # numpy's message names the size it could not allocate
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

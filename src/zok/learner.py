@@ -163,17 +163,18 @@ def asymmetric_loss(probs, labels, freqs):
     return float(-(np.log(p) / f[labels]).mean())
 
 
-def _backward(model, acts, output_delta, dropout_masks=None):
+def _backward(weights, acts, output_delta, dropout_masks=None):
     """Gradients of all weights/biases given dLoss/dLogits rows, from the
-    activations _forward_pass returned."""
-    grads_w = [None] * len(model.weights)
-    grads_b = [None] * len(model.biases)
+    activations _forward_pass returned.  Every array may carry a leading
+    axis of stacked models, each slice computed as it would be alone."""
+    grads_w = [None] * len(weights)
+    grads_b = [None] * len(weights)
     delta = output_delta
-    for i in range(len(model.weights) - 1, -1, -1):
-        grads_w[i] = delta.T @ acts[i]
-        grads_b[i] = delta.sum(axis=0)
+    for i in range(len(weights) - 1, -1, -1):
+        grads_w[i] = np.swapaxes(delta, -1, -2) @ acts[i]
+        grads_b[i] = delta.sum(axis=-2)
         if i > 0:
-            delta = delta @ model.weights[i]
+            delta = delta @ weights[i]
             if dropout_masks is not None:
                 delta = delta * dropout_masks[i - 1]
             delta = delta * (acts[i] > 0)
@@ -195,7 +196,7 @@ def loss_gradient(model, x, labels, freqs, dropout_masks=None, probs_out=None):
         probs_out[...] = delta
     delta[np.arange(len(labels)), labels] -= 1.0
     delta *= (1.0 / (np.asarray(freqs, dtype=np.float64)[labels] * len(labels)))[:, None]
-    return _backward(model, acts, delta, dropout_masks)
+    return _backward(model.weights, acts, delta, dropout_masks)
 
 
 def zero_velocity(model):

@@ -129,12 +129,14 @@ def generate_dataset(spec, count, seed):
 
 
 def synth_generate(spec, count, seed, out_dir):
-    """Write count >= 1 img_NNNN.ppm / gt_NNNN.pgm pairs to out_dir."""
+    """Write count >= 1 img_NNNN.ppm / gt_NNNN.pgm pairs to out_dir, which
+    is created once the first image exists."""
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
+    pairs = generate_dataset(spec, count, seed)
     os.makedirs(out_dir, exist_ok=True)
     paths = []
-    for i, (img, gt) in enumerate(generate_dataset(spec, count, seed)):
+    for i, (img, gt) in enumerate(pairs):
         img_path = os.path.join(out_dir, f"img_{i:04d}.ppm")
         gt_path = os.path.join(out_dir, f"gt_{i:04d}.pgm")
         write_ppm(img, img_path)

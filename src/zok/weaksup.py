@@ -36,43 +36,31 @@ from . import learner
 _NORM_EPS = 1e-12
 
 
-def _softplus(x):
-    return np.log1p(np.exp(-abs(x))) + max(x, 0.0)
+def _argmax_losses(scores, present, model):
+    """Image-level losses of stacked score grids and their argmax gradients.
 
-
-def _sigmoid(x):
-    if x >= 0:
-        return 1.0 / (1.0 + np.exp(-x))
-    e = np.exp(x)
-    return e / (1.0 + e)
-
-
-def _argmax_loss(s, sbar, present, model):
-    """Image-level loss and its gradient at the argmax location(s).
-
-    s, sbar: flat score vectors.  Returns (loss, rows, delta): rows are
-    the sorted distinct argmax indices (ties to the smallest index) and
-    delta[r] holds dLoss/dS and dLoss/dSbar at rows[r].  The pixel model
-    routes both channels through argmax(S - Sbar); the global model
-    routes S through argmax(S) and Sbar through argmax(Sbar).
+    scores: (lanes, rows, 2) S and Sbar per location; present: (lanes,)
+    booleans.  Returns per-lane arrays (loss, i, j, gs, gsbar): the binary
+    log-loss, the argmax rows of S and of Sbar (ties to the smallest
+    index) and dLoss/dS at row i and dLoss/dSbar at row j.  The pixel model
+    routes both channels through argmax(S - Sbar), so i == j; the global
+    model routes S through argmax(S) and Sbar through argmax(Sbar).
     """
+    s, sbar = scores[..., 0], scores[..., 1]
     if model == "pixel":
-        i = j = int(np.argmax(s - sbar))  # argmax of p = argmax of the margin
+        i = j = np.argmax(s - sbar, axis=1)  # argmax of p = argmax of the margin
     elif model == "global":
-        i, j = int(np.argmax(s)), int(np.argmax(sbar))
+        i, j = np.argmax(s, axis=1), np.argmax(sbar, axis=1)
     else:
         raise ValueError(f"unknown model {model!r}")
-    margin = s[i] - sbar[j]
-    p = _sigmoid(margin)
-    if present:
-        loss, gs, gsbar = _softplus(-margin), p - 1.0, 1.0 - p
-    else:
-        loss, gs, gsbar = _softplus(margin), p, -p
-    rows = np.array(sorted({i, j}))
-    delta = np.zeros((len(rows), 2))
-    delta[rows == i, 0] = gs
-    delta[rows == j, 1] = gsbar
-    return loss, rows, delta
+    lane = np.arange(len(scores))
+    margin = s[lane, i] - sbar[lane, j]
+    # exp only of -|margin|, so it never overflows: sigmoid(m) is 1/(1+e)
+    # for m >= 0 and e/(1+e) below, softplus(x) is log1p(e) + max(x, 0)
+    e = np.exp(-np.abs(margin))
+    p = np.where(margin >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    loss = np.log1p(e) + np.maximum(np.where(present, -margin, margin), 0.0)
+    return loss, i, j, np.where(present, p - 1.0, p), np.where(present, 1.0 - p, -p)
 
 
 def _field_stats(flats):
@@ -269,42 +257,184 @@ class LocalizerConfig:
             raise ValueError(f"restarts must be >= 1, got {self.restarts}")
 
 
-def _localizer_run(normed, present, cfg, mean, std, seed):
-    """One seeded run on the fields' normalized (n, D) rows; returns (model, mean loss)."""
-    model = learner.init_model([normed[0].shape[1], cfg.hidden, 2], seed, mean, std)
-    velocity = learner.zero_velocity(model)
-    rng = np.random.default_rng(seed)
-    # learner.logits, inlined so that every full-grid pass writes into the
-    # same two buffers
-    rows_max = max(len(a) for a in normed)
-    hidden_buf = np.empty((rows_max, cfg.hidden))
-    out_buf = np.empty((rows_max, 2))
-    (w1, w2), (b1, b2) = model.weights, model.biases  # sgd_step updates these in place
+class _Lane:
+    """One seeded run of a task, on the normalized rows rows[first : first + n]."""
 
-    def hidden(a, buf=None):
-        h = np.matmul(a, w1.T, out=buf)
-        np.add(h, b1, out=h)
-        return np.maximum(h, 0.0, out=h)
+    def __init__(self, model, seed, first, n, epochs):
+        self.model, self.first, self.n = model, first, n
+        self.rng = np.random.default_rng(seed)
+        self.steps = epochs * n
+        self.order = self.loss = None
 
-    def scores(img):
-        a = normed[img]
-        out = np.matmul(hidden(a, hidden_buf[: len(a)]), w2.T, out=out_buf[: len(a)])
-        np.add(out, b2, out=out)
-        return out[:, 0], out[:, 1]
 
-    for _ in range(cfg.epochs):
-        for img in rng.permutation(len(normed)):
-            _, rows, delta = _argmax_loss(*scores(img), present[img], cfg.model)
-            keep = (delta != 0).any(axis=1)
-            # the gradient rows get their own forward pass: slicing them
-            # out of the full-grid buffer differs in the last bits
-            a = normed[img][rows[keep]]
-            grads = learner._backward(model, [a, hidden(a)], delta[keep])
-            learner.sgd_step(model, grads, cfg.sgd, velocity)
-    total = 0.0
-    for img in range(len(normed)):
-        total += _argmax_loss(*scores(img), present[img], cfg.model)[0]
-    return model, total / len(normed)
+def _lane_gradients(running, rows, images, i, j, gs, gsbar):
+    """sgd_step gradients of the running lanes, stacked like their parameters.
+
+    Each lane backpropagates its step's _argmax_losses gradient from its
+    argmax row(s) of rows[images[q]], batched with the lanes that have as
+    many rows; a lane whose gradient vanished gets zeros.
+    """
+    # every lane's argmax rows, sorted, and dLoss/dLogits on them: S's
+    # gradient in row i's place, Sbar's in row j's (row 0 for both when
+    # i == j, and row 1 is then unused)
+    lane = np.arange(len(images))
+    picked = np.stack([np.minimum(i, j), np.maximum(i, j)], axis=1)
+    delta = np.zeros((len(images), 2, 2))
+    delta[lane, (i > j).astype(np.intp), 0] = gs
+    delta[lane, (j > i).astype(np.intp), 1] = gsbar
+    live = (gs != 0) | (gsbar != 0)  # p - 1 and 1 - p (p and -p) vanish together
+    grads = None
+    for count in (1, 2):
+        slots = np.flatnonzero(live & ((i != j) == (count == 2)))
+        if not slots.size:
+            continue
+        if len(slots) == len(images):
+            slots = slice(None)  # every lane: views instead of gathered copies
+        # the gradient rows get their own forward pass: slicing them out of
+        # the full-grid buffer differs in the last bits
+        a = np.array([rows[img].take(r, axis=0)
+                      for img, r in zip(images[slots].tolist(), picked[slots, :count])])
+        w1, w2 = (w[slots] for w in running.weights)
+        h = np.matmul(a, w1.transpose(0, 2, 1))
+        np.add(h, running.biases[0][slots, None], out=h)
+        np.maximum(h, 0.0, out=h)
+        gw, gb = learner._backward([w1, w2], [a, h], delta[slots, :count])
+        if isinstance(slots, slice):
+            return gw, gb
+        grads = grads or [np.zeros_like(p) for p in running.weights + running.biases]
+        for full, part in zip(grads, gw + gb):
+            full[slots] = part
+    grads = grads or [np.zeros_like(p) for p in running.weights + running.biases]
+    return grads[:2], grads[2:]
+
+
+def _train_lanes(lanes, rows, present, cfg):
+    """Train lanes that share D, cfg.hidden, cfg.model and cfg.sgd in lockstep.
+
+    Each step scores every running lane's image on the full grid, one lane
+    at a time into shared buffers, then computes all their losses, the
+    backward passes grouped by gradient row count and one sgd_step over
+    the stacked parameters.  Sets each lane's model.epoch_losses and its
+    loss, the mean image loss of the trained model.
+    """
+    lanes = sorted(lanes, key=lambda lane: -lane.steps)  # running lanes are a prefix
+    stack = learner.MlpModel([np.stack(w) for w in zip(*(lane.model.weights for lane in lanes))],
+                             [np.stack(b) for b in zip(*(lane.model.biases for lane in lanes))],
+                             None, None)
+    for q, lane in enumerate(lanes):  # each model views its slot, which sgd_step updates
+        lane.model.weights = [w[q] for w in stack.weights]
+        lane.model.biases = [b[q] for b in stack.biases]
+    velocity = learner.zero_velocity(stack)
+    hidden = np.empty((max(len(rows[lane.first + img]) for lane in lanes for img in range(lane.n)),
+                       cfg.hidden))
+    scores = np.zeros((len(lanes), len(hidden), 2))  # finite where no grid was written yet
+    # padding below a smaller grid loses every argmax: of S, of Sbar and of S - Sbar
+    pad = (-np.inf, -np.inf if cfg.model == "global" else 0.0)
+
+    def losses(active, images):
+        """Each lane's full-grid scores on its image, into scores[q]; their _argmax_losses."""
+        short = []
+        for q, (lane, img) in enumerate(zip(active, images)):
+            a = rows[img]
+            w1, w2 = lane.model.weights
+            h = np.matmul(a, w1.T, out=hidden[: len(a)])
+            np.add(h, lane.model.biases[0], out=h)
+            np.maximum(h, 0.0, out=h)
+            np.matmul(h, w2.T, out=scores[q, : len(a)])
+            if len(a) < len(hidden):
+                short.append((q, len(a)))
+        out = scores[: len(active)]
+        # the output bias, one add per channel over every lane's whole grid
+        b2 = np.array([lane.model.biases[1] for lane in active])
+        out[..., 0] += b2[:, 0, None]
+        out[..., 1] += b2[:, 1, None]
+        for q, n in short:
+            out[q, n:] = pad
+        return _argmax_losses(out, present[images], cfg.model)
+
+    totals = np.zeros(len(lanes))
+    k = len(lanes)
+    running, running_velocity = stack, velocity  # the slots of the running lanes
+    for t in range(lanes[0].steps):
+        while lanes[k - 1].steps <= t:
+            k -= 1
+        images, ends = [], []
+        for q, lane in enumerate(lanes[:k]):
+            pos = t % lane.n
+            if pos == 0:
+                lane.order = lane.rng.permutation(lane.n)
+            if pos == lane.n - 1:
+                ends.append(q)
+            images.append(lane.first + lane.order[pos])
+        images = np.array(images)
+        loss, i, j, gs, gsbar = losses(lanes[:k], images)
+        totals[:k] += loss
+        for q in ends:
+            lanes[q].model.epoch_losses.append(float(totals[q] / lanes[q].n))
+            totals[q] = 0.0
+        if len(running.weights[0]) != k:
+            running = learner.MlpModel([w[:k] for w in stack.weights],
+                                       [b[:k] for b in stack.biases], None, None)
+            running_velocity = tuple([v[:k] for v in vs] for vs in velocity)
+        grads = _lane_gradients(running, rows, images, i, j, gs, gsbar)
+        learner.sgd_step(running, grads, cfg.sgd, running_velocity)
+
+    # the trained models' losses, one pass over each lane's images in order
+    lanes.sort(key=lambda lane: -lane.n)
+    totals[:] = 0.0
+    k = len(lanes)
+    for t in range(lanes[0].n):
+        while lanes[k - 1].n <= t:
+            k -= 1
+        totals[:k] += losses(lanes[:k], np.array([lane.first + t for lane in lanes[:k]]))[0]
+    for lane, total in zip(lanes, totals):
+        lane.loss = total / lane.n
+
+
+def _lane_runs(tasks):
+    """Every (fields, present, cfg) task's cfg.restarts seeded runs.
+
+    Returns, per task, the (model, loss) of each restart in seed order.
+    The runs of all tasks whose D, hidden, model and SGD settings agree
+    train together as lanes of one _train_lanes call.
+    """
+    stats = []
+    for fields, flags, cfg in tasks:
+        if not fields:
+            raise ValueError("no training fields")
+        if len(flags) != len(fields):
+            raise ValueError(f"{len(flags)} presence flags for {len(fields)} fields")
+        d = fields[0].shape[0]
+        flats = [np.asarray(f, dtype=np.float64).reshape(d, -1) for f in fields]
+        if min(f.shape[1] for f in flats) == 0:
+            raise ValueError("a training field has no locations")
+        # all statistics first, so that their temporaries never add to the rows
+        stats.append((flats, *_field_stats(flats)))
+    rows, present, groups, runs = [], [], {}, []
+    for (_, flags, cfg), (flats, mean, std) in zip(tasks, stats):
+        d = len(mean)
+        lanes = [_Lane(learner.init_model([d, cfg.hidden, 2], cfg.seed + 1000 * r, mean, std),
+                       cfg.seed + 1000 * r, len(rows), len(flats), cfg.epochs)
+                 for r in range(cfg.restarts)]
+        rows += [(f.T - mean) / std for f in flats]
+        present += flags
+        key = (d, cfg.hidden, cfg.model, cfg.learning_rate, cfg.momentum, cfg.weight_decay)
+        groups.setdefault(key, (cfg, []))[1].extend(lanes)
+        runs.append(lanes)
+    present = np.array(present, dtype=bool)
+    for cfg, lanes in groups.values():
+        _train_lanes(lanes, rows, present, cfg)
+    return [[(lane.model, lane.loss) for lane in lanes] for lanes in runs]
+
+
+def train_localizers(tasks):
+    """train_localizer of every (fields, present, cfg) task, in one call.
+
+    All tasks' restarts train as lanes stepping together, so each SGD step
+    costs one batched update instead of one per run.  A task's model is the
+    same, byte for byte, whether it trains alone or beside others.
+    """
+    return [min(runs, key=lambda run: run[1])[0] for runs in _lane_runs(tasks)]
 
 
 def train_localizer(fields, present, cfg):
@@ -315,17 +445,11 @@ def train_localizer(fields, present, cfg):
     the image-level loss backpropagates through its argmax location(s).
     The argmax routing makes training sensitive to initialization, so
     cfg.restarts seeded runs are trained on the same normalized rows and
-    the first one with the lowest training-set image loss wins.
+    the first one with the lowest training-set image loss wins.  Its
+    epoch_losses[e] is the mean image loss of epoch e, each image's taken
+    before the step it drove.
     """
-    if not fields:
-        raise ValueError("no training fields")
-    d = fields[0].shape[0]
-    flats = [np.asarray(f, dtype=np.float64).reshape(d, -1) for f in fields]
-    mean, std = _field_stats(flats)
-    normed = [(f.T - mean) / std for f in flats]
-    runs = [_localizer_run(normed, present, cfg, mean, std, cfg.seed + 1000 * r)
-            for r in range(cfg.restarts)]
-    return min(runs, key=lambda run: run[1])[0]
+    return train_localizers([(fields, present, cfg)])[0]
 
 
 def score_field(model, field):
@@ -350,9 +474,7 @@ def point_supervision_pipeline(fields, presence, num_classes, k, mode="diverse",
     the learner.TrainConfig of the point classifier.
     """
     rng = np.random.default_rng(seed)
-    z_fields = normalize_features(fields)
-
-    localizers = {}
+    classes, tasks = [], []
     n = len(fields)
     for c in range(1, num_classes):
         pos = [i for i in range(n) if c in presence[i]]
@@ -361,11 +483,11 @@ def point_supervision_pipeline(fields, presence, num_classes, k, mode="diverse",
             continue
         neg = list(rng.choice(neg_pool, size=min(len(pos), len(neg_pool)), replace=False))
         subset = pos + neg
-        localizers[c] = train_localizer(
-            [fields[i] for i in subset],
-            [c in presence[i] for i in subset],
-            LocalizerConfig(seed=seed + c),
-        )
+        classes.append(c)
+        tasks.append(([fields[i] for i in subset], [c in presence[i] for i in subset],
+                      LocalizerConfig(seed=seed + c)))
+    localizers = dict(zip(classes, train_localizers(tasks)))
+    z_fields = normalize_features(fields)  # after training, which holds every class's rows
 
     # (H*W, D) rows of every field, for sampled points and predictions
     flats = [np.asarray(f, dtype=np.float64).reshape(f.shape[0], -1).T for f in fields]

@@ -800,6 +800,71 @@ class TestSynthCommand:
         assert not out.exists()
 
 
+    def test_unallocatable_size_exit_1(self, tmp_path):
+        # a subprocess under a 1 GiB address-space cap, so that the refused
+        # allocation can neither succeed nor press on this host's memory
+        out = tmp_path / "data"
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]),
+                   OPENBLAS_NUM_THREADS="1")
+
+        def cap_memory():
+            import resource
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "zok.cli", "synth", "--size", "100000000",
+             "--kind", "quadrants", "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=120, preexec_fn=cap_memory)
+        err = proc.stderr.strip().splitlines()
+        assert proc.returncode == 1, proc.stderr
+        assert len(err) == 1 and err[0].startswith("error: out of memory"), proc.stderr
+        assert not out.exists()
+
+
+class TestIgnoreAmongClasses:
+    """An ignore label that is also a class id would drop that class from
+    the scores silently: eval and pipeline exit 1 with one error line."""
+
+    @pytest.mark.parametrize("classes,ignore", [(300, 255), (4, 0), (4, 3)])
+    def test_eval_exit_1(self, tmp_path, capsys, classes, ignore):
+        gt = np.zeros((4, 4), dtype=np.int64)
+        gt[:2] = 255
+        write_pgm(np.zeros((4, 4), dtype=np.int64), tmp_path / "p.pgm")
+        write_pgm(gt, tmp_path / "g.pgm")
+        out = tmp_path / "r.json"
+        capsys.readouterr()
+        assert run("eval", "--pred", tmp_path / "p.pgm", "--gt", tmp_path / "g.pgm",
+                   "--classes", classes, "--ignore", ignore, "--out", out) == 1
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "ignore" in err[0]
+        assert captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize("ignore", [-1, 4, 999])
+    def test_eval_outside_the_classes_scores(self, tmp_path, capsys, ignore):
+        write_pgm(np.zeros((4, 4), dtype=np.int64), tmp_path / "p.pgm")
+        write_pgm(np.zeros((4, 4), dtype=np.int64), tmp_path / "g.pgm")
+        assert run("eval", "--pred", tmp_path / "p.pgm", "--gt", tmp_path / "g.pgm",
+                   "--classes", 4, "--ignore", ignore) == 0
+
+    @pytest.mark.parametrize("oracle", [True, False])
+    def test_pipeline_exit_1(self, tmp_path, capsys, oracle):
+        synth_generate(SyntheticSpec(size=16, num_classes=4, kind="quadrants"), 1, 0,
+                       tmp_path / "data")
+        cfg = {"test_dir": str(tmp_path / "data"), "classes": 4, "ignore": 2,
+               "oracle": oracle, "report": str(tmp_path / "report.json")}
+        if not oracle:
+            cfg["train_dir"] = str(tmp_path / "data")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        capsys.readouterr()
+        assert run("pipeline", "--config", cfg_path) == 1
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "ignore 2" in err[0]
+        assert captured.out == "" and not (tmp_path / "report.json").exists()
+
+
 class TestPipelineCommand:
     def test_oracle_pipeline_miou_one(self, tmp_path, capsys):
         spec = SyntheticSpec(size=32, num_classes=4, kind="quadrants")

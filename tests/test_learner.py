@@ -199,7 +199,7 @@ def reference_backprop(model, x, output_delta, dropout_masks=None):
     """Gradients for caller-supplied dLoss/dLogits rows: a forward pass
     over x for the activations, then the backward pass."""
     acts, _ = learner._forward_pass(model, x, dropout_masks)
-    return learner._backward(model, acts, output_delta, dropout_masks)
+    return learner._backward(model.weights, acts, output_delta, dropout_masks)
 
 
 def reference_loss_gradient(model, x, labels, freqs, dropout_masks=None):

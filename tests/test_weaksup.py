@@ -1,18 +1,23 @@
+import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from test_learner import reference_backprop
 from zok import learner, weaksup
-from zok.weaksup import (LocalizerConfig, _argmax_loss, _sigmoid, _softplus,
-                         diverse_sample_bg, diverse_sample_fg, normalize_features,
-                         sample_foreground, sample_points, score_field,
-                         spatial_diverse_sample, topk_sample, train_localizer)
+from zok.weaksup import (LocalizerConfig, _argmax_losses, diverse_sample_bg,
+                         diverse_sample_fg, normalize_features, sample_foreground,
+                         sample_points, score_field, spatial_diverse_sample, topk_sample,
+                         train_localizer)
 
 
 # --- the paper's image-level probabilities, as weaksup computed them before
-# training came to need only _argmax_loss; kept verbatim as references
+# training came to need only _argmax_losses; kept verbatim as references
 
 
 def reference_pixel_softmax_prob(s, sbar):
@@ -42,15 +47,16 @@ REFERENCE_PROB = {"pixel": reference_pixel_softmax_prob,
 
 
 def grid_loss_and_grad(s, sbar, present, model):
-    """_argmax_loss on two score grids, its (rows, delta) scattered onto
-    grids shaped like them: returns (loss, dS, dSbar)."""
+    """_argmax_losses on two score grids as one lane, its gradients
+    scattered onto grids shaped like them: returns (loss, dS, dSbar)."""
     s = np.asarray(s, dtype=np.float64)
     sbar = np.asarray(sbar, dtype=np.float64)
-    loss, rows, delta = _argmax_loss(s.ravel(), sbar.ravel(), present, model)
+    scores = np.stack([s.ravel(), sbar.ravel()], axis=1)[None]
+    (loss,), (i,), (j,), (gs,), (gsbar,) = _argmax_losses(scores, np.array([present]), model)
     ds = np.zeros_like(s)
     dsbar = np.zeros_like(sbar)
-    ds.flat[rows] = delta[:, 0]
-    dsbar.flat[rows] = delta[:, 1]
+    ds.flat[i] = gs
+    dsbar.flat[j] = gsbar
     return loss, ds, dsbar
 
 
@@ -173,7 +179,7 @@ class TestImageLossAndGrad:
             sbar = rng.normal(0.0, rng.uniform(0.1, 4.0), size=shape)
             p = REFERENCE_PROB[model](s, sbar)
             want = -math.log(p) if present else -math.log1p(-p)
-            loss = _argmax_loss(s.ravel(), sbar.ravel(), present, model)[0]
+            loss = grid_loss_and_grad(s, sbar, present, model)[0]
             assert loss == pytest.approx(want, rel=1e-9, abs=1e-12)
 
 
@@ -453,7 +459,19 @@ def test_pipeline_requires_classifier_cfg():
 
 
 # --- the localizer's training loop before it was rewritten, kept verbatim
-# as the oracle for weaksup._localizer_run and _argmax_loss
+# (but for the epoch losses it now records) as the oracle for the lanes of
+# weaksup._lane_runs and for _argmax_losses
+
+
+def _softplus(x):
+    return np.log1p(np.exp(-abs(x))) + max(x, 0.0)
+
+
+def _sigmoid(x):
+    if x >= 0:
+        return 1.0 / (1.0 + np.exp(-x))
+    e = np.exp(x)
+    return e / (1.0 + e)
 
 
 def reference_image_loss_and_grad(s, sbar, present, model="global"):
@@ -507,16 +525,19 @@ def reference_localizer_run(flats, shapes, present, cfg, mean, std, seed):
     velocity = learner.zero_velocity(model)
     rng = np.random.default_rng(seed)
     for _ in range(cfg.epochs):
+        epoch_total = 0.0
         for img in rng.permutation(len(flats)):
             x = flats[img].T
             out = learner.logits(model, x)
             s = out[:, 0].reshape(shapes[img])
             sbar = out[:, 1].reshape(shapes[img])
-            _, ds, dsbar = reference_image_loss_and_grad(s, sbar, present[img], cfg.model)
+            loss, ds, dsbar = reference_image_loss_and_grad(s, sbar, present[img], cfg.model)
+            epoch_total += loss
             rows = np.nonzero((ds.ravel() != 0) | (dsbar.ravel() != 0))[0]
             delta = np.stack([ds.ravel()[rows], dsbar.ravel()[rows]], axis=1)
             grads = reference_backprop(model, x[rows], delta)
             learner.sgd_step(model, grads, opt, velocity)
+        model.epoch_losses.append(epoch_total / len(flats))
     total = 0.0
     for img in range(len(flats)):
         out = learner.logits(model, flats[img].T)
@@ -537,13 +558,22 @@ def reference_inputs(fields):
     return flats, shapes, mean, std
 
 
+def lane_runs(tasks):
+    """(lane, reference) results of every (fields, present, cfg) task's
+    restarts: weaksup._lane_runs on all tasks at once, and
+    reference_localizer_run on each run alone."""
+    pairs = []
+    for (fields, present, cfg), runs in zip(tasks, weaksup._lane_runs(tasks)):
+        flats, shapes, mean, std = reference_inputs(fields)
+        for r, run in enumerate(runs):
+            pairs.append((run, reference_localizer_run(flats, shapes, present, cfg, mean, std,
+                                                       cfg.seed + 1000 * r)))
+    return pairs
+
+
 def run_both(fields, present, cfg, seed):
-    """(new, reference) results of one localizer run on the same inputs."""
-    flats, shapes, mean, std = reference_inputs(fields)
-    normed = [(f.T - mean) / std for f in flats]
-    new = weaksup._localizer_run(normed, present, cfg, mean, std, seed)
-    ref = reference_localizer_run(flats, shapes, present, cfg, mean, std, seed)
-    return new, ref
+    """(lane, reference) results of one localizer run on the same inputs."""
+    return lane_runs([(fields, present, dataclasses.replace(cfg, seed=seed, restarts=1))])[0]
 
 
 def assert_same_run(new, ref):
@@ -551,6 +581,54 @@ def assert_same_run(new, ref):
     for got, want in zip(model.weights + model.biases, ref_model.weights + ref_model.biases):
         assert got.tobytes() == want.tobytes()
     assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
+    assert np.array(model.epoch_losses).tobytes() == np.array(ref_model.epoch_losses).tobytes()
+
+
+def assert_same_lanes(tasks):
+    """Every lane of the tasks equals its reference run, and train_localizers
+    returns each task's lowest-loss lane."""
+    pairs = lane_runs(tasks)
+    for new, ref in pairs:
+        assert_same_run(new, ref)
+    chosen = weaksup.train_localizers(tasks)
+    for model, (fields, present, cfg) in zip(chosen, tasks):
+        runs, pairs = pairs[: cfg.restarts], pairs[cfg.restarts:]
+        best = min(runs, key=lambda pair: pair[1][1])[1][0]
+        assert_same_run((model, 0.0), (best, 0.0))
+
+
+def random_task(rng, d, hidden, model, **cfg):
+    """Fields of random sizes (1 x 1 up to 6 x 6), random tags and epochs."""
+    fields = [rng.normal(0.0, rng.uniform(0.1, 5.0), size=(d, *rng.integers(1, 7, size=2)))
+              for _ in range(int(rng.integers(1, 7)))]
+    present = [bool(v) for v in rng.integers(0, 2, size=len(fields))]
+    return fields, present, LocalizerConfig(
+        hidden=hidden, learning_rate=0.1, epochs=int(rng.integers(0, 7)), model=model,
+        seed=int(rng.integers(0, 100)), restarts=int(rng.integers(1, 4)), **cfg)
+
+
+def saturating_tasks(model):
+    """Tasks whose lanes, at some step, have 0, 1 and (global model) 2 rows."""
+    rng = np.random.default_rng(2)
+    cfg = dict(hidden=6, learning_rate=5.0, restarts=1, model=model)
+    return [
+        ([rng.normal(size=(3, 4, 4)) for _ in range(3)], [True] * 3,
+         LocalizerConfig(epochs=40, seed=5, **cfg)),
+        ([rng.normal(size=(3, 1, 1)) for _ in range(4)], [True, False, True, False],
+         LocalizerConfig(epochs=20, seed=6, **cfg)),
+        ([rng.normal(size=(3, *rng.integers(2, 5, size=2))) for _ in range(5)],
+         [True, False, True, False, True], LocalizerConfig(epochs=10, seed=7, **cfg)),
+    ]
+
+
+def lanes_of_mixed_tasks(seed):
+    """Both models, tasks of different lengths and grid sizes, some sharing
+    their lanes' lockstep group and one (other hidden size) alone."""
+    rng = np.random.default_rng(300 + seed)
+    d = int(rng.integers(1, 4))
+    tasks = [random_task(rng, d, 4, model) for model in ("global", "pixel") for _ in range(3)]
+    tasks.append(random_task(rng, d, 3, "global"))
+    return tasks
 
 
 class TestLocalizerOracle:
@@ -567,35 +645,48 @@ class TestLocalizerOracle:
                               epochs=int(rng.integers(2, 8)), model=model)
         assert_same_run(*run_both(fields, present, cfg, seed))
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_mixed_lanes_match_reference(self, seed):
+        assert_same_lanes(lanes_of_mixed_tasks(seed))
+
     @pytest.mark.parametrize("model", ["global", "pixel"])
     def test_argmax_ties_match_reference(self, model):
-        # few distinct feature vectors per grid, so the score maxima repeat
+        # few distinct feature vectors per grid, so the score maxima repeat,
+        # in lanes that step beside lanes of random grids
         rng = np.random.default_rng(7)
         fields = [rng.integers(0, 2, size=(2, 4, 5)).astype(np.float64) for _ in range(4)]
         fields.append(np.ones((2, 3, 3)))  # a constant grid: every location ties
         present = [True, False, True, False, True]
-        cfg = LocalizerConfig(hidden=4, learning_rate=0.05, epochs=6, model=model)
-        assert_same_run(*run_both(fields, present, cfg, 3))
+        tasks = [(fields, present, LocalizerConfig(hidden=4, epochs=6, seed=3, model=model))]
+        tasks += [random_task(rng, 2, 4, model) for _ in range(2)]
+        assert_same_lanes([(f, p, dataclasses.replace(c, learning_rate=0.05)) for f, p, c in tasks])
 
     @pytest.mark.parametrize("model", ["global", "pixel"])
     def test_saturated_margin_matches_reference(self, model, monkeypatch):
-        # all images present and a large step size: the margin grows until
-        # p == 1.0, after which a step has no gradient rows and only weight
-        # decay and momentum move the weights
-        rng = np.random.default_rng(11)
-        fields = [rng.normal(size=(3, 4, 4)) for _ in range(3)]
-        cfg = LocalizerConfig(hidden=6, learning_rate=5.0, epochs=40, model=model)
-        rows_per_step = []
-        backward = learner._backward
+        # a large step size, so that margins grow until p == 1.0 (or 0.0),
+        # after which a lane's step has no gradient rows and only weight
+        # decay and momentum move its weights; 1 x 1 grids always have one
+        # argmax row, larger global-model grids mostly two
+        rows_per_step, groups = [], []
+        backward, sgd_step = learner._backward, learner.sgd_step
 
-        def counting_backward(net, acts, delta, masks=None):
-            rows_per_step.append(len(delta))
-            return backward(net, acts, delta, masks)
+        def recording_backward(weights, acts, delta, masks=None):
+            if delta.ndim == 3:  # the lanes' batched backward: (lanes, rows, 2)
+                groups.append(delta.shape[:2])
+            return backward(weights, acts, delta, masks)
 
-        monkeypatch.setattr(learner, "_backward", counting_backward)
-        new, ref = run_both(fields, [True] * 3, cfg, 5)
-        assert 0 in rows_per_step
-        assert_same_run(new, ref)
+        def recording_sgd_step(model, grads, cfg, velocity):
+            if model.weights[0].ndim == 3:  # the lanes' stacked update
+                counts = [rows for lanes, rows in groups for _ in range(lanes)]
+                rows_per_step.append(counts + [0] * (len(model.weights[0]) - len(counts)))
+                groups.clear()
+            return sgd_step(model, grads, cfg, velocity)
+
+        monkeypatch.setattr(learner, "_backward", recording_backward)
+        monkeypatch.setattr(learner, "sgd_step", recording_sgd_step)
+        assert_same_lanes(saturating_tasks(model))
+        kinds = {0, 1, 2} if model == "global" else {0, 1}
+        assert any(set(counts) == kinds for counts in rows_per_step)
 
     @pytest.mark.parametrize("model", ["global", "pixel"])
     def test_restarts_pick_the_lowest_loss_reference_run(self, model):
@@ -616,6 +707,64 @@ class TestLocalizerOracle:
         for a, b in zip(got.weights + got.biases + [got.mean, got.std],
                         want.weights + want.biases + [want.mean, want.std]):
             assert a.tobytes() == b.tobytes()
+
+
+def reference_train_localizers(tasks):
+    """Each task's lowest-loss reference_localizer_run, one run at a time."""
+    models = []
+    for fields, present, cfg in tasks:
+        flats, shapes, mean, std = reference_inputs(fields)
+        runs = [reference_localizer_run(flats, shapes, present, cfg, mean, std,
+                                        cfg.seed + 1000 * r) for r in range(cfg.restarts)]
+        models.append(min(runs, key=lambda run: run[1])[0])
+    return models
+
+
+def tagged_blobs(seed, count=10, size=6):
+    """(D=3, size, size) noise fields, each with 1-2 of classes 1..3 painted
+    at random cells in its own color; returns (fields, presence)."""
+    rng = np.random.default_rng(seed)
+    colors = rng.normal(0.0, 3.0, size=(4, 3))
+    fields, presence = [], []
+    for _ in range(count):
+        f = rng.normal(0.0, 0.5, size=(3, size, size))
+        classes = set(rng.choice([1, 2, 3], size=int(rng.integers(1, 3)), replace=False).tolist())
+        for c in classes:
+            r, col = rng.integers(0, size - 1, size=2)
+            f[:, r : r + 2, col : col + 2] = colors[c][:, None, None]
+        fields.append(f)
+        presence.append(classes)
+    return fields, presence
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_pipeline_matches_per_class_reference(seed, monkeypatch):
+    fields, presence = tagged_blobs(seed)
+    cfg = learner.TrainConfig(epochs=20, batch_size=16, learning_rate=0.1, hidden=(8,))
+
+    def predict():
+        return np.stack(weaksup.point_supervision_pipeline(
+            fields, presence, 4, 3, "diverse", seed=seed, classifier_cfg=cfg))
+
+    got = predict()
+    monkeypatch.setattr(weaksup, "train_localizers", reference_train_localizers)
+    want = predict()
+    assert len(np.unique(want)) > 1
+    assert got.tobytes() == want.tobytes()
+
+
+def test_lanes_match_reference_under_the_prescott_blas_kernel():
+    # each slice of a batched matmul must get the bytes of its own 2-D call
+    # under any BLAS kernel, not only the one this host picks
+    code = ("import test_weaksup as t\n"
+            "for seed in range(2): t.assert_same_lanes(t.lanes_of_mixed_tasks(seed))\n"
+            "for model in ('global', 'pixel'): t.assert_same_lanes(t.saturating_tasks(model))\n")
+    here = Path(__file__).resolve().parent
+    env = dict(os.environ, OPENBLAS_CORETYPE="Prescott", OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([str(Path(weaksup.__file__).parents[1]), str(here)]))
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", code],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestImageLossOracle:
