@@ -40,7 +40,8 @@ _SPECS = {
              "max_iters": (int, 10), "residual_threshold": (float, 1.0),
              "no_connectivity": (bool, False), "out": (str, _REQUIRED)},
     "rect": {"input": (str, None, "image whose size to partition"), "width": (int, None),
-             "height": (int, None), "count": (int, _REQUIRED), "out": (str, _REQUIRED)},
+             "height": (int, None), "count": (int, _REQUIRED, "regions, 1 to width * height"),
+             "out": (str, _REQUIRED)},
     "features": {"image": (str, _REQUIRED), "superpixels": (str, _REQUIRED),
                  "levels": (str, "local,proximal:2"),
                  "featmap": (str, None, "ZOT1 (C,H',W') map for pooled/subscene/scene levels"),

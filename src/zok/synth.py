@@ -122,21 +122,26 @@ def generate_image(spec, rng):
     return np.clip(np.rint(rgb), 0, 255).astype(np.uint8), gt
 
 
+def _pairs(spec, count, seed):
+    """The (image, gt) pairs of generate_dataset, one at a time."""
+    rng = np.random.default_rng(seed)
+    return (generate_image(spec, rng) for _ in range(count))
+
+
 def generate_dataset(spec, count, seed):
     """List of (image, gt) pairs, deterministic per seed."""
-    rng = np.random.default_rng(seed)
-    return [generate_image(spec, rng) for _ in range(count)]
+    return list(_pairs(spec, count, seed))
 
 
 def synth_generate(spec, count, seed, out_dir):
     """Write count >= 1 img_NNNN.ppm / gt_NNNN.pgm pairs to out_dir, which
-    is created once the first image exists."""
+    is created once the first image exists.  Each pair is written as it is
+    generated, so memory holds one image whatever count is."""
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    pairs = generate_dataset(spec, count, seed)
-    os.makedirs(out_dir, exist_ok=True)
     paths = []
-    for i, (img, gt) in enumerate(pairs):
+    for i, (img, gt) in enumerate(_pairs(spec, count, seed)):
+        os.makedirs(out_dir, exist_ok=True)
         img_path = os.path.join(out_dir, f"img_{i:04d}.ppm")
         gt_path = os.path.join(out_dir, f"gt_{i:04d}.pgm")
         write_ppm(img, img_path)

@@ -404,7 +404,13 @@ def _lane_runs(tasks):
             raise ValueError("no training fields")
         if len(flags) != len(fields):
             raise ValueError(f"{len(flags)} presence flags for {len(fields)} fields")
-        d = fields[0].shape[0]
+        for i, f in enumerate(fields):
+            if np.ndim(f) != 3:
+                raise ValueError(f"training field {i} must be (D, H, W), got shape {np.shape(f)}")
+            if len(f) != len(fields[0]):
+                raise ValueError(f"training field {i} has depth {len(f)}, "
+                                 f"field 0 has depth {len(fields[0])}")
+        d = len(fields[0])
         flats = [np.asarray(f, dtype=np.float64).reshape(d, -1) for f in fields]
         if min(f.shape[1] for f in flats) == 0:
             raise ValueError("a training field has no locations")

@@ -106,6 +106,19 @@ class TestRectCommand:
     def test_requires_size(self, tmp_path):
         assert run("rect", "--count", 4, "--out", tmp_path / "r.zot") == 1
 
+    def test_count_past_pixel_count_exit_1(self, tmp_path, capsys):
+        # refused, not clamped to one region a pixel
+        out = tmp_path / "r.zot"
+        assert run("rect", "--width", 4, "--height", 4, "--count", 16, "--out", out) == 0
+        assert read_tensor(out).max() == 15
+        out.unlink()
+        capsys.readouterr()
+        assert run("rect", "--width", 4, "--height", 4, "--count", 99999999999999999999,
+                   "--out", out) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "width * height = 16" in err[0]
+        assert not out.exists()
+
 
 class TestFeaturesAndPool:
     def test_local_proximal_features(self, tmp_path, quad_image):
@@ -1063,6 +1076,10 @@ class TestConfigValueTypes:
         "slic-config-key": ("slic", {"k": 4, "config": "other.json"}, "'config'"),
         "rect-input-and-size": ("rect", {"input": "absent.ppm", "width": 5, "height": 3,
                                          "count": 3}, "not both"),
+        "rect-count-past-pixels": ("rect", {"width": 4, "height": 4, "count": 17},
+                                   "count must be <= width * height = 16"),
+        "rect-count-huge": ("rect", {"width": 4, "height": 4, "count": 99999999999999999999},
+                            "count must be <= width * height = 16"),
     }
 
     @pytest.mark.parametrize("case", list(CASES))

@@ -1,7 +1,10 @@
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from zok.core_io import rgb_to_lab
+from zok.core_io import rgb_to_lab, write_pgm, write_ppm
 from zok.synth import (SyntheticSpec, default_palette, generate_dataset,
                        generate_image, lab_to_rgb, load_dataset,
                        synth_generate)
@@ -59,6 +62,33 @@ class TestGeneration:
         assert len(pairs) == 2
         img, gt = pairs[0]
         assert img.shape == (16, 16, 3) and gt.shape == (16, 16)
+
+    def test_files_match_generate_dataset(self, tmp_path):
+        spec = SyntheticSpec(size=20, num_classes=4, kind="blobs", noise_sigma=6.0)
+        paths = synth_generate(spec, 4, 7, tmp_path)
+        pairs = generate_dataset(spec, 4, 7)
+        assert len(paths) == len(pairs) == 4
+        for i, (img, gt) in enumerate(pairs):
+            write_ppm(img, tmp_path / "want.ppm")
+            write_pgm(gt, tmp_path / "want.pgm")
+            assert Path(paths[i][0]).read_bytes() == (tmp_path / "want.ppm").read_bytes()
+            assert Path(paths[i][1]).read_bytes() == (tmp_path / "want.pgm").read_bytes()
+
+    def test_peak_memory_holds_one_image(self, tmp_path):
+        # each pair is written as it is made; holding all 24 would add
+        # 22 * 128^2 * (3 + 4) bytes over 2 pairs, about 2.5 MB.  The first,
+        # untraced call takes the allocations a first call makes once.
+        spec = SyntheticSpec(size=128, num_classes=4, kind="blobs", noise_sigma=6.0)
+        synth_generate(spec, 1, 3, tmp_path / "warm-up")
+        peaks = []
+        for count in (2, 24):
+            tracemalloc.start()
+            try:
+                synth_generate(spec, count, 3, tmp_path / str(count))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < peaks[0] + 128 * 128 * (3 + 4)
 
     @pytest.mark.parametrize("size", [3, 4, 5, 6, 7, 8])
     def test_small_blobs_generate_cleanly(self, size):

@@ -452,6 +452,34 @@ class TestLocalizer:
             LocalizerConfig(**{key: value})
 
 
+class TestFieldShapes:
+    """Every training field is (D, H, W) with the first field's D; another
+    depth would otherwise be reshaped by the first field's D into garbage
+    rows."""
+
+    def mixed(self):
+        rng = np.random.default_rng(0)
+        return [rng.normal(size=(3, 2, 2)), rng.normal(size=(6, 2, 2))]
+
+    def test_train_localizers_refuses_a_second_depth(self):
+        cfg = LocalizerConfig(hidden=4, epochs=1, restarts=1)
+        with pytest.raises(ValueError, match="field 1 has depth 6, field 0 has depth 3"):
+            weaksup.train_localizers([(self.mixed(), [True, False], cfg)])
+
+    def test_pipeline_refuses_a_second_depth(self):
+        cfg = learner.TrainConfig(epochs=1, hidden=())
+        with pytest.raises(ValueError, match="field 1 has depth 6, field 0 has depth 3"):
+            weaksup.point_supervision_pipeline(self.mixed(), [{1}, set()], 2, 1,
+                                               classifier_cfg=cfg)
+
+    @pytest.mark.parametrize("shape", [(3, 4), (2, 3, 2, 2), (5,)])
+    def test_field_not_3d_refused(self, shape):
+        fields = [np.zeros((3, 2, 2)), np.zeros(shape)]
+        cfg = LocalizerConfig(hidden=4, epochs=1, restarts=1)
+        with pytest.raises(ValueError, match=r"field 1 must be \(D, H, W\)"):
+            train_localizer(fields, [True, False], cfg)
+
+
 def test_pipeline_requires_classifier_cfg():
     fields = [np.zeros((2, 3, 3))]
     with pytest.raises(TypeError, match="classifier_cfg"):

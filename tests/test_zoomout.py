@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from zok import zoomout
+from zok import _parallel, zoomout
 from zok.core_io import rgb_to_lab
 from zok.slic import SlicParams, run_slic
 from zok.synth import SyntheticSpec, generate_dataset
@@ -148,8 +148,9 @@ def oracle_maps(draw):
         num_ids = draw(st.integers(1, 8))
         return draw(arrays(np.int32, (h, w), elements=st.integers(0, num_ids - 1)))
     if kind == "mirrored":
-        # row-major grid ids, read right to left: not in raster order
-        return rect_regions(w, h, draw(st.integers(1, 40)))[:, ::-1]
+        # row-major grid ids, read right to left: not in raster order; a
+        # count past w * h gives the one-region-a-pixel grid of count w * h
+        return rect_regions(w, h, min(draw(st.integers(1, 40)), w * h))[:, ::-1]
     return np.zeros((h, w), dtype=np.int32)
 
 
@@ -451,6 +452,16 @@ class TestRectRegions:
         assert spmap.max() + 1 == 16
         assert spmap[0, 99] == 7 and spmap[24, 0] == 8
 
+    @pytest.mark.parametrize("width, height", [(4, 4), (1, 1), (1, 9), (7, 3)])
+    def test_count_up_to_the_pixel_count(self, width, height):
+        # w * h regions is one a pixel; one more is refused, not clamped to it
+        pixels = width * height
+        assert np.array_equal(rect_regions(width, height, pixels),
+                              np.arange(pixels).reshape(height, width))
+        for count in (pixels + 1, 99999999999999999999):
+            with pytest.raises(ValueError, match=f"count must be <= width \\* height = {pixels}"):
+                rect_regions(width, height, count)
+
 
 class TestScenePool:
     def test_constant(self):
@@ -687,7 +698,7 @@ class TestMirrorFusionOracle:
         img = rng.integers(0, 256, size=(height, width, 3), dtype=np.uint8)
         fm = wide_map(rng, (2, height, width))
         for count in (1, 5, height * width):
-            self.assert_same(img, rect_regions(width, height, count), fm)
+            self.assert_same(img, rect_regions(width, height, min(count, height * width)), fm)
 
     @settings(derandomize=True, max_examples=120, deadline=None)
     @given(oracle_maps(), st.integers(0, 2**32 - 1), st.sampled_from(["nearest", "bilinear"]),
@@ -741,6 +752,47 @@ class TestBoxMeansOracle:
         # the box superpixel_bboxes gives an id with no pixels
         fm = np.ones((2, 3, 4), dtype=np.float32)
         assert np.isnan(zoomout._box_means(fm, np.array([[4, 3, -1, -1]]))).all()
+
+
+class TestBoxMeansChunks:
+    """_box_means sums its boxes in one chunk per CPU; forcing the count to
+    1, 2, 3 and past the number of boxes must not change a byte."""
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 16])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.uint16])
+    def test_forced_worker_counts_match_mean_loop_bytes(self, monkeypatch, cpus, dtype):
+        monkeypatch.setattr(_parallel, "cpu_count", lambda: cpus)
+        rng = np.random.default_rng(cpus)
+        h, w = 41, 37
+        fm = wide_map(rng, (3, h, w), dtype)
+        xs = np.sort(rng.integers(0, w, size=(250, 2)), axis=1)
+        ys = np.sort(rng.integers(0, h, size=(250, 2)), axis=1)
+        boxes = np.stack([xs[:, 0], ys[:, 0], xs[:, 1], ys[:, 1]], axis=1)
+        for some in (boxes, boxes[:1], boxes[:2], boxes[:7]):
+            got = zoomout._box_means(fm, some)
+            ref = reference_box_means(fm, some)
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+        assert zoomout._box_means(fm, boxes[:0]).shape == (0, 3)
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_overflow_in_a_later_chunk_raises(self, monkeypatch, cpus):
+        monkeypatch.setattr(_parallel, "cpu_count", lambda: cpus)
+        fm = np.full((2, 4, 4), 3e38, dtype=np.float32)
+        boxes = np.array([[1, 1, 1, 1]] * 5 + [[0, 0, 1, 0]])
+        with pytest.raises(FloatingPointError, match="overflow"):
+            zoomout._box_means(fm, boxes)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 4])
+    def test_mirror_features_match_two_pass_bytes(self, monkeypatch, cpus):
+        # both the original's and the mirror's subscene boxes are chunked
+        monkeypatch.setattr(_parallel, "cpu_count", lambda: cpus)
+        rng = np.random.default_rng(cpus + 20)
+        img, res = slic_maps(count=1, size=48, k=32)[0]
+        fm = upsample_featuremap(wide_map(rng, (3, 12, 12)), 48, 48, "bilinear")
+        for spmap in (res.spmap, rect_regions(48, 48, 60)):
+            got = build_features(img, spmap, "pooled,subscene:2", fm, mirror=True)
+            ref = reference_mirror_features(img, spmap, "pooled,subscene:2", fm)
+            assert got.tobytes() == ref.tobytes()
 
 
 class TestMirrorInvariants:
@@ -823,6 +875,27 @@ class TestLocalColorFeaturesOracle:
                 lab = np.round(lab / 60.0) * 60.0
             spmap = np.unique(rng.integers(0, 4, size=(h, w)), return_inverse=True)[1]
             self.assert_same(lab, spmap.reshape(h, w))
+
+    def test_ties_constant_channels_and_signed_zeros(self):
+        # quantile edges come from sorted values: the same order statistics,
+        # so the same bins, even where -0.0 and 0.0 sort either way round
+        rng = np.random.default_rng(9)
+        cases = {
+            "ties": rng.integers(-2, 3, size=(9, 11, 3)) * 7.5,
+            "constant": np.broadcast_to([12.0, -0.0, 110.0], (9, 11, 3)),
+            "signed-zeros": rng.choice([-0.0, 0.0], size=(9, 11, 3)),
+            "zeros-and-values": rng.choice([-0.0, 0.0, -1.0, 2.0], size=(9, 11, 3)),
+        }
+        spmap = rect_regions(11, 9, 6)
+        flat, k = spmap.ravel(), int(spmap.max()) + 1
+        for name, lab in cases.items():
+            for ch in range(3):
+                values = np.ascontiguousarray(lab[:, :, ch]).ravel()
+                fine, coarse = zoomout._histograms(flat, k, values)
+                for got, nbins in ((fine, 32), (coarse, 8)):
+                    ref = reference_histograms(flat, k, values, nbins)
+                    assert got.tobytes() == ref.tobytes(), (name, ch, nbins)
+            self.assert_same(np.ascontiguousarray(lab), spmap)
 
     def test_duplicate_quantile_edges(self):
         # three levels over 64 pixels: most of the 33 quantile edges repeat
