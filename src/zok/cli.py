@@ -498,9 +498,11 @@ def pipeline_run(config):
             xs.append(feats[keep])
             ys.append(sp_labels[keep])
             ws.append(counts[keep])
+        features = np.concatenate(xs)
+        del xs  # the per-image copies go before training, where the run peaks
         model = _stage(
             timings, "train", learner.train,
-            np.concatenate(xs), np.concatenate(ys).astype(np.int64), train_cfg,
+            features, np.concatenate(ys).astype(np.int64), train_cfg,
             num_classes=num_classes, sample_weights=np.concatenate(ws),
         )
 

@@ -30,8 +30,8 @@ _F32_OVERFLOW = float.fromhex("0x1.ffffffp+127")  # 2**128 - 2**103 rounds to fl
 class MlpModel:
     weights: list            # per layer (out, in) float64
     biases: list             # per layer (out,) float64
-    mean: np.ndarray         # (D,) feature normalization
-    std: np.ndarray          # (D,) feature normalization, floored > 0
+    mean: np.ndarray         # (D,) feature normalization; None: rows come normalized
+    std: np.ndarray          # (D,) feature normalization, floored > 0; None with mean
     # train()'s loss per epoch, over the probabilities its minibatch passes
     # computed, each before its step and with its dropout masks
     epoch_losses: list = field(default_factory=list)
@@ -122,7 +122,7 @@ def _forward_pass(model, x, dropout_masks=None):
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if x.shape[1] != model.weights[0].shape[1]:
         raise ValueError(f"feature dim {x.shape[1]} != model dim {model.weights[0].shape[1]}")
-    a = (x - model.mean) / model.std
+    a = x if model.mean is None else (x - model.mean) / model.std
     acts = [a]
     last = len(model.weights) - 1
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
@@ -210,15 +210,14 @@ def sgd_step(model, grads, cfg, velocity):
     Mutates the model and the zero_velocity-shaped velocity in place and
     returns the model.
     """
-    grads_w, grads_b = grads
-    vw, vb = velocity
-    for i in range(len(model.weights)):
-        vw[i] *= cfg.momentum
-        vw[i] -= cfg.learning_rate * (grads_w[i] + cfg.weight_decay * model.weights[i])
-        model.weights[i] += vw[i]
-        vb[i] *= cfg.momentum
-        vb[i] -= cfg.learning_rate * (grads_b[i] + cfg.weight_decay * model.biases[i])
-        model.biases[i] += vb[i]
+    for p, g, v in zip(model.weights + model.biases, grads[0] + grads[1],
+                       velocity[0] + velocity[1]):
+        t = cfg.weight_decay * p  # one temporary: lr * (wd*p + g), as addition commutes
+        t += g
+        t *= cfg.learning_rate
+        v *= cfg.momentum
+        v -= t
+        p += v
     return model
 
 
@@ -227,11 +226,14 @@ def train(features, labels, cfg, num_classes=None, sample_weights=None):
 
     features: (N, D); labels: (N,) ints in 0..num_classes-1.
     sample_weights, (N,) >= 0 with a finite positive sum, feed the class
-    frequency computation (pixel basis).  Normalization statistics come
-    from the training features.  model.epoch_losses[e] is the weighted loss
-    of every sample as epoch e's minibatch pass scored it: before that
-    batch's step, with its dropout masks.  An overflow or NaN in SGD, or in
-    the trained model's logits on the training features, raises ValueError.
+    frequency computation (pixel basis); the asymmetric loss also needs a
+    positive sum over each class in labels.  Normalization statistics come
+    from the training features, which are normalized once into one (N, D)
+    float64 copy that every minibatch is drawn from.  model.epoch_losses[e]
+    is the weighted loss of every sample as epoch e's minibatch pass scored
+    it: before that batch's step, with its dropout masks.  An overflow or
+    NaN in SGD, or in the trained model's logits on the training features,
+    raises ValueError.
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
@@ -259,15 +261,24 @@ def train(features, labels, cfg, num_classes=None, sample_weights=None):
     model = init_model(sizes, cfg.seed, features.mean(axis=0), features.std(axis=0))
     if cfg.loss == "asymmetric":
         f = compute_class_frequencies(labels, sample_weights, num_classes)
+        unweighted = labels[f[labels] == 0]
+        if unweighted.size:
+            raise ValueError(f"sample_weights sum to 0 over class {unweighted.min()}, "
+                             "which has samples; the asymmetric loss cannot weight it")
         f[f == 0] = 1.0  # absent classes never occur in labels
     else:
         # Plain mean log-loss: constant unit weight per sample.
         f = np.ones(num_classes)
+    # the minibatches and the final check run on rows normalized once, through
+    # a view sharing the model's parameters but no statistics
+    normalized = MlpModel(model.weights, model.biases, None, None)
     rng = np.random.default_rng(cfg.seed)
     velocity = zero_velocity(model)
     probs = np.empty((n, num_classes))  # row i: p_hat of sample order[i]
     try:
         with np.errstate(over="raise", invalid="raise"):
+            rows = features - model.mean
+            rows /= model.std
             for _ in range(cfg.epochs):
                 order = rng.permutation(n)
                 for start in range(0, n, cfg.batch_size):
@@ -279,14 +290,14 @@ def train(features, labels, cfg, num_classes=None, sample_weights=None):
                             (rng.random((len(idx), hsize)) >= cfg.dropout) / (1.0 - cfg.dropout)
                             for hsize in cfg.hidden
                         ]
-                    grads = loss_gradient(model, features[idx], labels[idx], f, masks,
+                    grads = loss_gradient(normalized, rows[idx], labels[idx], f, masks,
                                           probs[start : start + cfg.batch_size])
                     sgd_step(model, grads, cfg, velocity)
                 model.epoch_losses.append(asymmetric_loss(probs, labels[order], f))
             if cfg.epochs:
                 # The last step can leave finite weights whose training-set
                 # logits overflow; no minibatch pass sees them, this one does.
-                forward(model, features)
+                forward(normalized, rows)
     except FloatingPointError as exc:
         raise ValueError(f"training diverged ({exc}); lower the learning rate") from None
     return model

@@ -607,6 +607,31 @@ class TestCrfCommand:
                    "--out", out) == 0
         assert read_tensor(out).shape == (4, 3)
 
+    def test_output_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # 1,521 rectangles: on x86-64 the kernel matrix's cross-term matmul
+        # rounds differently on 1 and 2 OpenBLAS threads at this size, and
+        # the float32 refined probabilities must not
+        spec = SyntheticSpec(size=96, num_classes=5, kind="blobs", noise_sigma=8.0)
+        img_path, _ = synth_generate(spec, 1, 2, tmp_path / "data")[0]
+        sp = tmp_path / "sp.zot"
+        assert run("rect", "--input", img_path, "--count", 1500, "--out", sp) == 0
+        k = int(read_tensor(sp).max()) + 1
+        assert k >= 1000
+        probs = np.random.default_rng(2).dirichlet(np.ones(5), size=k).astype(np.float32)
+        write_tensor(probs, tmp_path / "u.zot")
+        outs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"q{threads}.zot"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=str(Path(cli.__file__).parents[1]))
+            proc = subprocess.run(
+                [sys.executable, "-m", "zok.cli", "crf", "--unary", str(tmp_path / "u.zot"),
+                 "--image", str(img_path), "--superpixels", str(sp), "--out", str(out)],
+                capture_output=True, text=True, env=env, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
     def test_pixel_mode_size_guard(self, tmp_path):
         from zok.core_io import write_ppm
         big = np.zeros((70, 70, 3), dtype=np.uint8)
@@ -1201,6 +1226,7 @@ class TestBadTrainingInputs:
         "train-label-beyond-int64": ("y", np.float32([1e30, 1, 0, 1]), [], "--labels"),
         "train-weights-all-zero": ("w", [0.0, 0.0, 0.0, 0.0], [], "weights"),
         "train-weights-negative": ("w", [1.0, -1.0, 1.0, 1.0], [], "weights"),
+        "train-weights-zero-for-a-class": ("w", [0.0, 1.0, 0.0, 1.0], [], "class 0"),
         "train-lr-diverges": ("w", [1.0, 1.0, 1.0, 1.0], ["--lr", 1e30, "--epochs", 5],
                               "float32"),
         "train-lr-overflows": ("w", [1.0, 1.0, 1.0, 1.0], ["--lr", 1e30, "--epochs", 50],

@@ -1,4 +1,9 @@
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -328,6 +333,7 @@ class TestTrain:
         "weights-inf": ([0, 1, 0, 1], None, [np.inf, np.inf, 1.0, 1.0], "sample_weights"),
         "weights-sum-overflows": ([0, 1, 0, 1], None, [1e308, 1e308, 1.0, 1.0],
                                   "sample_weights"),
+        "weights-zero-for-a-class": ([0, 0, 1, 1], None, [1.0, 1.0, 0.0, 0.0], "class 1"),
     }
 
     @pytest.mark.parametrize("case", list(BAD_INPUTS))
@@ -351,7 +357,7 @@ class TestTrain:
             train(x, y, cfg)
 
 
-def reference_train(features, labels, cfg, num_classes=None, sample_weights=None):
+def reference_full_data_train(features, labels, cfg, num_classes=None, sample_weights=None):
     """learner.train before its epoch losses came from the minibatch passes,
     kept as its oracle: the same SGD loop with a full-data forward after
     every epoch.  Returns (model, batch_losses): model.epoch_losses holds
@@ -408,11 +414,135 @@ class TestTrainOracle:
         cfg = TrainConfig(epochs=epochs, batch_size=batch_size, learning_rate=0.05,
                           dropout=dropout, loss=loss, hidden=hidden, seed=4)
         got = train(x, y, cfg, num_classes=4, sample_weights=w)
-        want, batch_losses = reference_train(x, y, cfg, num_classes=4, sample_weights=w)
+        want, batch_losses = reference_full_data_train(x, y, cfg, num_classes=4, sample_weights=w)
         for a, b in zip(got.weights + got.biases, want.weights + want.biases):
             assert a.tobytes() == b.tobytes()
         assert got.epoch_losses == batch_losses
         assert len(got.epoch_losses) == epochs
+
+
+def reference_sgd_step(model, grads, cfg, velocity):
+    """sgd_step with three temporaries per parameter, kept as its oracle."""
+    grads_w, grads_b = grads
+    vw, vb = velocity
+    for i in range(len(model.weights)):
+        vw[i] *= cfg.momentum
+        vw[i] -= cfg.learning_rate * (grads_w[i] + cfg.weight_decay * model.weights[i])
+        model.weights[i] += vw[i]
+        vb[i] *= cfg.momentum
+        vb[i] -= cfg.learning_rate * (grads_b[i] + cfg.weight_decay * model.biases[i])
+        model.biases[i] += vb[i]
+    return model
+
+
+def reference_train(features, labels, cfg, num_classes=None, sample_weights=None):
+    """learner.train before it normalized the features once, kept as its
+    oracle: every minibatch normalizes its own rows inside loss_gradient,
+    the final overflow check runs forward() on the raw features, and each
+    step is reference_sgd_step."""
+    features = np.asarray(features, dtype=np.float64)
+    n = len(features)
+    if num_classes is None:
+        num_classes = int(labels.max()) + 1
+    sizes = [features.shape[1], *cfg.hidden, num_classes]
+    model = init_model(sizes, cfg.seed, features.mean(axis=0), features.std(axis=0))
+    if cfg.loss == "asymmetric":
+        f = compute_class_frequencies(labels, sample_weights, num_classes)
+        f[f == 0] = 1.0
+    else:
+        f = np.ones(num_classes)
+    rng = np.random.default_rng(cfg.seed)
+    velocity = zero_velocity(model)
+    probs = np.empty((n, num_classes))
+    with np.errstate(over="raise", invalid="raise"):
+        for _ in range(cfg.epochs):
+            order = rng.permutation(n)
+            for start in range(0, n, cfg.batch_size):
+                idx = order[start : start + cfg.batch_size]
+                masks = None
+                if cfg.dropout > 0:
+                    masks = [
+                        (rng.random((len(idx), hsize)) >= cfg.dropout) / (1.0 - cfg.dropout)
+                        for hsize in cfg.hidden
+                    ]
+                grads = loss_gradient(model, features[idx], labels[idx], f, masks,
+                                      probs[start : start + cfg.batch_size])
+                reference_sgd_step(model, grads, cfg, velocity)
+            model.epoch_losses.append(asymmetric_loss(probs, labels[order], f))
+        if cfg.epochs:
+            forward(model, features)
+    return model
+
+
+def normalized_once_cases():
+    """name -> (features, labels, TrainConfig, sample_weights) over hidden
+    (), (64,) and (16, 8); dropout 0 and 0.3; batch 7 and 128; both losses;
+    with and without sample weights; plus a 1-row set and a constant column."""
+    rng = np.random.default_rng(23)
+    x = rng.normal(1.0, 3.0, size=(300, 12))
+    y = rng.integers(0, 3, size=300)
+    w = rng.random(300) * 40
+    cases = {}
+    for hidden, dropout in [((), 0.0), ((64,), 0.0), ((64,), 0.3), ((16, 8), 0.0),
+                            ((16, 8), 0.3)]:
+        for batch_size in (7, 128):
+            for loss in ("asymmetric", "symmetric"):
+                for weighted in (False, True):
+                    name = (f"hidden{list(hidden)}-dropout{dropout}-batch{batch_size}-{loss}"
+                            f"{'-weighted' if weighted else ''}")
+                    cfg = TrainConfig(epochs=3, batch_size=batch_size, learning_rate=0.05,
+                                      dropout=dropout, loss=loss, hidden=hidden, seed=9)
+                    cases[name] = (x, y, cfg, w if weighted else None)
+    cases["one-row"] = (x[:1], y[:1], TrainConfig(epochs=4, batch_size=7, learning_rate=0.05,
+                                                  hidden=(16, 8), dropout=0.3), None)
+    constant = x.copy()
+    constant[:, 4] = 0.1  # its std floors to 1e-8
+    cases["constant-column"] = (constant, y, TrainConfig(epochs=3, batch_size=128,
+                                                         learning_rate=0.05, hidden=(64,)), w)
+    return cases
+
+
+def assert_train_matches_reference(case):
+    x, y, cfg, w = normalized_once_cases()[case]
+    got = train(x, y, cfg, num_classes=3, sample_weights=w)
+    want = reference_train(x, y, cfg, num_classes=3, sample_weights=w)
+    for a, b in zip(got.weights + got.biases + [got.mean, got.std],
+                    want.weights + want.biases + [want.mean, want.std]):
+        assert a.tobytes() == b.tobytes()
+    assert np.array(got.epoch_losses).tobytes() == np.array(want.epoch_losses).tobytes()
+    assert len(got.epoch_losses) == cfg.epochs
+
+
+class TestTrainNormalizedOnce:
+    @pytest.mark.parametrize("case", list(normalized_once_cases()))
+    def test_matches_reference(self, case):
+        assert_train_matches_reference(case)
+
+    def test_matches_reference_under_the_prescott_blas_kernel(self):
+        # the oracle must hold on a kernel without FMA, not only on this host's
+        code = ("import test_learner as t\n"
+                "for case in t.normalized_once_cases(): t.assert_train_matches_reference(case)\n")
+        here = Path(__file__).resolve().parent
+        env = dict(os.environ, OPENBLAS_CORETYPE="Prescott", OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join([str(Path(learner.__file__).parents[1]),
+                                               str(here)]))
+        proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", code],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_peak_memory_is_one_normalized_copy(self):
+        # the normalized rows, plus the transient deviations that std() makes
+        # before them; no full-size copy per minibatch or for the final check
+        x = np.random.default_rng(3).normal(size=(2000, 494))
+        y = np.arange(2000) % 3
+        cfg = TrainConfig(epochs=1, batch_size=128, learning_rate=0.01, hidden=(64,))
+        tracemalloc.start()
+        try:
+            train(x, y, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * x.nbytes
 
 
 class TestTrainCallsLossGradient:
