@@ -186,18 +186,26 @@ _SRGB_TO_XYZ = np.array(
 _D65_WHITE = np.array([0.95047, 1.0, 1.08883])
 
 
+def _srgb_linear_table():
+    """The piecewise sRGB transfer function at each 8-bit level."""
+    c = np.arange(256) / 255.0
+    return np.where(c <= 0.04045, c / 12.92, ((c + 0.055) / 1.055) ** 2.4)
+
+
+_SRGB_LINEAR = _srgb_linear_table()
+
+
 def rgb_to_lab(img):
     """Convert an (H, W, 3) uint8 sRGB image to float64 CIELAB (D65).
 
-    Applies the standard piecewise sRGB transfer function, the published
+    Applies the standard piecewise sRGB transfer function (tabulated per
+    8-bit level, so other dtypes raise ValueError), the published
     sRGB->XYZ matrix and the CIE L*a*b* formulas with the D65 white point.
     """
     img = np.asarray(img)
-    if img.ndim != 3 or img.shape[2] != 3:
-        raise ValueError(f"expected (H, W, 3) image, got shape {img.shape}")
-    c = img.astype(np.float64) / 255.0
-    linear = np.where(c <= 0.04045, c / 12.92, ((c + 0.055) / 1.055) ** 2.4)
-    xyz = linear @ _SRGB_TO_XYZ.T
+    if img.ndim != 3 or img.shape[2] != 3 or img.dtype != np.uint8:
+        raise ValueError(f"expected (H, W, 3) uint8 image, got {img.shape} {img.dtype}")
+    xyz = _SRGB_LINEAR[img] @ _SRGB_TO_XYZ.T
     t = xyz / _D65_WHITE
     delta = 6.0 / 29.0
     f = np.where(t > delta**3, np.cbrt(t), t / (3.0 * delta**2) + 4.0 / 29.0)

@@ -2,10 +2,12 @@
 
 Each generated sample is an sRGB image plus a ground-truth label map that
 matches the generating shapes pixel for pixel.  Class colors are given in
-CIELAB and converted to sRGB; optional iid Gaussian noise (8-bit units)
-is added per channel.  Generation is fully deterministic per seed.
+CIELAB and converted to sRGB once per class; optional iid Gaussian noise
+(8-bit units) is added per channel.  Generation is fully deterministic per
+seed.
 """
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -91,15 +93,19 @@ def _gt_blobs(spec, rng):
     """3 to 6 ellipses of random foreground classes, radii size/8..size/3."""
     size = spec.size
     gt = np.zeros((size, size), dtype=np.int32)
-    ys, xs = np.mgrid[0:size, 0:size]
+    ys, xs = np.arange(size)[:, None], np.arange(size)
     nblobs = int(rng.integers(3, 7))
     for _ in range(nblobs):
         cls = int(rng.integers(1, spec.num_classes))
         cy, cx = rng.uniform(0, size, size=2)
         ry = rng.uniform(size // 8, size // 3)
         rx = rng.uniform(size // 8, size // 3)
-        mask = ((xs - cx) / rx) ** 2 + ((ys - cy) / ry) ** 2 <= 1.0
-        gt[mask] = cls
+        # a pixel beyond the bounding box with one pixel of margin has
+        # ((x - cx) / rx)**2 >= (1 + 1/rx)**2, so it cannot pass the test
+        y0, y1 = max(math.floor(cy - ry) - 1, 0), min(math.ceil(cy + ry) + 2, size)
+        x0, x1 = max(math.floor(cx - rx) - 1, 0), min(math.ceil(cx + rx) + 2, size)
+        box = gt[y0:y1, x0:x1]
+        box[((xs[x0:x1] - cx) / rx) ** 2 + ((ys[y0:y1] - cy) / ry) ** 2 <= 1.0] = cls
     return gt
 
 
@@ -116,7 +122,7 @@ _GENERATORS = {"quadrants": _gt_quadrants, "blobs": _gt_blobs, "stripes": _gt_st
 def generate_image(spec, rng):
     """One (image, gt) pair; gt regions exactly match the painted shapes."""
     gt = _GENERATORS[spec.kind](spec, rng)
-    rgb = lab_to_rgb(default_palette(spec.num_classes)[gt]).astype(np.float64)
+    rgb = lab_to_rgb(default_palette(spec.num_classes))[gt].astype(np.float64)
     if spec.noise_sigma > 0:
         rgb = rgb + rng.normal(0.0, spec.noise_sigma, size=rgb.shape)
     return np.clip(np.rint(rgb), 0, 255).astype(np.uint8), gt
@@ -136,9 +142,14 @@ def generate_dataset(spec, count, seed):
 def synth_generate(spec, count, seed, out_dir):
     """Write count >= 1 img_NNNN.ppm / gt_NNNN.pgm pairs to out_dir, which
     is created once the first image exists.  Each pair is written as it is
-    generated, so memory holds one image whatever count is."""
+    generated, so memory holds one image whatever count is.  More than 65536
+    classes, which a 16-bit label map cannot hold, are refused before
+    anything is written."""
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
+    if spec.num_classes > 65536:
+        raise ValueError(f"label maps are 16-bit PGM files: classes must be <= 65536, "
+                         f"got {spec.num_classes}")
     paths = []
     for i, (img, gt) in enumerate(_pairs(spec, count, seed)):
         os.makedirs(out_dir, exist_ok=True)

@@ -837,6 +837,16 @@ class TestSynthCommand:
         assert len(err) == 1 and err[0].startswith("error:") and "noise" in err[0]
         assert not out.exists()
 
+    # with 70000 classes, the 6th blob image of seed 0 has labels beyond 16 bits; a
+    # stripes map of size 8 fits, but its class count is refused alike
+    @pytest.mark.parametrize("argv", [["--kind", "stripes"], ["--kind", "blobs", "--count", 10]])
+    def test_classes_beyond_16_bit_labels_exit_1(self, tmp_path, capsys, argv):
+        out = tmp_path / "data"
+        capsys.readouterr()
+        assert run("synth", "--out", out, "--size", 8, "--classes", 70000, *argv) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "65536" in err[0]
+        assert not out.exists()
 
     def test_unallocatable_size_exit_1(self, tmp_path):
         # a subprocess under a 1 GiB address-space cap, so that the refused

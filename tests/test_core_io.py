@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zok.core_io import (FormatError, read_pgm, read_ppm, read_tensor,
-                         rgb_to_lab, write_pgm, write_ppm, write_tensor)
+from zok.core_io import (_D65_WHITE, _SRGB_TO_XYZ, FormatError, read_pgm, read_ppm,
+                         read_tensor, rgb_to_lab, write_pgm, write_ppm, write_tensor)
 from zok.learner import MlpModel, init_model, read_model, write_model
 
 
@@ -446,7 +446,58 @@ def _scalar_lab_l(gray):
     return 116 * f - 16
 
 
+def reference_rgb_to_lab(img):
+    """The former rgb_to_lab: the sRGB transfer function run per channel value."""
+    img = np.asarray(img)
+    if img.ndim != 3 or img.shape[2] != 3:
+        raise ValueError(f"expected (H, W, 3) image, got shape {img.shape}")
+    c = img.astype(np.float64) / 255.0
+    linear = np.where(c <= 0.04045, c / 12.92, ((c + 0.055) / 1.055) ** 2.4)
+    xyz = linear @ _SRGB_TO_XYZ.T
+    t = xyz / _D65_WHITE
+    delta = 6.0 / 29.0
+    f = np.where(t > delta**3, np.cbrt(t), t / (3.0 * delta**2) + 4.0 / 29.0)
+    lab = np.empty_like(f)
+    lab[..., 0] = 116.0 * f[..., 1] - 16.0
+    lab[..., 1] = 500.0 * (f[..., 0] - f[..., 1])
+    lab[..., 2] = 200.0 * (f[..., 1] - f[..., 2])
+    return lab
+
+
+def assert_lab_as_reference(img):
+    got, want = rgb_to_lab(img), reference_rgb_to_lab(img)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 class TestRgbToLab:
+    @pytest.mark.parametrize("length", [1, 7, 256, 257])
+    def test_every_level_matches_reference(self, length):
+        # every level in every channel, at a length that fills whole SIMD
+        # vectors (256) or leaves a tail (1, 7, 257), as a row and as a column
+        levels = np.arange(256)
+        pixels = np.stack([levels, (levels + 85) % 256, (levels + 170) % 256], axis=1)
+        pixels = np.resize(pixels.astype(np.uint8), (-(-256 // length) * length, 3))
+        for start in range(0, len(pixels), length):
+            chunk = pixels[start:start + length]
+            assert_lab_as_reference(chunk.reshape(1, length, 3))
+            assert_lab_as_reference(chunk.reshape(length, 1, 3))
+
+    def test_strided_views_match_reference(self):
+        img = np.random.default_rng(0).integers(0, 256, (40, 48, 3), dtype=np.uint8)
+        for view in (img, img[:, ::-1], img[::2, ::3], img[::-1, :, ::-1],
+                     img.transpose(1, 0, 2)):
+            assert_lab_as_reference(view)
+
+    @pytest.mark.parametrize("img", [
+        np.full((1, 1, 3), 300.0), np.full((1, 1, 3), -5.0),
+        np.full((1, 1, 3), 128.0), np.full((1, 1, 3), 128, dtype=np.int64),
+        np.full((1, 1, 3), 128, dtype=np.uint16), np.ones((1, 1, 3), dtype=bool),
+        np.zeros((2, 2), dtype=np.uint8), np.zeros((2, 2, 4), dtype=np.uint8)])
+    def test_refuses_all_but_uint8_rgb(self, img):
+        with pytest.raises(ValueError, match=r"expected \(H, W, 3\) uint8 image"):
+            rgb_to_lab(img)
+
     def test_white(self):
         lab = rgb_to_lab(np.full((1, 1, 3), 255, dtype=np.uint8))[0, 0]
         assert lab[0] == pytest.approx(100.0, abs=1e-3)

@@ -5,9 +5,63 @@ import numpy as np
 import pytest
 
 from zok.core_io import rgb_to_lab, write_pgm, write_ppm
-from zok.synth import (SyntheticSpec, default_palette, generate_dataset,
-                       generate_image, lab_to_rgb, load_dataset,
+from zok.synth import (_GENERATORS, SyntheticSpec, _gt_blobs, default_palette,
+                       generate_dataset, generate_image, lab_to_rgb, load_dataset,
                        synth_generate)
+
+
+def reference_gt_blobs(spec, rng):
+    """The former _gt_blobs: every ellipse tested against the whole grid."""
+    size = spec.size
+    gt = np.zeros((size, size), dtype=np.int32)
+    ys, xs = np.mgrid[0:size, 0:size]
+    nblobs = int(rng.integers(3, 7))
+    for _ in range(nblobs):
+        cls = int(rng.integers(1, spec.num_classes))
+        cy, cx = rng.uniform(0, size, size=2)
+        ry = rng.uniform(size // 8, size // 3)
+        rx = rng.uniform(size // 8, size // 3)
+        mask = ((xs - cx) / rx) ** 2 + ((ys - cy) / ry) ** 2 <= 1.0
+        gt[mask] = cls
+    return gt
+
+
+def reference_generate_image(spec, rng):
+    """The former generate_image: lab_to_rgb run once per pixel."""
+    gt = {**_GENERATORS, "blobs": reference_gt_blobs}[spec.kind](spec, rng)
+    rgb = lab_to_rgb(default_palette(spec.num_classes)[gt]).astype(np.float64)
+    if spec.noise_sigma > 0:
+        rgb = rgb + rng.normal(0.0, spec.noise_sigma, size=rgb.shape)
+    return np.clip(np.rint(rgb), 0, 255).astype(np.uint8), gt
+
+
+class TestMatchesReference:
+    """The palette conversion and the boxed blob tests change no byte."""
+
+    @pytest.mark.parametrize("kind", ["quadrants", "blobs", "stripes"])
+    @pytest.mark.parametrize("size", [3, 4, 5, 7, 8, 17, 128, 256])
+    def test_generate_image(self, kind, size):
+        for classes in (2, 5, 9, 17, 64):
+            for noise in (0.0, 8.0):
+                spec = SyntheticSpec(size=size, num_classes=classes, kind=kind,
+                                     noise_sigma=noise)
+                for seed in range(3):
+                    rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                    img, gt = generate_image(spec, rng)
+                    want_img, want_gt = reference_generate_image(spec, want_rng)
+                    assert img.dtype == want_img.dtype and gt.dtype == want_gt.dtype
+                    assert img.tobytes() == want_img.tobytes()
+                    assert gt.tobytes() == want_gt.tobytes()
+                    assert rng.bit_generator.state == want_rng.bit_generator.state
+
+    def test_gt_blobs_at_small_sizes(self):
+        # at these sizes radii can be under one pixel and most boxes meet the border
+        for size in range(3, 13):
+            spec = SyntheticSpec(size=size, num_classes=7, kind="blobs")
+            for seed in range(100):
+                got = _gt_blobs(spec, np.random.default_rng(seed))
+                want = reference_gt_blobs(spec, np.random.default_rng(seed))
+                assert np.array_equal(got, want), (size, seed)
 
 
 class TestLabToRgb:
@@ -96,6 +150,14 @@ class TestGeneration:
         spec = SyntheticSpec(size=size, num_classes=3, kind="blobs")
         for img, gt in generate_dataset(spec, 5, seed=size):
             assert img.shape == (size, size, 3) and gt.shape == (size, size)
+
+    def test_more_classes_than_16_bit_labels_write_nothing(self, tmp_path):
+        spec = SyntheticSpec(size=8, num_classes=65537, kind="stripes")
+        with pytest.raises(ValueError, match="65536"):
+            synth_generate(spec, 1, 0, tmp_path / "data")
+        assert not (tmp_path / "data").exists()
+        spec = SyntheticSpec(size=8, num_classes=65536, kind="stripes")
+        synth_generate(spec, 1, 0, tmp_path / "data")
 
     def test_validation(self):
         with pytest.raises(ValueError):
