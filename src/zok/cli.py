@@ -247,7 +247,7 @@ def _cmd_slic(args):
         residual_threshold=args["residual_threshold"],
         enforce_connectivity=not args["no_connectivity"],
     )
-    _write_spmap(run_slic(img, params).spmap, args["out"])
+    _write_spmap(run_slic(rgb_to_lab(img), params).spmap, args["out"])
 
 
 def _cmd_rect(args):
@@ -276,7 +276,7 @@ def _cmd_features(args):
     if args.get("featmap"):
         full = zoomout.upsample_featuremap(_read_finite(args["featmap"], "featmap", 3),
                                            *spmap.shape, mode=args["upsample"])
-    feats = zoomout.build_features(img, spmap, args["levels"], full, mirror=args["mirror"])
+    feats = zoomout.build_features(rgb_to_lab(img), spmap, args["levels"], full, args["mirror"])
     write_tensor(feats.astype(np.float32), args["out"])
 
 
@@ -296,6 +296,8 @@ def _cmd_train(args):
         seed=args["seed"], loss=args["loss"],
         hidden=tuple(int(t) for t in args["hidden"].split(",") if t.strip()),
     )
+    if args.get("classes") is not None:
+        _check_classes(args["classes"])
     if args.get("weights") and cfg.loss == "symmetric":
         raise ValueError("--weights feeds the class frequencies of --loss asymmetric only")
     features = _read_finite(args["features"], "features").astype(np.float64)
@@ -336,8 +338,7 @@ def _cmd_sample(args):
 
 def _cmd_crf(args):
     unary = _read_finite(args["unary"], "unary").astype(np.float64)
-    img = read_ppm(args["image"])
-    lab = rgb_to_lab(img)
+    lab = rgb_to_lab(read_ppm(args["image"]))
     h, w = lab.shape[:2]
     pixels = not args.get("superpixels")
     if pixels:
@@ -374,10 +375,12 @@ def _seg_report(cm):
     }
 
 
-def _check_ignore(ignore, classes):
-    """Refuse an ignore label that is also a class id: scoring would drop
-    that class silently."""
-    if 0 <= ignore < classes:
+def _check_classes(classes, ignore=None):
+    """Refuse a class count below 1, and an ignore label that is also a class
+    id: scoring would drop that class silently."""
+    if classes < 1:
+        raise ValueError(f"classes must be >= 1, got {classes}")
+    if ignore is not None and 0 <= ignore < classes:
         raise ValueError(f"ignore {ignore} is one of the class ids 0..{classes - 1}; "
                          "pick a label outside them")
 
@@ -390,7 +393,7 @@ def _require_scored(gts, ignore, source):
 
 
 def _cmd_eval(args):
-    _check_ignore(args["ignore"], args["classes"])
+    _check_classes(args["classes"], args["ignore"])
     pred = read_pgm(args["pred"]).astype(np.int64)
     gt = read_pgm(args["gt"]).astype(np.int64)
     _require_scored([gt], args["ignore"], args["gt"])
@@ -467,9 +470,7 @@ def pipeline_run(config):
         raise ValueError(f"an oracle pipeline reads none of the keys {unread}")
     _require(cfg, {"classes", "test_dir"} | (set() if oracle else {"train_dir"}),
              "pipeline keys")
-    if cfg["classes"] < 1:
-        raise ValueError(f"classes must be >= 1, got {cfg['classes']}")
-    _check_ignore(cfg["ignore"], cfg["classes"])
+    _check_classes(cfg["classes"], cfg["ignore"])
     params = SlicParams(**_pipeline_section(cfg["slic"], "slic"))
     train = _pipeline_section(cfg["train"], "train")
     train_cfg = learner.TrainConfig(**dict(train, hidden=tuple(train["hidden"])))
@@ -490,8 +491,9 @@ def pipeline_run(config):
     if not oracle:
         xs, ys, ws = [], [], []
         for img, gt in train_pairs:
-            res = _stage(timings, "slic", run_slic, img, params)
-            feats = _stage(timings, "features", zoomout.build_features, img, res.spmap, levels)
+            lab = _stage(timings, "slic", rgb_to_lab, img)  # once, for SLIC and the features
+            res = _stage(timings, "slic", run_slic, lab, params)
+            feats = _stage(timings, "features", zoomout.build_features, lab, res.spmap, levels)
             sp_labels = metrics.majority_labels(gt, res.spmap, ignore)
             counts = np.bincount(res.spmap.ravel(), minlength=len(sp_labels))
             keep = sp_labels != ignore
@@ -499,7 +501,7 @@ def pipeline_run(config):
             ys.append(sp_labels[keep])
             ws.append(counts[keep])
         features = np.concatenate(xs)
-        del xs  # the per-image copies go before training, where the run peaks
+        del xs, lab  # the per-image arrays go before training, where the run peaks
         model = _stage(
             timings, "train", learner.train,
             features, np.concatenate(ys).astype(np.int64), train_cfg,
@@ -509,12 +511,13 @@ def pipeline_run(config):
     cm = np.zeros((num_classes, num_classes), dtype=np.int64)
     cm_crf = np.zeros_like(cm)
     for img, gt in test_pairs:
-        res = _stage(timings, "slic", run_slic, img, params)
+        lab = _stage(timings, "slic", rgb_to_lab, img)
+        res = _stage(timings, "slic", run_slic, lab, params)
         if oracle:
             pred = metrics.oracle_labels(gt, res.spmap, ignore)
             cm += metrics.confusion(np.where(pred == ignore, 0, pred), gt, num_classes, ignore)
             continue
-        feats = _stage(timings, "features", zoomout.build_features, img, res.spmap, levels)
+        feats = _stage(timings, "features", zoomout.build_features, lab, res.spmap, levels)
         probs = _stage(timings, "predict", learner.forward, model, feats)
         sp_pred = np.argmax(probs, axis=1)
         cm += metrics.confusion(sp_pred[res.spmap], gt, num_classes, ignore)

@@ -21,8 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core_io import rgb_to_lab
-from .zoomout import boundary_pairs, region_means
+from .zoomout import _as_lab, boundary_pairs, region_means
 
 # Padded window cells one block of assign_pixels evaluates at most (unless
 # a single window is larger); bounds the block's temporaries, a few arrays
@@ -355,8 +354,8 @@ def enforce_connectivity(spmap):
     return compact_ids(final_id)[group][base]
 
 
-def run_slic(img, params):
-    """Run the full SLIC pipeline on an (H, W, 3) uint8 image.
+def run_slic(lab, params):
+    """Run the full SLIC pipeline on an (H, W, 3) Lab image from core_io.rgb_to_lab.
 
     Seeds a grid of centers, perturbs them off edges, then alternates
     windowed assignment and center updates until the residual drops below
@@ -364,7 +363,7 @@ def run_slic(img, params):
     and, unless disabled, post-processed for 4-connectivity.  The returned
     centers are the mean labxy of each final region.
     """
-    lab = rgb_to_lab(img)
+    lab = _as_lab(lab)
     s = grid_interval(lab.shape[0] * lab.shape[1], params.k)
     # no pixel is farther from a center than the image diagonal
     if not math.isfinite(params.m / s * math.hypot(*lab.shape[:2])):

@@ -434,17 +434,7 @@ def _lane_runs(tasks):
 
 
 def train_localizers(tasks):
-    """train_localizer of every (fields, present, cfg) task, in one call.
-
-    All tasks' restarts train as lanes stepping together, so each SGD step
-    costs one batched update instead of one per run.  A task's model is the
-    same, byte for byte, whether it trains alone or beside others.
-    """
-    return [min(runs, key=lambda run: run[1])[0] for runs in _lane_runs(tasks)]
-
-
-def train_localizer(fields, present, cfg):
-    """Train a per-location foreground/background scorer for one class.
+    """Train a per-location foreground/background scorer per (fields, present, cfg) task.
 
     fields: list of (D, H, W) feature fields; present: parallel booleans.
     The scorer is an MLP applied at every location, producing S and Sbar;
@@ -454,8 +444,12 @@ def train_localizer(fields, present, cfg):
     the first one with the lowest training-set image loss wins.  Its
     epoch_losses[e] is the mean image loss of epoch e, each image's taken
     before the step it drove.
+
+    All tasks' restarts train as lanes stepping together, so each SGD step
+    costs one batched update instead of one per run.  A task's model is the
+    same, byte for byte, whether it trains alone or beside others.
     """
-    return train_localizers([(fields, present, cfg)])[0]
+    return [min(runs, key=lambda run: run[1])[0] for runs in _lane_runs(tasks)]
 
 
 def score_field(model, field):

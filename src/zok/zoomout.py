@@ -18,7 +18,6 @@ import functools
 import numpy as np
 
 from . import _parallel
-from .core_io import rgb_to_lab
 
 # Fixed histogram ranges per Lab channel; out-of-range values clamp to the
 # end bins.
@@ -26,6 +25,16 @@ _CHANNEL_RANGES = ((0.0, 100.0), (-110.0, 110.0), (-110.0, 110.0))
 _FINE_BINS = 32
 _COARSE_BINS = 8
 LOCAL_COLOR_DIM = 3 * (_FINE_BINS + _COARSE_BINS) * 2 + 3  # fixed + entropy + adaptive
+
+
+def _as_lab(lab):
+    """lab as (H, W, 3) float64; another shape or a dtype that is not float
+    (the uint8 RGB image, say) raises ValueError."""
+    lab = np.asarray(lab)
+    if lab.shape[2:] != (3,) or lab.dtype.kind != "f":
+        raise ValueError(f"expected an (H, W, 3) float Lab image (core_io.rgb_to_lab), "
+                         f"got {lab.shape} {lab.dtype}")
+    return lab.astype(np.float64, copy=False)
 
 
 def boundary_pairs(labels):
@@ -175,9 +184,7 @@ def local_color_features(lab, spmap):
     spmap = np.asarray(spmap)
     k = int(spmap.max()) + 1
     flat = spmap.ravel()
-    fixed = []
-    entropies = []
-    adaptive = []
+    fixed, entropies, adaptive = [], [], []
     for ch in range(3):
         values = lab[:, :, ch].ravel()
         fine, coarse = _histograms(flat, k, values, _CHANNEL_RANGES[ch])
@@ -229,10 +236,7 @@ def superpixel_bboxes(spmap):
     flat = spmap.ravel()
     xs = np.tile(np.arange(w), h)
     ys = np.repeat(np.arange(h), w)
-    x0 = np.full(k, w)
-    y0 = np.full(k, h)
-    x1 = np.full(k, -1)
-    y1 = np.full(k, -1)
+    x0, y0, x1, y1 = np.full(k, w), np.full(k, h), np.full(k, -1), np.full(k, -1)
     np.minimum.at(x0, flat, xs)
     np.minimum.at(y0, flat, ys)
     np.maximum.at(x1, flat, xs)
@@ -322,8 +326,8 @@ def _fuse_location(block):
     return np.concatenate([block[:, :c], np.maximum(block[:, c:d], block[:, d:])], axis=1)
 
 
-def build_features(img, spmap, levels="local,proximal:2", featmap=None, mirror=False):
-    """(K, D) zoom-out features of every superpixel of an (H, W, 3) uint8 image.
+def build_features(lab, spmap, levels="local,proximal:2", featmap=None, mirror=False):
+    """(K, D) zoom-out features of every superpixel of a Lab image (core_io.rgb_to_lab).
 
     levels is a _parse_levels spec; its levels are concatenated in order.
     local is the color descriptor plus location, proximal its mean over
@@ -337,7 +341,7 @@ def build_features(img, spmap, levels="local,proximal:2", featmap=None, mirror=F
     once; the location columns, the pooled means and the subscene boxes are
     computed again for the mirror.  The mirror's pooled and subscene levels
     still read featmap unmirrored, so they pool the map on the other side of
-    the image: a known fault, left for ROADMAP item 1 step A.
+    the image: a known fault, left for ROADMAP item 1a.
     """
     levels = _parse_levels(levels)
     spmap = np.asarray(spmap)
@@ -345,8 +349,7 @@ def build_features(img, spmap, levels="local,proximal:2", featmap=None, mirror=F
     graph = build_adjacency(spmap)
     # the mirror's location columns ride after the original's, through proximal too
     local = np.concatenate(
-        [local_color_features(rgb_to_lab(img), spmap), *map(location_features_all, maps)], axis=1)
-    k = len(local)
+        [local_color_features(_as_lab(lab), spmap), *map(location_features_all, maps)], axis=1)
     blocks = []
     for name, radius in levels:
         if name == "local":
@@ -359,7 +362,7 @@ def build_features(img, spmap, levels="local,proximal:2", featmap=None, mirror=F
             pooled = [pool_over_superpixels(featmap, m) for m in maps]
             blocks.append(functools.reduce(np.maximum, pooled))
         elif name == "scene":
-            blocks.append(np.tile(scene_pool(featmap), (k, 1)))
+            blocks.append(np.tile(scene_pool(featmap), (len(local), 1)))
         else:
             boxes = [subscene_bboxes(spmap, graph, radius)]
             if mirror:  # the mirrored map's boxes, in closed form

@@ -35,7 +35,7 @@ def test_1_oracle_labeling_exact(tmp_path):
         from zok.synth import load_dataset
         total = np.zeros((5, 5), dtype=np.int64)
         for img, gt in load_dataset(tmp_path):
-            res = run_slic(img, SlicParams(k=64, m=15))
+            res = run_slic(rgb_to_lab(img), SlicParams(k=64, m=15))
             aligned = metrics.oracle_labels(gt, res.spmap)  # constant per superpixel
             relabeled = metrics.oracle_labels(aligned, res.spmap)
             assert np.array_equal(relabeled, aligned)
@@ -52,7 +52,7 @@ def test_2_slic_quality():
         img[:32, 32:] = (220, 50, 50)
         img[32:, :32] = (50, 220, 50)
         img[32:, 32:] = (50, 50, 220)
-        res = run_slic(img, SlicParams(k=4, m=10))
+        res = run_slic(rgb_to_lab(img), SlicParams(k=4, m=10))
         for ys, xs in [(slice(0, 32), slice(0, 32)), (slice(0, 32), slice(32, 64)),
                        (slice(32, 64), slice(0, 32)), (slice(32, 64), slice(32, 64))]:
             quad = res.spmap[ys, xs]
@@ -60,14 +60,14 @@ def test_2_slic_quality():
 
         edge = np.full((64, 64, 3), 30, dtype=np.uint8)
         edge[:, 32:] = (200, 200, 200)
-        sp = run_slic(edge, SlicParams(k=64, m=10)).spmap
+        sp = run_slic(rgb_to_lab(edge), SlicParams(k=64, m=10)).spmap
         pred = np.zeros((64, 64), dtype=bool)
         pred[:, :-1] |= sp[:, :-1] != sp[:, 1:]
         pred[:-1, :] |= sp[:-1, :] != sp[1:, :]
         hits = sum(pred[max(0, y - 1):y + 2, 30:33].any() for y in range(64))
         assert hits / 64 >= 0.99
 
-        again = run_slic(img, SlicParams(k=4, m=10))
+        again = run_slic(rgb_to_lab(img), SlicParams(k=4, m=10))
         assert res.spmap.tobytes() == again.spmap.tobytes()
         assert time.perf_counter() - start < 0.5
 

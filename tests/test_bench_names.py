@@ -18,7 +18,7 @@ ROOT = Path(__file__).resolve().parents[1]
 # Functions that per-layer metrics still name but that no longer exist.
 # A name leaves this list when its metric is renamed or removed.
 GONE = {"zoomout.subscene_bbox", "zoomout.neighbors_within_radius",
-        "learner.backprop", "weaksup.image_loss_and_grad"}
+        "learner.backprop", "weaksup.image_loss_and_grad", "weaksup.train_localizer"}
 
 # metric prefixes that sum whole layers or describe the tracer, not a function
 NOT_FUNCTIONS = ("layer.", "setup.", "trace.")

@@ -141,8 +141,8 @@ class TestFeaturesAndPool:
                    "--levels", levels, "--mirror", "--out", out) == 0
         # the element-wise max of the features of the image and of its mirror
         img, sp = read_ppm(img_path), read_tensor(sp_out).astype(np.int32)
-        expected = np.maximum(zoomout.build_features(img, sp, levels),
-                              zoomout.build_features(img[:, ::-1], sp[:, ::-1], levels))
+        expected = np.maximum(zoomout.build_features(rgb_to_lab(img), sp, levels),
+                              zoomout.build_features(rgb_to_lab(img[:, ::-1]), sp[:, ::-1], levels))
         written = read_tensor(out)
         assert written.dtype == np.float32 and written.shape == expected.shape
         assert written.tobytes() == expected.astype(np.float32).tobytes()
@@ -165,8 +165,9 @@ class TestFeaturesAndPool:
         img, sp = read_ppm(img_path), read_tensor(sp_out).astype(np.int32)
         full = zoomout.upsample_featuremap(read_tensor(tmp_path / "fm.zot"), *sp.shape,
                                            mode=upsample)
-        expected = np.maximum(zoomout.build_features(img, sp, levels, full),
-                              zoomout.build_features(img[:, ::-1], sp[:, ::-1], levels, full))
+        expected = np.maximum(zoomout.build_features(rgb_to_lab(img), sp, levels, full),
+                              zoomout.build_features(rgb_to_lab(img[:, ::-1]), sp[:, ::-1],
+                                                     levels, full))
         assert read_tensor(out).tobytes() == expected.astype(np.float32).tobytes()
 
     @pytest.mark.parametrize("mirror", [[], ["--mirror"]])
@@ -913,7 +914,62 @@ class TestIgnoreAmongClasses:
         assert captured.out == "" and not (tmp_path / "report.json").exists()
 
 
+class TestClassesBelowOne:
+    """A class count below 1 exits 1 with one error line naming classes, for
+    eval, train and pipeline alike, and writes nothing."""
+
+    @pytest.mark.parametrize("classes", [0, -1])
+    @pytest.mark.parametrize("command", ["eval", "train", "pipeline", "oracle-pipeline"])
+    def test_exit_1_with_one_error_line(self, tmp_path, capsys, command, classes):
+        out = tmp_path / "out"
+        if command == "eval":
+            write_pgm(np.zeros((4, 4), dtype=np.int64), tmp_path / "p.pgm")
+            argv = ["eval", "--pred", tmp_path / "p.pgm", "--gt", tmp_path / "p.pgm"]
+        elif command == "train":
+            write_tensor(np.zeros((4, 2), dtype=np.float32), tmp_path / "x.zot")
+            write_tensor(np.array([0, 1, 0, 1], dtype=np.uint32), tmp_path / "y.zot")
+            argv = ["train", "--features", tmp_path / "x.zot", "--labels", tmp_path / "y.zot",
+                    "--epochs", 1]
+        else:
+            synth_generate(SyntheticSpec(size=16, num_classes=2, kind="quadrants"), 1, 0,
+                           tmp_path / "data")
+            cfg = {"test_dir": str(tmp_path / "data"), "classes": classes, "report": str(out),
+                   **({"oracle": True} if command == "oracle-pipeline"
+                      else {"train_dir": str(tmp_path / "data")})}
+            (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+            argv = ["pipeline", "--config", tmp_path / "cfg.json"]
+        if command in ("eval", "train"):
+            argv += ["--classes", classes, "--out", out]
+        capsys.readouterr()
+        assert run(*argv) == 1
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "classes" in err[0]
+        assert captured.out == "" and not out.exists()
+
+
 class TestPipelineCommand:
+    @pytest.mark.parametrize("oracle", [False, True])
+    def test_each_image_converted_to_lab_once(self, tmp_path, monkeypatch, oracle):
+        # SLIC and the features read one Lab image; an oracle run reads no train_dir
+        spec = SyntheticSpec(size=16, num_classes=4, kind="quadrants")
+        synth_generate(spec, 2, 0, tmp_path / "train")
+        synth_generate(spec, 3, 1, tmp_path / "test")
+        calls = []
+
+        def counted(img):
+            calls.append(img.shape)
+            return rgb_to_lab(img)
+
+        monkeypatch.setattr(cli, "rgb_to_lab", counted)
+        cfg = {"test_dir": str(tmp_path / "test"), "classes": 4, "slic": {"k": 4, "m": 10}}
+        if oracle:
+            cfg["oracle"] = True
+        else:
+            cfg.update(train_dir=str(tmp_path / "train"), train={"epochs": 1, "hidden": []})
+        cli.pipeline_run(cfg)
+        assert len(calls) == (3 if oracle else 2 + 3)
+
     def test_oracle_pipeline_miou_one(self, tmp_path, capsys):
         spec = SyntheticSpec(size=32, num_classes=4, kind="quadrants")
         synth_generate(spec, 2, 0, tmp_path / "test")

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from zok.core_io import rgb_to_lab
 from zok.metrics import (class_accuracy, confusion, depth_metrics,
                          iou_per_class, majority_labels, mean_iou, oracle_labels,
                          pixel_accuracy)
@@ -210,7 +211,7 @@ class TestMajorityLabels:
         for img, gt in generate_dataset(spec, 6, 4):
             gt = gt.copy()
             gt[rng.random(gt.shape) < 0.1] = 255
-            spmap = run_slic(img, SlicParams(k=64)).spmap
+            spmap = run_slic(rgb_to_lab(img), SlicParams(k=64)).spmap
             got = majority_labels(gt, spmap)
             ref = reference_first_label_per_superpixel(oracle_labels(gt, spmap), spmap)
             assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()

@@ -264,11 +264,11 @@ def quadrant_purity(spmap, size=64):
 
 class TestRunSlic:
     def test_quadrants_high_purity(self):
-        res = run_slic(quadrant_image(), SlicParams(k=4, m=10))
+        res = run_slic(rgb_to_lab(quadrant_image()), SlicParams(k=4, m=10))
         assert min(quadrant_purity(res.spmap)) >= 0.95
 
     def test_flat_image_near_equal_areas(self):
-        res = run_slic(flat_image(64, 64, 128), SlicParams(k=4, m=10))
+        res = run_slic(rgb_to_lab(flat_image(64, 64, 128)), SlicParams(k=4, m=10))
         areas = np.bincount(res.spmap.ravel()) / (64 * 64)
         assert len(areas) == 4
         assert np.all(np.abs(areas - 0.25) <= 0.10)
@@ -278,17 +278,17 @@ class TestRunSlic:
         for shape in [(1, 2), (2, 1)]:
             img = np.zeros((*shape, 3), dtype=np.uint8)
             img.reshape(-1, 3)[1] = (200, 40, 40)
-            res = run_slic(img, SlicParams(k=2, m=10, enforce_connectivity=False))
+            res = run_slic(rgb_to_lab(img), SlicParams(k=2, m=10, enforce_connectivity=False))
             assert sorted(res.spmap.ravel()) == [0, 1]
 
     def test_deterministic(self):
         img = quadrant_image()
-        a = run_slic(img, SlicParams(k=16, m=10)).spmap
-        b = run_slic(img, SlicParams(k=16, m=10)).spmap
+        a = run_slic(rgb_to_lab(img), SlicParams(k=16, m=10)).spmap
+        b = run_slic(rgb_to_lab(img), SlicParams(k=16, m=10)).spmap
         assert a.tobytes() == b.tobytes()
 
     def test_result_contract(self):
-        res = run_slic(quadrant_image(), SlicParams(k=9, m=15))
+        res = run_slic(rgb_to_lab(quadrant_image()), SlicParams(k=9, m=15))
         k = res.spmap.max() + 1
         assert sorted(np.unique(res.spmap)) == list(range(k))
         assert len(res.centers) == k
@@ -297,15 +297,22 @@ class TestRunSlic:
 
     def test_k_exceeding_pixels_rejected(self):
         with pytest.raises(ValueError):
-            run_slic(flat_image(2, 2, 0), SlicParams(k=5))
+            run_slic(rgb_to_lab(flat_image(2, 2, 0)), SlicParams(k=5))
 
     def test_m_whose_spatial_term_overflows_rejected(self):
         # 64x64 at k=16: S = 16, and 1e308 / 16 times the 90-pixel diagonal
         # is beyond float64; at k=4 1e300 is not
         with pytest.raises(ValueError, match=r"m=1e\+308 is too large"):
-            run_slic(quadrant_image(), SlicParams(k=16, m=1e308))
-        res = run_slic(quadrant_image(), SlicParams(k=4, m=1e300))
+            run_slic(rgb_to_lab(quadrant_image()), SlicParams(k=16, m=1e308))
+        res = run_slic(rgb_to_lab(quadrant_image()), SlicParams(k=4, m=1e300))
         assert np.isfinite(res.history).all()
+
+    @pytest.mark.parametrize("image", [quadrant_image(), quadrant_image()[..., 0]],
+                             ids=["rgb-uint8", "rank-2"])
+    def test_image_that_is_not_lab_refused(self, image):
+        # clustering the raw RGB values would run and exit 0
+        with pytest.raises(ValueError, match="core_io.rgb_to_lab"):
+            run_slic(image, SlicParams(k=4, m=10))
 
 
 def components_of(spmap):
@@ -361,7 +368,7 @@ class TestEnforceConnectivity:
     def test_every_region_connected_after_slic(self):
         rng = np.random.default_rng(2)
         img = rng.integers(0, 256, size=(32, 32, 3), dtype=np.uint8)
-        res = run_slic(img, SlicParams(k=16, m=10))
+        res = run_slic(rgb_to_lab(img), SlicParams(k=16, m=10))
         assert all(n == 1 for n in components_of(res.spmap).values())
 
 
@@ -482,7 +489,7 @@ class TestConnectivityOracle:
         spec = SyntheticSpec(size=128, num_classes=5, kind="blobs", noise_sigma=8.0)
         params = SlicParams(k=128, m=15, enforce_connectivity=False)
         for img, _ in generate_dataset(spec, 3, seed=1):
-            assert_matches_reference(run_slic(img, params).spmap)
+            assert_matches_reference(run_slic(rgb_to_lab(img), params).spmap)
 
     @pytest.mark.parametrize("k", [16, 128, 512])
     @pytest.mark.parametrize("noise", [0.0, 8.0, 30.0])
@@ -490,7 +497,7 @@ class TestConnectivityOracle:
         spec = SyntheticSpec(size=128, num_classes=5, kind="blobs", noise_sigma=noise)
         params = SlicParams(k=k, m=15, enforce_connectivity=False)
         (img, _), = generate_dataset(spec, 1, seed=k + int(noise))
-        assert_matches_reference(run_slic(img, params).spmap)
+        assert_matches_reference(run_slic(rgb_to_lab(img), params).spmap)
 
     @pytest.mark.parametrize("num_ids", [2, 20, 300])
     @pytest.mark.parametrize("seed", range(2))
@@ -830,7 +837,7 @@ class TestInvariants:
         # predicted superpixel boundary within 1 pixel
         img = np.full((64, 64, 3), 30, dtype=np.uint8)
         img[:, 32:] = (200, 200, 200)
-        res = run_slic(img, SlicParams(k=64, m=10))
+        res = run_slic(rgb_to_lab(img), SlicParams(k=64, m=10))
         pred = np.zeros((64, 64), dtype=bool)
         pred[:, :-1] |= res.spmap[:, :-1] != res.spmap[:, 1:]
         pred[:-1, :] |= res.spmap[:-1, :] != res.spmap[1:, :]
@@ -842,5 +849,5 @@ class TestInvariants:
         assert hits / 64 >= 0.99
 
     def test_residual_history_finite(self):
-        res = run_slic(quadrant_image(), SlicParams(k=4, m=10))
+        res = run_slic(rgb_to_lab(quadrant_image()), SlicParams(k=4, m=10))
         assert all(math.isfinite(e) for e in res.history)

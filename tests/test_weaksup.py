@@ -13,7 +13,7 @@ from zok import learner, weaksup
 from zok.weaksup import (LocalizerConfig, _argmax_losses, diverse_sample_bg,
                          diverse_sample_fg, normalize_features, sample_foreground,
                          sample_points, score_field, spatial_diverse_sample, topk_sample,
-                         train_localizer)
+                         train_localizers)
 
 
 # --- the paper's image-level probabilities, as weaksup computed them before
@@ -423,7 +423,7 @@ class TestLocalizer:
     def test_learns_image_level_classification(self, model, epochs):
         fields, present = self.make_dataset()
         cfg = LocalizerConfig(hidden=8, learning_rate=0.03, epochs=epochs, seed=1, model=model)
-        net = train_localizer(fields, present, cfg)
+        net = train_localizers([(fields, present, cfg)])[0]
         probs = [REFERENCE_PROB[model](*score_field(net, f)) for f in fields]
         correct = sum((p > 0.5) == is_pos for p, is_pos in zip(probs, present))
         assert correct / len(fields) >= 0.9
@@ -431,7 +431,7 @@ class TestLocalizer:
     def test_scores_localize_the_signal(self):
         fields, present = self.make_dataset(seed=3)
         cfg = LocalizerConfig(hidden=8, learning_rate=0.03, epochs=10, seed=2)
-        net = train_localizer(fields, present, cfg)
+        net = train_localizers([(fields, present, cfg)])[0]
         hits = total = 0
         for f, is_pos in zip(fields, present):
             if not is_pos:
@@ -477,7 +477,7 @@ class TestFieldShapes:
         fields = [np.zeros((3, 2, 2)), np.zeros(shape)]
         cfg = LocalizerConfig(hidden=4, epochs=1, restarts=1)
         with pytest.raises(ValueError, match=r"field 1 must be \(D, H, W\)"):
-            train_localizer(fields, [True, False], cfg)
+            train_localizers([(fields, [True, False], cfg)])[0]
 
 
 def test_pipeline_requires_classifier_cfg():
@@ -731,7 +731,7 @@ class TestLocalizerOracle:
         losses = [loss for _, loss in runs]
         assert len(set(losses)) == cfg.restarts and np.argmin(losses) != 0  # a later run wins
         want = runs[int(np.argmin(losses))][0]
-        got = train_localizer(fields, present, cfg)
+        got = train_localizers([(fields, present, cfg)])[0]
         for a, b in zip(got.weights + got.biases + [got.mean, got.std],
                         want.weights + want.biases + [want.mean, want.std]):
             assert a.tobytes() == b.tobytes()

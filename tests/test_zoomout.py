@@ -535,7 +535,8 @@ def reference_zoomout_features(img, spmap, proximal_radius=2):
 def slic_maps(count=3, size=48, k=32):
     """(image, SLIC result) pairs on noisy blob images."""
     spec = SyntheticSpec(size=size, num_classes=4, kind="blobs", noise_sigma=8.0)
-    return [(img, run_slic(img, SlicParams(k=k))) for img, _ in generate_dataset(spec, count, 5)]
+    return [(img, run_slic(rgb_to_lab(img), SlicParams(k=k)))
+            for img, _ in generate_dataset(spec, count, 5)]
 
 
 class TestRegionMeansOracle:
@@ -582,7 +583,7 @@ class TestBuildFeatures:
     @pytest.mark.parametrize("radius", [1, 2, 3])
     def test_local_proximal_matches_reference_bytes(self, radius):
         for img, res in slic_maps():
-            got = build_features(img, res.spmap, f"local,proximal:{radius}")
+            got = build_features(rgb_to_lab(img), res.spmap, f"local,proximal:{radius}")
             ref = reference_zoomout_features(img, res.spmap, radius)
             assert got.tobytes() == ref.tobytes()
 
@@ -590,20 +591,27 @@ class TestBuildFeatures:
         img, res = slic_maps(count=1)[0]
         fm = np.ones((2, *res.spmap.shape))
         assert np.array_equal(
-            build_features(img, res.spmap, "proximal,subscene", fm),
-            build_features(img, res.spmap, "proximal:2,subscene:3", fm))
+            build_features(rgb_to_lab(img), res.spmap, "proximal,subscene", fm),
+            build_features(rgb_to_lab(img), res.spmap, "proximal:2,subscene:3", fm))
 
     @pytest.mark.parametrize("levels", ["proximal:0", "subscene:0", "subscene:-1", "local:5",
                                         "pooled:3", "scene:1", "bogus", "proximal:x", ""])
     def test_bad_level_spec_rejected(self, levels):
         spmap = np.array([[0, 1], [0, 1]], dtype=np.int32)
         with pytest.raises(ValueError):
-            build_features(np.zeros((2, 2, 3), dtype=np.uint8), spmap, levels, np.ones((1, 2, 2)))
+            build_features(rgb_to_lab(np.zeros((2, 2, 3), dtype=np.uint8)), spmap, levels,
+                           np.ones((1, 2, 2)))
+
+    def test_image_that_is_not_lab_refused(self):
+        img, res = slic_maps(count=1)[0]
+        for image in (img, rgb_to_lab(img)[..., :2]):
+            with pytest.raises(ValueError, match="core_io.rgb_to_lab"):
+                build_features(image, res.spmap)
 
     def test_featmap_levels_need_a_featmap(self):
         spmap = np.array([[0, 1], [0, 1]], dtype=np.int32)
         with pytest.raises(ValueError, match="feature map"):
-            build_features(np.zeros((2, 2, 3), dtype=np.uint8), spmap, "local,scene")
+            build_features(rgb_to_lab(np.zeros((2, 2, 3), dtype=np.uint8)), spmap, "local,scene")
 
 
 class TestIdGap:
@@ -623,8 +631,8 @@ class TestIdGap:
             gapped = compact + (compact >= gap)
             img = rng.integers(0, 256, size=(h, w, 3), dtype=np.uint8)
             fm = wide_map(rng, (2, h, w))
-            got = build_features(img, gapped, level, fm, mirror=mirror)
-            want = build_features(img, compact, level, fm, mirror=mirror)
+            got = build_features(rgb_to_lab(img), gapped, level, fm, mirror=mirror)
+            want = build_features(rgb_to_lab(img), compact, level, fm, mirror=mirror)
             assert np.delete(got, gap, axis=0).tobytes() == want.tobytes()
             if level in ("local", "proximal:2"):
                 # fixed and adaptive histograms, then the location; the
@@ -641,8 +649,8 @@ class TestIdGap:
 def reference_mirror_features(img, spmap, levels, featmap=None):
     """Max of the features of the image and of its left-right mirror; both
     passes read the same, unmirrored feature map."""
-    return np.maximum(build_features(img, spmap, levels, featmap),
-                      build_features(img[:, ::-1], spmap[:, ::-1], levels, featmap))
+    return np.maximum(build_features(rgb_to_lab(img), spmap, levels, featmap),
+                      build_features(rgb_to_lab(img[:, ::-1]), spmap[:, ::-1], levels, featmap))
 
 
 def reference_box_means(featmap, boxes):
@@ -672,7 +680,7 @@ ALL_LEVELS = ["local,proximal:2,pooled,subscene:3,scene",
 class TestMirrorFusionOracle:
     def assert_same(self, img, spmap, featmap, levels=ALL_LEVELS):
         for spec in levels:
-            got = build_features(img, spmap, spec, featmap, mirror=True)
+            got = build_features(rgb_to_lab(img), spmap, spec, featmap, mirror=True)
             ref = reference_mirror_features(img, spmap, spec, featmap)
             assert got.dtype == ref.dtype == np.float64
             assert got.tobytes() == ref.tobytes(), spec
@@ -790,7 +798,7 @@ class TestBoxMeansChunks:
         img, res = slic_maps(count=1, size=48, k=32)[0]
         fm = upsample_featuremap(wide_map(rng, (3, 12, 12)), 48, 48, "bilinear")
         for spmap in (res.spmap, rect_regions(48, 48, 60)):
-            got = build_features(img, spmap, "pooled,subscene:2", fm, mirror=True)
+            got = build_features(rgb_to_lab(img), spmap, "pooled,subscene:2", fm, mirror=True)
             ref = reference_mirror_features(img, spmap, "pooled,subscene:2", fm)
             assert got.tobytes() == ref.tobytes()
 
