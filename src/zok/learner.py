@@ -120,6 +120,8 @@ def _softmax(logits):
 def _forward_pass(model, x, dropout_masks=None):
     """Returns (activations per layer incl. normalized input, logits)."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    if x.ndim != 2:
+        raise ValueError(f"features must be (N, D) or (D,), got shape {x.shape}")
     if x.shape[1] != model.weights[0].shape[1]:
         raise ValueError(f"feature dim {x.shape[1]} != model dim {model.weights[0].shape[1]}")
     a = x if model.mean is None else (x - model.mean) / model.std

@@ -14,10 +14,10 @@ results are bit-stable.
 """
 
 import functools
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-
-from . import _parallel
 
 # Fixed histogram ranges per Lab channel; out-of-range values clamp to the
 # end bins.
@@ -281,7 +281,10 @@ def _parse_levels(text):
                 raise ValueError(f"level {name!r} takes no radius, got {item!r}")
             levels.append((name, None))
             continue
-        radius = int(arg) if colon else _RADIUS_LEVELS[name]
+        try:
+            radius = int(arg) if colon else _RADIUS_LEVELS[name]
+        except ValueError:
+            raise ValueError(f"level {name!r} needs an integer radius, got {item!r}") from None
         if radius < 1:
             raise ValueError(f"level {name!r} needs a radius >= 1, got {radius}")
         levels.append((name, radius))
@@ -290,11 +293,12 @@ def _parse_levels(text):
     return levels
 
 
-def _box_sums(featmap, boxes, sums, start, stop):
-    """sums[s] = the sum of featmap over box s, for s in start..stop - 1."""
-    for s, (x0, y0, x1, y1) in enumerate(boxes[start:stop].tolist(), start):
-        np.add.reduce(featmap[:, y0 : y1 + 1, x0 : x1 + 1], axis=(1, 2), dtype=sums.dtype,
-                      out=sums[s])
+def _box_sums(featmap, boxes, sums):
+    """sums[s] = the sum of featmap over boxes[s], for every s; an overflow raises."""
+    with np.errstate(over="raise"):
+        for s, (x0, y0, x1, y1) in enumerate(boxes.tolist()):
+            np.add.reduce(featmap[:, y0 : y1 + 1, x0 : x1 + 1], axis=(1, 2), dtype=sums.dtype,
+                          out=sums[s])
 
 
 def _box_means(featmap, boxes):
@@ -306,12 +310,20 @@ def _box_means(featmap, boxes):
     featmap[:, y0:y1 + 1, x0:x1 + 1].mean(axis=(1, 2)).  A float64 quotient
     rounded to float32 is the float32 quotient, since 53 >= 2 * 24 + 2.
     An empty box gets NaN; a sum that overflows raises FloatingPointError.
-    The boxes are summed in one chunk per CPU (_parallel.run_chunks).
+
+    The boxes are summed in min(CPUs in the affinity mask, len(boxes))
+    contiguous chunks, each on a thread of a pool made for this call.  Every
+    row is summed by the same numpy call whatever the number of chunks, so
+    the bytes are too.  The first error in chunk order is raised once no
+    chunk is still running.
     """
     dtype = featmap.dtype if featmap.dtype.kind == "f" else np.dtype(np.float64)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     sums = np.empty((len(boxes), featmap.shape[0]), dtype=dtype)
-    with np.errstate(over="raise"):
-        _parallel.run_chunks(len(boxes), functools.partial(_box_sums, featmap, boxes, sums))
+    count = max(1, min(cpus or 1, len(boxes)))
+    with ThreadPoolExecutor(count) as pool:
+        list(pool.map(functools.partial(_box_sums, featmap), np.array_split(boxes, count),
+                      np.array_split(sums, count)))
     counts = (boxes[:, 2] - boxes[:, 0] + 1).clip(0) * (boxes[:, 3] - boxes[:, 1] + 1).clip(0)
     with np.errstate(invalid="ignore"):
         return (sums / counts[:, None]).astype(dtype)
@@ -339,7 +351,8 @@ def build_features(lab, spmap, levels="local,proximal:2", featmap=None, mirror=F
     mirrored superpixel keeps its colours and its neighbours, so the colour
     histograms, the adjacency, the hop balls and the scene mean are computed
     once; the location columns, the pooled means and the subscene boxes are
-    computed again for the mirror.  The mirror's pooled and subscene levels
+    computed again for the mirror, whose boxes are summed in the same
+    _box_means call as the original's.  The mirror's pooled and subscene levels
     still read featmap unmirrored, so they pool the map on the other side of
     the image: a known fault, left for ROADMAP item 1a.
     """
@@ -364,17 +377,17 @@ def build_features(lab, spmap, levels="local,proximal:2", featmap=None, mirror=F
         elif name == "scene":
             blocks.append(np.tile(scene_pool(featmap), (len(local), 1)))
         else:
-            boxes = [subscene_bboxes(spmap, graph, radius)]
-            if mirror:  # the mirrored map's boxes, in closed form
-                x0, y0, x1, y1 = boxes[0].T
+            boxes = subscene_bboxes(spmap, graph, radius)
+            if mirror:  # then the mirrored map's boxes, in closed form
+                x0, y0, x1, y1 = boxes.T
                 w = spmap.shape[1]
-                boxes.append(np.stack([w - 1 - x1, y0, w - 1 - x0, y1], axis=1))
+                boxes = np.concatenate([boxes, np.stack([w - 1 - x1, y0, w - 1 - x0, y1], axis=1)])
             try:
-                sub = [_box_means(featmap, b) for b in boxes]
+                sub = _box_means(featmap, boxes)
             except FloatingPointError:
                 raise ValueError(f"level 'subscene:{radius}' overflows summing the feature "
                                  f"map over a box in {featmap.dtype}") from None
-            blocks.append(functools.reduce(np.maximum, sub))
+            blocks.append(functools.reduce(np.maximum, np.split(sub, len(maps))))
     return np.concatenate(blocks, axis=1, dtype=np.float64)
 
 

@@ -201,7 +201,8 @@ class TestFeaturesAndPool:
 
     @pytest.mark.parametrize("levels", ["local,proximal:0", "local,subscene:0",
                                         "local,subscene:-1", "local:5", "pooled:3",
-                                        "local,scene:1", "local,bogus"])
+                                        "local,scene:1", "local,bogus", "local,proximal:x",
+                                        "local,proximal:"])
     def test_bad_level_spec_exit_1(self, tmp_path, capsys, quad_image, levels):
         img_path, _ = quad_image
         sp_out = tmp_path / "sp.zot"
@@ -213,6 +214,8 @@ class TestFeaturesAndPool:
                    "--featmap", tmp_path / "fm.zot", "--levels", levels, "--out", out) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
+        # the message names the level
+        assert f"level {levels.split(',')[-1].partition(':')[0]!r}" in err[0]
         assert not out.exists()
 
     @pytest.mark.parametrize("case", ["featmap-unread", "upsample-without-featmap"])
@@ -352,6 +355,18 @@ class TestPredictMalformedModel:
 
 
 class TestPredictMalformedFeatures:
+    @pytest.mark.parametrize("shape", [(2, 3, 3), (2, 3, 1, 3)])
+    def test_features_not_rank_2_exit_1(self, tmp_path, capsys, shape):
+        # the model takes 3 inputs, as the last axis does
+        model_bytes(tmp_path)
+        write_tensor(np.zeros(shape, dtype=np.float32), tmp_path / "x.zot")
+        capsys.readouterr()
+        assert run("predict", "--model", tmp_path / "m.zom", "--features", tmp_path / "x.zot",
+                   "--out", tmp_path / "p.zot") == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "(N, D)" in err[0]
+        assert not (tmp_path / "p.zot").exists()
+
     def test_dims_product_beyond_int64_exit_2(self, tmp_path, capsys):
         model_bytes(tmp_path)
         header = b"ZOT1" + bytes([0, 4]) + struct.pack("<4I", *[65536] * 4)

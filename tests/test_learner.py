@@ -77,6 +77,14 @@ class TestForward:
         with pytest.raises(ValueError):
             forward(model, np.zeros(4))
 
+    @pytest.mark.parametrize("shape", [(2, 3, 3), (1, 1, 3), (2, 3, 1, 3)])
+    def test_rank_above_two_refused(self, shape):
+        # the last axis matches the model's 3 inputs; only the rank is wrong
+        model = init_model([3, 4, 2], seed=0)
+        for fn in (forward, learner.logits, predict_labels):
+            with pytest.raises(ValueError, match=r"\(N, D\) or \(D,\)"):
+                fn(model, np.zeros(shape))
+
 
 class TestAsymmetricLoss:
     def test_perfect_prediction_zero_loss(self):

@@ -1,4 +1,12 @@
+import functools
+import importlib
+import inspect
 import math
+import os
+import pkgutil
+import re
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -7,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from zok import _parallel, zoomout
+import zok
+from zok import cli, core_io, zoomout
 from zok.core_io import rgb_to_lab
 from zok.slic import SlicParams, run_slic
 from zok.synth import SyntheticSpec, generate_dataset
@@ -595,12 +604,21 @@ class TestBuildFeatures:
             build_features(rgb_to_lab(img), res.spmap, "proximal:2,subscene:3", fm))
 
     @pytest.mark.parametrize("levels", ["proximal:0", "subscene:0", "subscene:-1", "local:5",
-                                        "pooled:3", "scene:1", "bogus", "proximal:x", ""])
+                                        "pooled:3", "scene:1", "bogus", "proximal:x",
+                                        "proximal:", ""])
     def test_bad_level_spec_rejected(self, levels):
         spmap = np.array([[0, 1], [0, 1]], dtype=np.int32)
-        with pytest.raises(ValueError):
+        name = levels.partition(":")[0]
+        with pytest.raises(ValueError, match=f"level {name!r}" if name else "at least one level"):
             build_features(rgb_to_lab(np.zeros((2, 2, 3), dtype=np.uint8)), spmap, levels,
                            np.ones((1, 2, 2)))
+
+    @pytest.mark.parametrize("spec", ["proximal:x", "proximal:", "subscene:1.5"])
+    def test_non_integer_radius_names_the_level(self, spec):
+        name = spec.partition(":")[0]
+        with pytest.raises(ValueError, match=re.escape(
+                f"level {name!r} needs an integer radius, got {spec!r}")):
+            zoomout._parse_levels(f"local,{spec}")
 
     def test_image_that_is_not_lab_refused(self):
         img, res = slic_maps(count=1)[0]
@@ -762,6 +780,34 @@ class TestBoxMeansOracle:
         assert np.isnan(zoomout._box_means(fm, np.array([[4, 3, -1, -1]]))).all()
 
 
+def force_cpus(monkeypatch, cpus):
+    """Make _box_means see an affinity mask of cpus CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+def random_boxes(rng, count, height, width):
+    xs = np.sort(rng.integers(0, width, size=(count, 2)), axis=1)
+    ys = np.sort(rng.integers(0, height, size=(count, 2)), axis=1)
+    return np.stack([xs[:, 0], ys[:, 0], xs[:, 1], ys[:, 1]], axis=1)
+
+
+def record_box_sums(monkeypatch):
+    """Wrap zoomout._box_sums; returns the (thread, boxes) of every call, in
+    the order the calls finished."""
+    calls, lock = [], threading.Lock()
+    box_sums = zoomout._box_sums
+
+    def recorded(featmap, boxes, sums):
+        try:
+            return box_sums(featmap, boxes, sums)
+        finally:
+            with lock:
+                calls.append((threading.current_thread(), boxes))
+
+    monkeypatch.setattr(zoomout, "_box_sums", recorded)
+    return calls
+
+
 class TestBoxMeansChunks:
     """_box_means sums its boxes in one chunk per CPU; forcing the count to
     1, 2, 3 and past the number of boxes must not change a byte."""
@@ -769,38 +815,132 @@ class TestBoxMeansChunks:
     @pytest.mark.parametrize("cpus", [1, 2, 3, 16])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.uint16])
     def test_forced_worker_counts_match_mean_loop_bytes(self, monkeypatch, cpus, dtype):
-        monkeypatch.setattr(_parallel, "cpu_count", lambda: cpus)
+        force_cpus(monkeypatch, cpus)
         rng = np.random.default_rng(cpus)
         h, w = 41, 37
         fm = wide_map(rng, (3, h, w), dtype)
-        xs = np.sort(rng.integers(0, w, size=(250, 2)), axis=1)
-        ys = np.sort(rng.integers(0, h, size=(250, 2)), axis=1)
-        boxes = np.stack([xs[:, 0], ys[:, 0], xs[:, 1], ys[:, 1]], axis=1)
+        boxes = random_boxes(rng, 250, h, w)
         for some in (boxes, boxes[:1], boxes[:2], boxes[:7]):
             got = zoomout._box_means(fm, some)
             ref = reference_box_means(fm, some)
             assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
         assert zoomout._box_means(fm, boxes[:0]).shape == (0, 3)
 
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 5])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 100])
+    def test_chunks_cover_every_box_in_order(self, monkeypatch, cpus, n):
+        force_cpus(monkeypatch, cpus)
+        calls = record_box_sums(monkeypatch)
+        boxes = np.zeros((n, 4), dtype=np.int64)
+        boxes[:, 0] = boxes[:, 2] = np.arange(n)  # box i is the cell (i, 0)
+        assert zoomout._box_means(np.ones((1, 1, n + 1)), boxes).shape == (n, 1)
+        chunks = sorted((b for _, b in calls), key=lambda b: b[0, 0] if len(b) else -1)
+        assert len(chunks) == max(1, min(cpus, n))
+        assert n == 0 or all(len(chunk) for chunk in chunks)
+        assert np.array_equal(np.concatenate(chunks), boxes)
+        assert all(thread is not threading.main_thread() for thread, _ in calls)
+
     @pytest.mark.parametrize("cpus", [2, 3])
-    def test_overflow_in_a_later_chunk_raises(self, monkeypatch, cpus):
-        monkeypatch.setattr(_parallel, "cpu_count", lambda: cpus)
+    def test_overflow_in_a_later_chunk_raises_after_every_chunk_finished(self, monkeypatch,
+                                                                         cpus):
+        force_cpus(monkeypatch, cpus)
+        calls = record_box_sums(monkeypatch)
         fm = np.full((2, 4, 4), 3e38, dtype=np.float32)
         boxes = np.array([[1, 1, 1, 1]] * 5 + [[0, 0, 1, 0]])
         with pytest.raises(FloatingPointError, match="overflow"):
             zoomout._box_means(fm, boxes)
+        assert len(calls) == cpus
+
+    def test_many_workers_with_a_short_switch_interval_match_the_reference(self, monkeypatch):
+        # more threads than cores, switching often: a chunk writing another's
+        # rows, or an update lost between them, would change bytes
+        force_cpus(monkeypatch, 16)
+        rng = np.random.default_rng(21)
+        fm = wide_map(rng, (3, 40, 50))
+        boxes = random_boxes(rng, 400, 40, 50)
+        want = reference_box_means(fm, boxes).tobytes()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                assert zoomout._box_means(fm, boxes).tobytes() == want
+        finally:
+            sys.setswitchinterval(interval)
 
     @pytest.mark.parametrize("cpus", [1, 2, 4])
     def test_mirror_features_match_two_pass_bytes(self, monkeypatch, cpus):
-        # both the original's and the mirror's subscene boxes are chunked
-        monkeypatch.setattr(_parallel, "cpu_count", lambda: cpus)
+        # the original's and the mirror's subscene boxes are chunked together
+        force_cpus(monkeypatch, cpus)
+        calls = record_box_sums(monkeypatch)
         rng = np.random.default_rng(cpus + 20)
         img, res = slic_maps(count=1, size=48, k=32)[0]
         fm = upsample_featuremap(wide_map(rng, (3, 12, 12)), 48, 48, "bilinear")
         for spmap in (res.spmap, rect_regions(48, 48, 60)):
+            calls.clear()
             got = build_features(rgb_to_lab(img), spmap, "pooled,subscene:2", fm, mirror=True)
+            assert len(calls) == cpus
+            assert sum(len(b) for _, b in calls) == 2 * (int(spmap.max()) + 1)
             ref = reference_mirror_features(img, spmap, "pooled,subscene:2", fm)
             assert got.tobytes() == ref.tobytes()
+
+
+def wrap_public_functions(monkeypatch, record):
+    """Wrap every public function of every zok module, in every zok module
+    namespace that binds it, as the benchmark's span recorder does."""
+    modules = [importlib.import_module(f"zok.{m.name}")
+               for m in pkgutil.iter_modules(zok.__path__)]
+    for mod in modules:
+        for attr, fn in list(vars(mod).items()):
+            if (attr.startswith("_") or not inspect.isfunction(fn)
+                    or fn.__module__ != mod.__name__):
+                continue
+
+            @functools.wraps(fn)
+            def traced(*args, _fn=fn, _name=f"{mod.__name__}.{attr}", **kwargs):
+                record.append((_name, threading.current_thread()))
+                return _fn(*args, **kwargs)
+
+            for holder in modules:
+                for key, value in list(vars(holder).items()):
+                    if value is fn:
+                        monkeypatch.setattr(holder, key, traced)
+
+
+def test_public_calls_stay_on_the_main_thread(tmp_path, monkeypatch):
+    # features --mirror and crf on a 256^2 map of 2,116 rectangles, as the
+    # region-zoom benchmark runs them, with the box sums forced onto 3 threads
+    force_cpus(monkeypatch, 3)
+    spec = SyntheticSpec(size=256, num_classes=5, kind="blobs", noise_sigma=8.0)
+    img, _ = generate_dataset(spec, 1, 3)[0]
+    rng = np.random.default_rng(0)
+    rect = rect_regions(256, 256, 2048)
+    k = int(rect.max()) + 1
+    paths = {name: str(tmp_path / name) for name in
+             ("img.ppm", "sp.zot", "fm.zot", "unary.zot", "f.zot", "q.zot")}
+    core_io.write_ppm(img, paths["img.ppm"])
+    core_io.write_tensor(rect.astype(np.uint32), paths["sp.zot"])
+    core_io.write_tensor(rng.normal(size=(4, 32, 32)).astype(np.float32), paths["fm.zot"])
+    core_io.write_tensor(rng.dirichlet(np.ones(5), size=k).astype(np.float32),
+                         paths["unary.zot"])
+
+    workers = record_box_sums(monkeypatch)
+    calls = []
+    wrap_public_functions(monkeypatch, calls)
+
+    assert cli.main(["features", "--image", paths["img.ppm"], "--superpixels", paths["sp.zot"],
+                     "--levels", "pooled,subscene:3", "--featmap", paths["fm.zot"], "--mirror",
+                     "--out", paths["f.zot"]]) == 0
+    assert cli.main(["crf", "--unary", paths["unary.zot"], "--image", paths["img.ppm"],
+                     "--superpixels", paths["sp.zot"], "--iters", "2",
+                     "--out", paths["q.zot"]]) == 0
+    names = {name for name, _ in calls}
+    assert {"zok.zoomout.build_features", "zok.zoomout.subscene_bboxes",
+            "zok.crf.kernel_sum_matrix"} <= names
+    off_main = [name for name, thread in calls if thread is not threading.main_thread()]
+    assert not off_main
+    # the private box-sum workers did run on the pool's threads
+    assert len(workers) == 3
+    assert all(thread is not threading.main_thread() for thread, _ in workers)
 
 
 class TestMirrorInvariants:
