@@ -314,16 +314,17 @@ def _box_means(featmap, boxes):
     The boxes are summed in min(CPUs in the affinity mask, len(boxes))
     contiguous chunks, each on a thread of a pool made for this call.  Every
     row is summed by the same numpy call whatever the number of chunks, so
-    the bytes are too.  The first error in chunk order is raised once no
-    chunk is still running.
+    the bytes are too.  Every chunk runs to its end; then the first error in
+    chunk order is raised.
     """
     dtype = featmap.dtype if featmap.dtype.kind == "f" else np.dtype(np.float64)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     sums = np.empty((len(boxes), featmap.shape[0]), dtype=dtype)
     count = max(1, min(cpus or 1, len(boxes)))
     with ThreadPoolExecutor(count) as pool:
-        list(pool.map(functools.partial(_box_sums, featmap), np.array_split(boxes, count),
-                      np.array_split(sums, count)))
+        chunks = pool.map(functools.partial(_box_sums, featmap), np.array_split(boxes, count),
+                          np.array_split(sums, count))
+    list(chunks)  # read once every chunk has finished, so none is cancelled
     counts = (boxes[:, 2] - boxes[:, 0] + 1).clip(0) * (boxes[:, 3] - boxes[:, 1] + 1).clip(0)
     with np.errstate(invalid="ignore"):
         return (sums / counts[:, None]).astype(dtype)

@@ -7,6 +7,7 @@ import pkgutil
 import re
 import sys
 import threading
+import time
 import warnings
 
 import numpy as np
@@ -840,16 +841,33 @@ class TestBoxMeansChunks:
         assert np.array_equal(np.concatenate(chunks), boxes)
         assert all(thread is not threading.main_thread() for thread, _ in calls)
 
-    @pytest.mark.parametrize("cpus", [2, 3])
-    def test_overflow_in_a_later_chunk_raises_after_every_chunk_finished(self, monkeypatch,
-                                                                         cpus):
-        force_cpus(monkeypatch, cpus)
-        calls = record_box_sums(monkeypatch)
-        fm = np.full((2, 4, 4), 3e38, dtype=np.float32)
-        boxes = np.array([[1, 1, 1, 1]] * 5 + [[0, 0, 1, 0]])
+    @pytest.mark.parametrize("bad", [0, 1])
+    def test_overflow_raises_after_every_chunk_finished(self, monkeypatch, bad):
+        # chunk `bad` of 3 overflows while the last chunk is still summing:
+        # the error must not reach the caller before every chunk has ended
+        force_cpus(monkeypatch, 3)
+        running, finished = set(), []
+        box_sums = zoomout._box_sums
+
+        def slow_last_chunk(featmap, boxes, sums):
+            chunk = int(boxes[0, 0]) // 2  # box i starts at column i
+            running.add(chunk)
+            try:
+                if chunk == 2:
+                    time.sleep(0.2)
+                return box_sums(featmap, boxes, sums)
+            finally:
+                running.discard(chunk)
+                finished.append(chunk)
+
+        monkeypatch.setattr(zoomout, "_box_sums", slow_last_chunk)
+        fm = np.full((1, 1, 7), 3e38, dtype=np.float32)
+        boxes = np.array([[i, 0, i, 0] for i in range(6)])
+        boxes[2 * bad, 2] += 1  # two cells of 3e38 overflow float32
         with pytest.raises(FloatingPointError, match="overflow"):
             zoomout._box_means(fm, boxes)
-        assert len(calls) == cpus
+        assert not running
+        assert sorted(finished) == [0, 1, 2]
 
     def test_many_workers_with_a_short_switch_interval_match_the_reference(self, monkeypatch):
         # more threads than cores, switching often: a chunk writing another's
