@@ -80,7 +80,7 @@ _SPECS = {
     "synth": {"out": (str, _REQUIRED), "count": (int, 1), "size": (int, 64),
               "classes": (int, 4), "kind": (("quadrants", "blobs", "stripes"), "blobs"),
               "noise": (float, 0.0), "seed": (int, 0)},
-    "pipeline": {"report_out": (str, None, "override the report path from the config")},
+    "pipeline": {},
 }
 
 
@@ -289,12 +289,17 @@ def _cmd_pool(args):
 
 
 def _cmd_train(args):
+    text = args["hidden"]
+    try:  # "" is no hidden layer, and every item of a list must be a width
+        hidden = tuple(map(int, text.split(","))) if text.strip() else ()
+    except ValueError:
+        raise ValueError(f"--hidden must be comma-separated integers, got {text!r}") from None
     cfg = learner.TrainConfig(
         epochs=args["epochs"], batch_size=args["batch_size"],
         learning_rate=args["lr"], momentum=args["momentum"],
         weight_decay=args["weight_decay"], dropout=args["dropout"],
         seed=args["seed"], loss=args["loss"],
-        hidden=tuple(int(t) for t in args["hidden"].split(",") if t.strip()),
+        hidden=hidden,
     )
     if args.get("classes") is not None:
         _check_classes(args["classes"])
@@ -338,6 +343,9 @@ def _cmd_sample(args):
 
 def _cmd_crf(args):
     unary = _read_finite(args["unary"], "unary").astype(np.float64)
+    bad = unary[(unary < 0) | (unary > 1)]
+    if bad.size:
+        raise ValueError(f"--unary must hold probabilities in [0, 1], got {bad[0]}")
     lab = rgb_to_lab(read_ppm(args["image"]))
     h, w = lab.shape[:2]
     pixels = not args.get("superpixels")
@@ -544,10 +552,7 @@ def pipeline_run(config):
 def _cmd_pipeline(args):
     if not args.get("config"):
         raise ValueError("pipeline requires --config")
-    config = _load_json(args["config"])
-    if args.get("report_out") and isinstance(config, dict):
-        config["report"] = args["report_out"]
-    print(report_emit(pipeline_run(config), None, "json"))
+    print(report_emit(pipeline_run(_load_json(args["config"])), None, "json"))
 
 
 # each command's handler is _cmd_<command>, "-" becoming "_"

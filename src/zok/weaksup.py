@@ -271,8 +271,9 @@ def _lane_gradients(running, rows, images, i, j, gs, gsbar):
     """sgd_step gradients of the running lanes, stacked like their parameters.
 
     Each lane backpropagates its step's _argmax_losses gradient from its
-    argmax row(s) of rows[images[q]], batched with the lanes that have as
-    many rows; a lane whose gradient vanished gets zeros.
+    argmax row(s) of rows[images[q]], in one pass over every lane per row
+    count (1, then 2) and kept from its own count's, whose slice has the
+    bytes of a pass of its own; a lane whose gradient vanished gets zeros.
     """
     # every lane's argmax rows, sorted, and dLoss/dLogits on them: S's
     # gradient in row i's place, Sbar's in row j's (row 0 for both when
@@ -283,28 +284,22 @@ def _lane_gradients(running, rows, images, i, j, gs, gsbar):
     delta[lane, (i > j).astype(np.intp), 0] = gs
     delta[lane, (j > i).astype(np.intp), 1] = gsbar
     live = (gs != 0) | (gsbar != 0)  # p - 1 and 1 - p (p and -p) vanish together
-    grads = None
+    grads = [0.0] * 4
     for count in (1, 2):
-        slots = np.flatnonzero(live & ((i != j) == (count == 2)))
-        if not slots.size:
+        keep = live & ((i != j) == (count == 2))
+        if not keep.any():
             continue
-        if len(slots) == len(images):
-            slots = slice(None)  # every lane: views instead of gathered copies
         # the gradient rows get their own forward pass: slicing them out of
         # the full-grid buffer differs in the last bits
         a = np.array([rows[img].take(r, axis=0)
-                      for img, r in zip(images[slots].tolist(), picked[slots, :count])])
-        w1, w2 = (w[slots] for w in running.weights)
-        h = np.matmul(a, w1.transpose(0, 2, 1))
-        np.add(h, running.biases[0][slots, None], out=h)
+                      for img, r in zip(images.tolist(), picked[:, :count])])
+        h = np.matmul(a, running.weights[0].transpose(0, 2, 1))
+        np.add(h, running.biases[0][:, None], out=h)
         np.maximum(h, 0.0, out=h)
-        gw, gb = learner._backward([w1, w2], [a, h], delta[slots, :count])
-        if isinstance(slots, slice):
-            return gw, gb
-        grads = grads or [np.zeros_like(p) for p in running.weights + running.biases]
-        for full, part in zip(grads, gw + gb):
-            full[slots] = part
-    grads = grads or [np.zeros_like(p) for p in running.weights + running.biases]
+        gw, gb = learner._backward(running.weights, [a, h], delta[:, :count])
+        grads = gw + gb if keep.all() else [
+            np.where(keep.reshape(-1, *[1] * (g.ndim - 1)), g, old)
+            for g, old in zip(gw + gb, grads)]
     return grads[:2], grads[2:]
 
 

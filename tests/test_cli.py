@@ -56,6 +56,36 @@ class TestSlicCommand:
         assert run("slic", "--nonsense") == 1
 
 
+class TestMaxIters:
+    @pytest.mark.parametrize("command", ["slic", "pipeline"])
+    def test_one_runs_one_iteration(self, tmp_path, monkeypatch, command):
+        # `slic --max-iters 1` and the pipeline's slic.max_iters 1 stop every
+        # SLIC run after one iteration, where the default 10 runs more
+        spec = SyntheticSpec(size=32, num_classes=3, kind="blobs", noise_sigma=4.0)
+        img_path, _ = synth_generate(spec, 2, 4, tmp_path / "data")[0]
+        iterations, run_slic = [], cli.run_slic
+
+        def recording_run_slic(lab, params):
+            result = run_slic(lab, params)
+            iterations.append(result.iterations_run)
+            return result
+
+        monkeypatch.setattr(cli, "run_slic", recording_run_slic)
+        for max_iters in (1, 10):
+            if command == "slic":
+                argv = ["slic", "--input", img_path, "--k", 16, "--max-iters", max_iters,
+                        "--out", tmp_path / "sp.zot"]
+            else:
+                cfg = {"test_dir": str(tmp_path / "data"), "classes": 3, "oracle": True,
+                       "slic": {"k": 16, "max_iters": max_iters}}
+                (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+                argv = ["pipeline", "--config", tmp_path / "cfg.json"]
+            iterations.clear()
+            assert run(*argv) == 0
+            assert len(iterations) == (1 if command == "slic" else 2)
+            assert (set(iterations) == {1}) == (max_iters == 1)
+
+
 class TestNonFiniteSlicSettings:
     """A NaN or infinite m, an m whose m/S times the image diagonal
     overflows, and a NaN residual threshold exit 1 with one error line that
@@ -549,6 +579,34 @@ class TestCrfCommand:
         q = read_tensor(out)
         assert q.shape == (4, 32, 32)
         assert np.allclose(q.sum(axis=0), 1.0, atol=1e-4)
+
+    @pytest.mark.parametrize("value", [-5.0, 7.0])
+    @pytest.mark.parametrize("case", ["superpixels", "pixels"])
+    def test_unary_outside_probabilities_exit_1(self, tmp_path, capsys, quad_image, case,
+                                                value):
+        # -log of a clipped value is a uniform unary, so the q written was uniform
+        img_path, _ = quad_image
+        if case == "pixels":
+            unary, more = np.full((3, 32, 32), value), []
+        else:
+            write_tensor(zoomout.rect_regions(32, 32, 16).astype(np.uint32), tmp_path / "sp.zot")
+            unary, more = np.full((16, 3), value), ["--superpixels", tmp_path / "sp.zot"]
+        write_tensor(unary.astype(np.float32), tmp_path / "u.zot")
+        out = tmp_path / "q.zot"
+        capsys.readouterr()
+        assert run("crf", "--unary", tmp_path / "u.zot", "--image", img_path, *more,
+                   "--out", out) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "--unary" in err[0]
+        assert not out.exists()
+
+    def test_one_hot_unary_accepted(self, tmp_path, quad_image):
+        # 0 and 1 are probabilities: the range check is inclusive
+        img_path, _ = quad_image
+        write_tensor(zoomout.rect_regions(32, 32, 16).astype(np.uint32), tmp_path / "sp.zot")
+        write_tensor(np.eye(3, dtype=np.float32)[np.arange(16) % 3], tmp_path / "u.zot")
+        assert run("crf", "--unary", tmp_path / "u.zot", "--image", img_path,
+                   "--superpixels", tmp_path / "sp.zot", "--out", tmp_path / "q.zot") == 0
 
     @pytest.mark.parametrize("flag", ["--sigma-xy", "--sigma-lab", "--sigma-xy-smooth"])
     def test_non_positive_sigma_exit_1(self, tmp_path, capsys, quad_image, flag):
@@ -1118,6 +1176,7 @@ class TestConfigValueTypes:
         "slic-k-str": ("slic", {"k": "a"}, "key 'k'"),
         "slic-k-bool": ("slic", {"k": True}, "key 'k'"),
         "slic-m-str": ("slic", {"k": 4, "m": "x"}, "key 'm'"),
+        "slic-max-iters-zero": ("slic", {"k": 4, "max_iters": 0}, "max_iters"),
         "rect-count-str": ("rect", {"count": "3"}, "key 'count'"),
         "crf-iters-float": ("crf", {"iters": 2.5}, "key 'iters'"),
         "train-hidden-list": ("train", {"hidden": [8]}, "key 'hidden'"),
@@ -1152,6 +1211,8 @@ class TestConfigValueTypes:
             "pipeline", {"crf": {"iters": 0}, "train_dir": "MISSING"}, "iters"),
         "pipeline-batch-size-zero-no-train-dir": (
             "pipeline", {"train": {"batch_size": 0}, "train_dir": "MISSING"}, "batch_size"),
+        "pipeline-max-iters-zero-no-train-dir": (
+            "pipeline", {"slic": {"max_iters": 0}, "train_dir": "MISSING"}, "max_iters"),
         "pipeline-proximal-radius-zero-no-train-dir": (
             "pipeline", {"proximal_radius": 0, "train_dir": "MISSING"}, "radius >= 1"),
         "pipeline-hidden-zero-no-train-dir": (
@@ -1318,6 +1379,10 @@ class TestBadTrainingInputs:
         "train-weight-decay-negative": ("w", [1.0, 1.0, 1.0, 1.0], ["--weight-decay", -1],
                                         "weight_decay"),
         "train-hidden-zero": ("w", [1.0, 1.0, 1.0, 1.0], ["--hidden", 0], "hidden"),
+        "train-hidden-not-an-integer": ("w", [1.0, 1.0, 1.0, 1.0], ["--hidden", "8,abc"],
+                                        "--hidden"),
+        "train-hidden-empty-item": ("w", [1.0, 1.0, 1.0, 1.0], ["--hidden", "8,,4"],
+                                    "--hidden"),
         "train-lr-nan": ("w", [1.0, 1.0, 1.0, 1.0], ["--lr", "nan"], "learning rate"),
         "train-weight-decay-nan": ("w", [1.0, 1.0, 1.0, 1.0], ["--weight-decay", "nan"],
                                    "weight_decay"),

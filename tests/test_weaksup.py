@@ -695,22 +695,23 @@ class TestLocalizerOracle:
         # after which a lane's step has no gradient rows and only weight
         # decay and momentum move its weights; 1 x 1 grids always have one
         # argmax row, larger global-model grids mostly two
-        rows_per_step, groups = [], []
-        backward, sgd_step = learner._backward, learner.sgd_step
+        rows_per_step, last = [], []
+        argmax_losses, sgd_step = weaksup._argmax_losses, learner.sgd_step
 
-        def recording_backward(weights, acts, delta, masks=None):
-            if delta.ndim == 3:  # the lanes' batched backward: (lanes, rows, 2)
-                groups.append(delta.shape[:2])
-            return backward(weights, acts, delta, masks)
+        def recording_argmax_losses(scores, present, model):
+            out = argmax_losses(scores, present, model)
+            _, i, j, gs, gsbar = out
+            # each lane's gradient row count: 0 when its gradient vanished
+            last[:] = np.where((gs == 0) & (gsbar == 0), 0, np.where(i == j, 1, 2)).tolist()
+            return out
 
         def recording_sgd_step(model, grads, cfg, velocity):
             if model.weights[0].ndim == 3:  # the lanes' stacked update
-                counts = [rows for lanes, rows in groups for _ in range(lanes)]
-                rows_per_step.append(counts + [0] * (len(model.weights[0]) - len(counts)))
-                groups.clear()
+                assert len(last) == len(model.weights[0])
+                rows_per_step.append(list(last))
             return sgd_step(model, grads, cfg, velocity)
 
-        monkeypatch.setattr(learner, "_backward", recording_backward)
+        monkeypatch.setattr(weaksup, "_argmax_losses", recording_argmax_losses)
         monkeypatch.setattr(learner, "sgd_step", recording_sgd_step)
         assert_same_lanes(saturating_tasks(model))
         kinds = {0, 1, 2} if model == "global" else {0, 1}
