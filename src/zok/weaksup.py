@@ -273,7 +273,8 @@ def _lane_gradients(running, rows, images, i, j, gs, gsbar):
     Each lane backpropagates its step's _argmax_losses gradient from its
     argmax row(s) of rows[images[q]], in one pass over every lane per row
     count (1, then 2) and kept from its own count's, whose slice has the
-    bytes of a pass of its own; a lane whose gradient vanished gets zeros.
+    bytes of a pass of its own; a lane whose gradient vanished gets zeros,
+    as the scalar 0.0 that sgd_step broadcasts when every lane's did.
     """
     # every lane's argmax rows, sorted, and dLoss/dLogits on them: S's
     # gradient in row i's place, Sbar's in row j's (row 0 for both when
@@ -297,9 +298,8 @@ def _lane_gradients(running, rows, images, i, j, gs, gsbar):
         np.add(h, running.biases[0][:, None], out=h)
         np.maximum(h, 0.0, out=h)
         gw, gb = learner._backward(running.weights, [a, h], delta[:, :count])
-        grads = gw + gb if keep.all() else [
-            np.where(keep.reshape(-1, *[1] * (g.ndim - 1)), g, old)
-            for g, old in zip(gw + gb, grads)]
+        grads = [np.where(keep.reshape(-1, *[1] * (g.ndim - 1)), g, old)
+                 for g, old in zip(gw + gb, grads)]
     return grads[:2], grads[2:]
 
 
