@@ -267,7 +267,7 @@ def _cmd_features(args):
     img = read_ppm(args["image"])
     spmap = _read_spmap(args["superpixels"], img.shape[:2])
     names = {name for name, _ in zoomout._parse_levels(args["levels"])}
-    if args.get("featmap") and not names & {"pooled", "subscene", "scene"}:
+    if args.get("featmap") and names.isdisjoint(zoomout.FEATMAP_LEVELS):
         raise ValueError(f"--featmap is read only by the pooled, subscene and scene levels, "
                          f"and --levels {args['levels']!r} has none")
     if args["upsample"] != "nearest" and not args.get("featmap"):
@@ -361,6 +361,12 @@ def _cmd_crf(args):
         if unary.ndim != 2 or unary.shape[0] != int(spmap.max()) + 1:
             raise ValueError("superpixel unary must be (K, C)")
         probs = unary
+    # a node's row need not sum to 1 (mean field reads only its ratios), but it needs mass
+    empty = np.flatnonzero(~probs.any(axis=1))
+    if empty.size:
+        where = ("pixel (row {}, column {})".format(*divmod(int(empty[0]), w)) if pixels
+                 else f"superpixel {empty[0]}")
+        raise ValueError(f"--unary has no probability mass at {where}: every class is 0")
     node = labxy_means(lab, spmap)
     model = crf_mod.image_crf(
         node[:, :3], probs, node[:, 3:],

@@ -203,7 +203,8 @@ def location_features_all(spmap):
 
     Centroids use pixel-center coordinates (x + 0.5) and are mapped to
     [(cx - W/2)/(W/2), (cy - H/2)/(H/2)], followed by the absolute values
-    of both, so mirroring the image exactly negates the first coordinate.
+    of both.  Mirroring the image negates the first coordinate up to
+    rounding: the mirrored centroid's quotient rounds on its own.
     """
     spmap = np.asarray(spmap)
     h, w = spmap.shape
@@ -262,6 +263,8 @@ def subscene_bboxes(spmap, graph, radius=3):
 
 # Levels that take a hop radius, with its default; the others take none.
 _RADIUS_LEVELS = {"proximal": 2, "subscene": 3}
+# Levels that read the (C, H, W) feature map.
+FEATMAP_LEVELS = ("pooled", "subscene", "scene")
 
 
 def _parse_levels(text):
@@ -274,7 +277,7 @@ def _parse_levels(text):
     levels = []
     for item in filter(None, (part.strip() for part in text.split(","))):
         name, colon, arg = item.partition(":")
-        if name not in ("local", "pooled", "scene", *_RADIUS_LEVELS):
+        if name not in ("local", "proximal", *FEATMAP_LEVELS):
             raise ValueError(f"unknown level {name!r}")
         if name not in _RADIUS_LEVELS:
             if colon:
@@ -330,15 +333,6 @@ def _box_means(featmap, boxes):
         return (sums / counts[:, None]).astype(dtype)
 
 
-def _fuse_location(block):
-    """A local or proximal block with the mirror's location columns, carried
-    after its own, max-fused into them; a block without them is returned as is."""
-    c, d = LOCAL_COLOR_DIM, LOCAL_COLOR_DIM + 4
-    if block.shape[1] == d:
-        return block
-    return np.concatenate([block[:, :c], np.maximum(block[:, c:d], block[:, d:])], axis=1)
-
-
 def build_features(lab, spmap, levels="local,proximal:2", featmap=None, mirror=False):
     """(K, D) zoom-out features of every superpixel of a Lab image (core_io.rgb_to_lab).
 
@@ -348,30 +342,31 @@ def build_features(lab, spmap, levels="local,proximal:2", featmap=None, mirror=F
     and scene read featmap, a (C, H, W) map at image resolution.
 
     mirror max-fuses the features with those of the left-right mirrored
-    image and map, byte for byte as np.maximum of the two calls would.  A
-    mirrored superpixel keeps its colours and its neighbours, so the colour
-    histograms, the adjacency, the hop balls and the scene mean are computed
-    once; the location columns, the pooled means and the subscene boxes are
-    computed again for the mirror, whose boxes are summed in the same
-    _box_means call as the original's.  The mirror's pooled and subscene levels
-    still read featmap unmirrored, so they pool the map on the other side of
-    the image: a known fault, left for ROADMAP item 1a.
+    image and map.  A mirrored superpixel keeps its colours and its
+    neighbours, and its location only negates nx (up to rounding), so the
+    local and proximal blocks are the unmirrored ones with |nx|, and the
+    scene mean is computed once.  Only the pooled means and the subscene
+    boxes are computed again for the mirror, whose boxes are summed in the
+    same _box_means call as the original's.  The mirror's pooled and
+    subscene levels still read featmap unmirrored, so they pool the map on
+    the other side of the image: a known fault, left for ROADMAP item 1a.
     """
     levels = _parse_levels(levels)
     spmap = np.asarray(spmap)
     maps = (spmap, spmap[:, ::-1]) if mirror else (spmap,)
     graph = build_adjacency(spmap)
-    # the mirror's location columns ride after the original's, through proximal too
     local = np.concatenate(
-        [local_color_features(_as_lab(lab), spmap), *map(location_features_all, maps)], axis=1)
+        [local_color_features(_as_lab(lab), spmap), location_features_all(spmap)], axis=1)
     blocks = []
     for name, radius in levels:
-        if name == "local":
-            blocks.append(_fuse_location(local))
-        elif name == "proximal":
-            blocks.append(_fuse_location(proximal_average(local, graph, radius)))
-        elif featmap is None:
+        if name in FEATMAP_LEVELS and featmap is None:
             raise ValueError(f"level {name!r} requires a feature map")
+        if name in ("local", "proximal"):
+            block = local if name == "local" else proximal_average(local, graph, radius)
+            if mirror:  # on a copy, as proximal must average the signed nx
+                block = block.copy()
+                block[:, LOCAL_COLOR_DIM] = np.abs(block[:, LOCAL_COLOR_DIM])
+            blocks.append(block)
         elif name == "pooled":
             pooled = [pool_over_superpixels(featmap, m) for m in maps]
             blocks.append(functools.reduce(np.maximum, pooled))

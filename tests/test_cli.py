@@ -169,10 +169,16 @@ class TestFeaturesAndPool:
         levels = "local,proximal:2"
         assert run("features", "--image", img_path, "--superpixels", sp_out,
                    "--levels", levels, "--mirror", "--out", out) == 0
-        # the element-wise max of the features of the image and of its mirror
+        # the unmirrored features with |nx| in each block's nx column: the
+        # element-wise max of the features of the image and of its mirror,
+        # up to the rounding of the mirrored nx
         img, sp = read_ppm(img_path), read_tensor(sp_out).astype(np.int32)
-        expected = np.maximum(zoomout.build_features(rgb_to_lab(img), sp, levels),
-                              zoomout.build_features(rgb_to_lab(img[:, ::-1]), sp[:, ::-1], levels))
+        expected = zoomout.build_features(rgb_to_lab(img), sp, levels)
+        two_pass = np.maximum(expected, zoomout.build_features(rgb_to_lab(img[:, ::-1]),
+                                                               sp[:, ::-1], levels))
+        nx = [zoomout.LOCAL_COLOR_DIM, 2 * zoomout.LOCAL_COLOR_DIM + 4]
+        expected[:, nx] = np.abs(expected[:, nx])
+        assert np.allclose(expected, two_pass, rtol=0, atol=1e-15)
         written = read_tensor(out)
         assert written.dtype == np.float32 and written.shape == expected.shape
         assert written.tobytes() == expected.astype(np.float32).tobytes()
@@ -599,6 +605,50 @@ class TestCrfCommand:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "--unary" in err[0]
         assert not out.exists()
+
+    @pytest.mark.parametrize("rows", ["all", "one"])
+    @pytest.mark.parametrize("case", ["superpixels", "pixels"])
+    def test_node_without_probability_mass_exit_1(self, tmp_path, capsys, quad_image, case,
+                                                  rows):
+        # every class clipped to the same floor made that node's unary uniform
+        img_path, _ = quad_image
+        if case == "pixels":
+            unary, more = np.full((3, 32, 32), 0.25), []
+            unary[:, 2, 5] = 0.0
+            node = "pixel (row 2, column 5)"
+        else:
+            write_tensor(zoomout.rect_regions(32, 32, 16).astype(np.uint32), tmp_path / "sp.zot")
+            unary, more = np.full((16, 3), 0.25), ["--superpixels", tmp_path / "sp.zot"]
+            unary[3] = 0.0
+            node = "superpixel 3"
+        if rows == "all":
+            unary[:] = 0.0
+            node = "pixel (row 0, column 0)" if case == "pixels" else "superpixel 0"
+        write_tensor(unary.astype(np.float32), tmp_path / "u.zot")
+        out = tmp_path / "q.zot"
+        capsys.readouterr()
+        assert run("crf", "--unary", tmp_path / "u.zot", "--image", img_path, *more,
+                   "--out", out) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert "--unary" in err[0] and node in err[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", ["superpixels", "pixels"])
+    def test_positive_rows_need_not_sum_to_1(self, tmp_path, quad_image, case):
+        # mean field reads only the ratios within a node: all ones is uniform
+        img_path, _ = quad_image
+        if case == "pixels":
+            probs, more = np.ones((3, 32, 32)), []
+        else:
+            write_tensor(zoomout.rect_regions(32, 32, 16).astype(np.uint32), tmp_path / "sp.zot")
+            probs, more = np.ones((16, 3)), ["--superpixels", tmp_path / "sp.zot"]
+        for name, unary in (("ones", probs), ("thirds", probs / 3)):
+            write_tensor(unary.astype(np.float32), tmp_path / f"{name}.zot")
+            assert run("crf", "--unary", tmp_path / f"{name}.zot", "--image", img_path, *more,
+                       "--iters", 2, "--out", tmp_path / f"q-{name}.zot") == 0
+        q = read_tensor(tmp_path / "q-ones.zot")
+        assert q.tobytes() == read_tensor(tmp_path / "q-thirds.zot").tobytes()
 
     def test_one_hot_unary_accepted(self, tmp_path, quad_image):
         # 0 and 1 are probabilities: the range check is inclusive

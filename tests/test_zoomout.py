@@ -352,8 +352,9 @@ class TestLocationFeatures:
         spmap = rng.integers(0, 4, size=(6, 10)).astype(np.int32)
         feats = location_features_all(spmap)
         mirrored = location_features_all(spmap[:, ::-1])
-        assert np.allclose(mirrored[:, 0], -feats[:, 0])
-        assert np.allclose(mirrored[:, 2], feats[:, 2])
+        # up to rounding: the mirrored centroid's quotient rounds on its own
+        assert np.allclose(mirrored[:, 0], -feats[:, 0], rtol=0, atol=1e-15)
+        assert np.allclose(mirrored[:, 2], feats[:, 2], rtol=0, atol=1e-15)
 
 
 class TestProximalAverage:
@@ -672,6 +673,38 @@ def reference_mirror_features(img, spmap, levels, featmap=None):
                       build_features(rgb_to_lab(img[:, ::-1]), spmap[:, ::-1], levels, featmap))
 
 
+def nx_columns(levels, channels):
+    """The nx and |nx| columns of every local and proximal block of a levels
+    spec, in pairs; the feature map levels are channels wide."""
+    cols, start = [], 0
+    for name, _ in zoomout._parse_levels(levels):
+        if name in zoomout.FEATMAP_LEVELS:
+            start += channels
+        else:
+            cols += [start + LOCAL_COLOR_DIM, start + LOCAL_COLOR_DIM + 2]
+            start += LOCAL_COLOR_DIM + 4
+    return np.array(cols, dtype=np.int64)
+
+
+def assert_mirror_matches_two_pass(img, spmap, levels, featmap=None):
+    """build_features(..., mirror=True) has the two-pass max's bytes outside
+    the nx and |nx| columns.  On them it has the unmirrored features' bytes,
+    with the abs taken of nx (a proximal |nx| is the mean of the |nx| column,
+    kept as it is), within 1e-15 of the two-pass max: a mirror negates nx up
+    to rounding."""
+    got = build_features(rgb_to_lab(img), spmap, levels, featmap, mirror=True)
+    ref = reference_mirror_features(img, spmap, levels, featmap)
+    plain = build_features(rgb_to_lab(img), spmap, levels, featmap)
+    assert got.dtype == ref.dtype == np.float64 and got.shape == ref.shape
+    cols = nx_columns(levels, 0 if featmap is None else len(featmap))
+    assert (np.delete(got, cols, axis=1).tobytes()
+            == np.delete(ref, cols, axis=1).tobytes()), levels
+    want = plain[:, cols]
+    want[:, ::2] = np.abs(want[:, ::2])
+    assert got[:, cols].tobytes() == want.tobytes(), levels
+    np.testing.assert_allclose(got[:, cols], ref[:, cols], rtol=0, atol=1e-15)
+
+
 def reference_box_means(featmap, boxes):
     """One .mean per inclusive (x0, y0, x1, y1) box."""
     return np.stack([featmap[:, y0 : y1 + 1, x0 : x1 + 1].mean(axis=(1, 2))
@@ -699,10 +732,7 @@ ALL_LEVELS = ["local,proximal:2,pooled,subscene:3,scene",
 class TestMirrorFusionOracle:
     def assert_same(self, img, spmap, featmap, levels=ALL_LEVELS):
         for spec in levels:
-            got = build_features(rgb_to_lab(img), spmap, spec, featmap, mirror=True)
-            ref = reference_mirror_features(img, spmap, spec, featmap)
-            assert got.dtype == ref.dtype == np.float64
-            assert got.tobytes() == ref.tobytes(), spec
+            assert_mirror_matches_two_pass(img, spmap, spec, featmap)
 
     @pytest.mark.parametrize("mode", ["nearest", "bilinear"])
     def test_slic_and_rect_maps_match_two_pass_bytes(self, mode):
@@ -740,6 +770,25 @@ class TestMirrorFusionOracle:
         fm = upsample_featuremap(small, h, w, mode)
         levels = f"local,proximal:{r_prox},pooled,subscene:{r_sub},scene"
         self.assert_same(img, spmap, fm, [levels])
+
+    @pytest.mark.parametrize("seed", range(64))
+    def test_seeded_maps_match_two_pass(self, seed):
+        # every other image 1-17 px wide; SLIC, rectangle and one-superpixel maps
+        rng = np.random.default_rng(seed)
+        w = int(rng.integers(1, 18) if seed % 2 else rng.integers(18, 65))
+        h = int(rng.integers(1, 65))
+        img = rng.integers(0, 256, size=(h, w, 3), dtype=np.uint8)
+        k = int(rng.integers(1, min(h * w, 64) + 1))
+        kind = ("slic", "rect", "single")[seed % 3]
+        if kind == "slic":
+            spmap = run_slic(rgb_to_lab(img), SlicParams(k=k)).spmap
+        else:
+            spmap = rect_regions(w, h, k if kind == "rect" else 1)
+        small = wide_map(rng, (2, *(int(v) for v in rng.integers(1, 6, size=2))))
+        fm = upsample_featuremap(small, h, w, ("nearest", "bilinear")[seed % 2])
+        r_prox, r_sub = (int(r) for r in rng.integers(1, 4, size=2))
+        assert_mirror_matches_two_pass(
+            img, spmap, f"local,proximal:{r_prox},pooled,subscene:{r_sub},scene", fm)
 
 
 class TestBoxMeansOracle:
