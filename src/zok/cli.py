@@ -62,7 +62,8 @@ _SPECS = {
     "predict": {"model": (str, _REQUIRED), "features": (str, _REQUIRED),
                 "out": (str, _REQUIRED)},
     "sample": {"scores": (str, _REQUIRED, "ZOT1 (C,H,W) score fields"),
-               "features": (str, _REQUIRED, "ZOT1 (D,H,W) feature field"),
+               "features": (str, None, "ZOT1 (D,H,W) feature field; read by --mode "
+                            "diverse and by --bg only"),
                "k": (int, 20), "mode": (("diverse", "topk", "spatial"), "diverse"),
                "bg": (bool, False, "append background points as class C"),
                "out": (str, _REQUIRED)},
@@ -325,11 +326,16 @@ def _cmd_predict(args):
 
 
 def _cmd_sample(args):
-    scores = _read_finite(args["scores"], "scores").astype(np.float64)
-    field = _read_finite(args["features"], "features").astype(np.float64)
-    if scores.ndim != 3 or field.ndim != 3:
-        raise ValueError("scores must be (C,H,W) and features (D,H,W)")
-    z = weaksup.normalize_features([field])[0]
+    reads = args["mode"] == "diverse" or args["bg"]
+    if reads:
+        _require(args, ["features"], "options")
+    elif args.get("features"):
+        raise ValueError(f"--features is read only by --mode diverse and by --bg, and "
+                         f"--mode {args['mode']} without --bg reads neither")
+    scores = _read_finite(args["scores"], "scores", 3).astype(np.float64)
+    # topk and spatial read no field: they get one of no channels on the scores' grid
+    z = (weaksup.normalize_features([_read_finite(args["features"], "features", 3)])[0]
+         if reads else np.zeros((0, *scores.shape[1:])))
     points = weaksup.sample_points(scores, z, args["k"], args["mode"], args["bg"])
     for c, pts in enumerate(points):
         if len(pts) < args["k"]:
@@ -339,6 +345,14 @@ def _cmd_sample(args):
     rows = [(c, int(r), int(col), rank) for c, pts in enumerate(points)
             for rank, (r, col) in enumerate(pts)]
     write_tensor(np.array(rows, dtype=np.uint32).reshape(-1, 4), args["out"])
+
+
+def _crf_refine(lab, spmap, probs, iters, damping, mode="parallel", **kernels):
+    """mean_field_refine's q over the image_crf of spmap's regions, each node
+    its region's mean Lab and (x, y); kernels are image_crf's keywords."""
+    node = labxy_means(lab, spmap)
+    model = crf_mod.image_crf(node[:, :3], probs, node[:, 3:], **kernels)
+    return crf_mod.mean_field_refine(model, iters, damping, mode).q
 
 
 def _cmd_crf(args):
@@ -367,14 +381,8 @@ def _cmd_crf(args):
         where = ("pixel (row {}, column {})".format(*divmod(int(empty[0]), w)) if pixels
                  else f"superpixel {empty[0]}")
         raise ValueError(f"--unary has no probability mass at {where}: every class is 0")
-    node = labxy_means(lab, spmap)
-    model = crf_mod.image_crf(
-        node[:, :3], probs, node[:, 3:],
-        w_appearance=args["w_appearance"], w_smooth=args["w_smooth"],
-        sigma_xy=args["sigma_xy"], sigma_lab=args["sigma_lab"],
-        sigma_xy_smooth=args["sigma_xy_smooth"],
-    )
-    q = crf_mod.mean_field_refine(model, args["iters"], args["damping"], args["mode"]).q
+    q = _crf_refine(lab, spmap, probs, mode=args["mode"],
+                    **{key: args[key] for key in _PIPELINE["crf"]})
     if pixels:
         q = q.T.reshape(unary.shape)
     write_tensor(q.astype(np.float32), args["out"])
@@ -490,10 +498,9 @@ def pipeline_run(config):
     train_cfg = learner.TrainConfig(**dict(train, hidden=tuple(train["hidden"])))
     crf_cfg = _pipeline_section(cfg["crf"], "crf") if cfg["crf"] else None
     if crf_cfg:
-        # what is left after iters and damping are image_crf's keywords
-        iters, damping = crf_cfg.pop("iters"), crf_cfg.pop("damping")
-        crf_mod.check_mean_field(iters, damping)
-        crf_mod.check_image_crf(**crf_cfg)
+        kernels = dict(crf_cfg)
+        crf_mod.check_mean_field(kernels.pop("iters"), kernels.pop("damping"))
+        crf_mod.check_image_crf(**kernels)
     num_classes, ignore = cfg["classes"], cfg["ignore"]
     levels = f"local,proximal:{cfg['proximal_radius']}"
     zoomout._parse_levels(levels)  # rejects a radius below 1 before any image loads
@@ -529,17 +536,14 @@ def pipeline_run(config):
         res = _stage(timings, "slic", run_slic, lab, params)
         if oracle:
             pred = metrics.oracle_labels(gt, res.spmap, ignore)
-            cm += metrics.confusion(np.where(pred == ignore, 0, pred), gt, num_classes, ignore)
+            cm += metrics.confusion(pred, gt, num_classes, ignore)
             continue
         feats = _stage(timings, "features", zoomout.build_features, lab, res.spmap, levels)
         probs = _stage(timings, "predict", learner.forward, model, feats)
         sp_pred = np.argmax(probs, axis=1)
         cm += metrics.confusion(sp_pred[res.spmap], gt, num_classes, ignore)
         if crf_cfg:
-            # SLIC's centers are the mean Lab and (x, y) of each superpixel
-            cmodel = _stage(timings, "crf", crf_mod.image_crf, res.centers[:, :3], probs,
-                            res.centers[:, 3:], **crf_cfg)
-            q = _stage(timings, "crf", crf_mod.mean_field_refine, cmodel, iters, damping).q
+            q = _stage(timings, "crf", _crf_refine, lab, res.spmap, probs, **crf_cfg)
             cm_crf += metrics.confusion(
                 crf_mod.map_labels(q)[res.spmap], gt, num_classes, ignore)
 

@@ -50,8 +50,8 @@ class SlicParams:
 
 @dataclass
 class SlicResult:
+    """run_slic's output; each region's mean labxy is labxy_means(lab, spmap)."""
     spmap: np.ndarray            # (H, W) int32, ids contiguous 0..K'-1
-    centers: np.ndarray          # (K', 5) mean labxy of each final region
     iterations_run: int
     history: list                # residual E per iteration; the last is final
 
@@ -360,8 +360,8 @@ def run_slic(lab, params):
     Seeds a grid of centers, perturbs them off edges, then alternates
     windowed assignment and center updates until the residual drops below
     params.residual_threshold or max_iters is reached.  Ids are compacted
-    and, unless disabled, post-processed for 4-connectivity.  The returned
-    centers are the mean labxy of each final region.
+    and, unless disabled, post-processed for 4-connectivity; the map and the
+    residual history come back as a SlicResult.
     """
     lab = _as_lab(lab)
     s = grid_interval(lab.shape[0] * lab.shape[1], params.k)
@@ -379,4 +379,4 @@ def run_slic(lab, params):
     spmap = compact_ids(spmap)
     if params.enforce_connectivity:
         spmap = enforce_connectivity(spmap)
-    return SlicResult(spmap, labxy_means(lab, spmap), len(history), history)
+    return SlicResult(spmap, len(history), history)

@@ -10,11 +10,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from zok import cli, crf, learner, zoomout
+from zok import cli, crf, learner, slic, weaksup, zoomout
 from zok.core_io import (read_ppm, read_tensor, rgb_to_lab, write_pgm, write_ppm,
                          write_tensor)
 from zok.slic import labxy_means
-from zok.synth import SyntheticSpec, synth_generate
+from zok.synth import SyntheticSpec, generate_dataset, synth_generate
 
 
 def run(*argv):
@@ -547,6 +547,27 @@ class TestSampleCommand:
         assert len(err) == 1 and err[0].startswith("error:") and "grid" in err[0]
         assert not out.exists()
 
+    @pytest.mark.parametrize("mode", ["topk", "spatial"])
+    def test_features_only_where_read(self, tmp_path, capsys, mode):
+        # without --bg these modes read no feature field: they run without
+        # --features and refuse one (here no file) before reading it
+        scores = np.random.default_rng(4).uniform(0.1, 1.0, (2, 6, 7)).astype(np.float32)
+        write_tensor(scores, tmp_path / "s.zot")
+        out = tmp_path / "pts.zot"
+        assert run("sample", "--scores", tmp_path / "s.zot", "--mode", mode, "--k", 3,
+                   "--out", out) == 0
+        want = [[c, *map(int, pt), rank] for c, grid in enumerate(scores.astype(np.float64))
+                for rank, pt in enumerate(weaksup.sample_foreground(grid, None, 3, mode))]
+        assert read_tensor(out).tolist() == want
+        out.unlink()
+        for flags in (["--mode", mode, "--features", tmp_path / "none.zot"],
+                      ["--mode", mode, "--bg"], ["--mode", "diverse"]):
+            capsys.readouterr()
+            assert run("sample", "--scores", tmp_path / "s.zot", *flags, "--out", out) == 1
+            err = capsys.readouterr().err.strip().splitlines()
+            assert len(err) == 1 and err[0].startswith("error:") and "features" in err[0]
+            assert not out.exists()
+
     # a (1, 2, 2) field whose top row standardizes to two unit vectors and
     # whose bottom row, at the field's mean, to zero: two usable locations
     TWO_USABLE = np.array([[[0.0, 2.0], [1.0, 1.0]]], dtype=np.float32)
@@ -802,6 +823,59 @@ class TestCrfPixelModeOracle:
             assert q_new.tobytes() == q_ref.tobytes()
             expected = q_ref.T.reshape(unary.shape).astype(np.float32)
             assert read_tensor(tmp_path / "q.zot").tobytes() == expected.tobytes()
+
+
+def reference_crf_q(lab, spmap, probs, iters, damping, mode="parallel", **kernels):
+    """q as `zok crf` and the pipeline's crf stage built it inline before
+    they shared cli._crf_refine."""
+    node = labxy_means(lab, spmap)
+    model = crf.image_crf(node[:, :3], probs, node[:, 3:], **kernels)
+    return crf.mean_field_refine(model, iters, damping, mode).q
+
+
+class TestCrfRefineOracle:
+    # the CRF defaults of the pipeline and of `zok crf`, written out
+    SETTINGS = {
+        "pipeline": {"iters": 5, "damping": 0.5, "w_appearance": 3.0, "w_smooth": 1.0,
+                     "sigma_xy": 20.0, "sigma_lab": 10.0, "sigma_xy_smooth": 5.0},
+        "crf": {"iters": 10, "damping": 0.5, "w_appearance": 3.0, "w_smooth": 1.0,
+                "sigma_xy": 10.0, "sigma_lab": 10.0, "sigma_xy_smooth": 3.0},
+    }
+
+    def test_settings_are_the_defaults(self):
+        # `zok crf` passes its flags of the pipeline's crf keys to _crf_refine
+        assert set(cli._PIPELINE["crf"]) <= set(cli._SPECS["crf"])
+        for command, table in (("pipeline", cli._PIPELINE["crf"]), ("crf", cli._SPECS["crf"])):
+            assert self.SETTINGS[command] == {key: table[key][1] for key in cli._PIPELINE["crf"]}
+
+    @pytest.mark.parametrize("mode", ["parallel", "sequential"])
+    @pytest.mark.parametrize("defaults", ["pipeline", "crf"])
+    @pytest.mark.parametrize("nodes", ["slic", "rect", "pixels"])
+    def test_q_matches_inline_build_bytes(self, tmp_path, nodes, defaults, mode):
+        spec = SyntheticSpec(size=40, num_classes=4, kind="blobs", noise_sigma=8.0)
+        img, _ = next(iter(generate_dataset(spec, 1, 2)))
+        lab = rgb_to_lab(img)
+        spmap = {"slic": lambda: slic.run_slic(lab, slic.SlicParams(k=24)).spmap,
+                 "rect": lambda: zoomout.rect_regions(40, 40, 30),
+                 "pixels": lambda: np.arange(40 * 40).reshape(40, 40)}[nodes]()
+        # float32 values, so the unary file `zok crf` reads holds them exactly
+        probs = np.random.default_rng(6).dirichlet(np.ones(4), size=int(spmap.max()) + 1)
+        probs = probs.astype(np.float32).astype(np.float64)
+        settings = self.SETTINGS[defaults]
+        want = reference_crf_q(lab, spmap, probs, mode=mode, **settings)
+        got = cli._crf_refine(lab, spmap, probs, mode=mode, **settings)
+        assert got.tobytes() == want.tobytes()
+        if defaults == "crf":  # the command's defaults: it writes the same q
+            write_ppm(img, tmp_path / "i.ppm")
+            if nodes == "pixels":
+                unary, argv, want = probs.T.reshape(4, 40, 40), [], want.T.reshape(4, 40, 40)
+            else:
+                write_tensor(spmap.astype(np.uint32), tmp_path / "sp.zot")
+                unary, argv = probs, ["--superpixels", tmp_path / "sp.zot"]
+            write_tensor(unary.astype(np.float32), tmp_path / "u.zot")
+            assert run("crf", "--unary", tmp_path / "u.zot", "--image", tmp_path / "i.ppm",
+                       "--mode", mode, *argv, "--out", tmp_path / "q.zot") == 0
+            assert read_tensor(tmp_path / "q.zot").tobytes() == want.astype(np.float32).tobytes()
 
 
 class TestEvalCommands:
@@ -1093,6 +1167,36 @@ class TestPipelineCommand:
         cli.pipeline_run(cfg)
         assert len(calls) == (3 if oracle else 2 + 3)
 
+    @pytest.mark.parametrize("case", ["crf", "no-crf", "oracle", "slic"])
+    def test_node_means_only_for_crf_images(self, tmp_path, monkeypatch, quad_image, case):
+        # labxy_means gives the CRF's nodes, once per test image of a run with
+        # a CRF; update_centers also calls it, passing its center count as k
+        calls = []
+
+        def counted(lab, spmap, k=None):
+            if k is None:
+                calls.append(spmap.shape)
+            return labxy_means(lab, spmap, k)
+
+        monkeypatch.setattr(cli, "labxy_means", counted)
+        monkeypatch.setattr(slic, "labxy_means", counted)
+        if case == "slic":
+            assert run("slic", "--input", quad_image[0], "--k", 4,
+                       "--out", tmp_path / "sp.zot") == 0
+            assert calls == []
+            return
+        spec = SyntheticSpec(size=16, num_classes=4, kind="quadrants")
+        synth_generate(spec, 2, 0, tmp_path / "train")
+        synth_generate(spec, 3, 1, tmp_path / "test")
+        cfg = {"test_dir": str(tmp_path / "test"), "classes": 4, "slic": {"k": 4, "m": 10}}
+        if case == "oracle":
+            cfg["oracle"] = True
+        else:
+            cfg.update(train_dir=str(tmp_path / "train"), train={"epochs": 1, "hidden": []},
+                       crf={"iters": 1} if case == "crf" else None)
+        cli.pipeline_run(cfg)
+        assert calls == ([(16, 16)] * 3 if case == "crf" else [])
+
     def test_oracle_pipeline_miou_one(self, tmp_path, capsys):
         spec = SyntheticSpec(size=32, num_classes=4, kind="quadrants")
         synth_generate(spec, 2, 0, tmp_path / "test")
@@ -1321,8 +1425,10 @@ class TestConfigValueTypes:
             write_tensor(rng.normal(size=(4, 5, 6)).astype(np.float32), tmp_path / "z.zot")
             argv = {"slic": [command, "--input", img_path, "--out", tmp_path / "o"],
                     "rect": [command, "--out", tmp_path / "o"],
-                    "sample": [command, "--scores", tmp_path / "s.zot",
-                               "--features", tmp_path / "z.zot", "--out", tmp_path / "o"],
+                    # topk and spatial without --bg refuse a --features they do not read
+                    "sample": [command, "--scores", tmp_path / "s.zot", "--out", tmp_path / "o",
+                               *(["--features", tmp_path / "z.zot"]
+                                 if change.get("mode") == "diverse" else [])],
                     "crf": [command, "--unary", tmp_path / "u.zot", "--image", img_path,
                             "--out", tmp_path / "o"],
                     "train": [command, "--features", tmp_path / "x.zot", "--labels",

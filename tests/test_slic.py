@@ -291,8 +291,6 @@ class TestRunSlic:
         res = run_slic(rgb_to_lab(quadrant_image()), SlicParams(k=9, m=15))
         k = res.spmap.max() + 1
         assert sorted(np.unique(res.spmap)) == list(range(k))
-        assert len(res.centers) == k
-        assert np.all(res.centers[:, 3] >= 0) and np.all(res.centers[:, 3] < 64)
         assert np.isfinite(res.history[-1])
 
     def test_k_exceeding_pixels_rejected(self):

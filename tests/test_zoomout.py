@@ -19,7 +19,7 @@ from hypothesis.extra.numpy import arrays
 import zok
 from zok import cli, core_io, zoomout
 from zok.core_io import rgb_to_lab
-from zok.slic import SlicParams, run_slic
+from zok.slic import SlicParams, labxy_means, run_slic
 from zok.synth import SyntheticSpec, generate_dataset
 from zok.zoomout import (LOCAL_COLOR_DIM, boundary_pairs, build_adjacency, build_features,
                          local_color_features, location_features_all,
@@ -551,12 +551,13 @@ def slic_maps(count=3, size=48, k=32):
 
 
 class TestRegionMeansOracle:
-    def test_lab_xy_means_equal_slic_centers(self):
+    def test_lab_xy_means_match_reference_stats(self):
+        # labxy_means gives the CRF's node features
         for img, res in slic_maps():
             lab = rgb_to_lab(img)
             planes = [*np.moveaxis(lab, 2, 0), *np.indices(res.spmap.shape, dtype=np.float64)[::-1]]
             means = region_means(res.spmap, planes)
-            assert means.tobytes() == res.centers.tobytes()
+            assert means.tobytes() == labxy_means(lab, res.spmap).tobytes()
             mean_lab, mean_pos = reference_superpixel_stats(lab, res.spmap)
             assert means.tobytes() == np.concatenate([mean_lab, mean_pos], axis=1).tobytes()
 
